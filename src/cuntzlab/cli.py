@@ -21,7 +21,7 @@ from .algebra import AlgebraElement
 from .checks import SUITES
 from .dynamics import CantorDynamics, JoinDynamics, DEFAULT_BUDGET
 from .endomorphism import EndomorphismSpec, Permutation
-from .errors import (BudgetExceededError, ConvergenceError, CuntzError,
+from .errors import (BudgetExceededError, CuntzError,
                      DiagonalNotPreservedError, DimensionCapError,
                      MasaNotInvariantError, NotHomogeneousError,
                      NotUnitaryError, ParseError, PartitionError)
@@ -37,8 +37,7 @@ EXIT_DOMAIN = 3
 EXIT_BUDGET = 4
 
 _DOMAIN_ERRORS = (NotUnitaryError, MasaNotInvariantError, NotHomogeneousError,
-                  DiagonalNotPreservedError, PartitionError, DimensionCapError,
-                  ConvergenceError)
+                  DiagonalNotPreservedError, PartitionError, DimensionCapError)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -160,6 +160,28 @@ class JoinDynamics:
     def _build_table(self, p: int) -> BlockMapTable:
         raise NotImplementedError
 
+    def _prepend_letter(self, p: int, first: np.ndarray,
+                        rest: np.ndarray) -> BlockMapTable:
+        """Depth-p table from the depth-(p-1) table, for a map that reads
+        its input through a window of step + 1 letters.  For each head h
+        (the first step + 1 letters of a depth-p window) the map emits the
+        letter first[h] and continues on the word rest[h] (step letters)
+        followed by the unread input, which is exactly a depth-(p-1)
+        window:
+
+            table_p[h, tail] = first[h] * N^(p-1) + table_{p-1}[rest[h], tail]
+
+        The depth-0 table maps every length-`step` word to the empty
+        output 0."""
+        n = self.n_gens
+        window = p + self.step
+        self._check_budget(window)
+        low = n ** (p - 1)
+        prev = (self.block_map(p - 1).table if p > 1
+                else np.zeros(n ** self.step, dtype=np.int64))
+        table = first[:, None] * low + prev.reshape(-1, low)[rest]
+        return BlockMapTable(n, p, window, table.ravel())
+
     def _check_budget(self, length: int) -> None:
         if self.n_gens ** length > self.budget:
             raise BudgetExceededError(
@@ -180,7 +202,13 @@ class JoinDynamics:
 
     def _join_counts(self, p: int, n_max: int) -> List[Tuple[int, int]]:
         """Incremental itinerary-class refinement: the class of w after n
-        steps is the pair (w|_p, class of Tw after n-1 steps)."""
+        steps is the pair (w|_p, class of Tw after n-1 steps).
+
+        Each partition refines the one before it, so N(n+1, p) = N(n, p)
+        means the two partitions are equal; then the class after n+2 steps
+        is (w|_p, class of Tw after n+1 steps) = the class after n+1 steps,
+        and every later count is the same.  Refinement stops there and the
+        remaining counts are filled in exactly."""
         n = self.n_gens
         self._check_budget(p + (n_max - 1) * self.step)
         counts: List[Tuple[int, int]] = [(1, n ** p)]
@@ -192,7 +220,11 @@ class JoinDynamics:
             prefix = np.arange(n ** length, dtype=np.int64) // (n ** (length - p))
             keys = prefix * n_classes + img_cls
             _, cls = np.unique(keys, return_inverse=True)
-            n_classes = int(cls.max()) + 1
+            refined = int(cls.max()) + 1
+            if refined == n_classes:
+                counts.extend((s, n_classes) for s in range(steps, n_max + 1))
+                break
+            n_classes = refined
             counts.append((steps, n_classes))
         return counts
 
@@ -272,26 +304,12 @@ class CantorDynamics(JoinDynamics):
         return self._symbolic_table(p)
 
     def _permutative_table(self, p: int) -> BlockMapTable:
-        """Vectorized construction for rho_sigma.  The first output letter
-        on a window w is the first letter of sigma^{-1}(w|_k); the residual
-        word (rest of the preimage followed by the unread input) feeds the
-        next step."""
-        n = self.n_gens
-        k = self.endo.rank
-        window = p + k - 1
-        self._check_budget(window)
-        sinv = self._perm_inverse
-        cur = np.arange(n ** window, dtype=np.int64)
-        out = np.zeros(n ** window, dtype=np.int64)
-        length = window
-        for _ in range(p):
-            tail = n ** (length - k)
-            head = cur // tail
-            pre = sinv[head]
-            out = out * n + pre // (n ** (k - 1))
-            cur = (pre % (n ** (k - 1))) * tail + cur % tail
-            length -= 1
-        return BlockMapTable(n, p, window, out)
+        """Word-level construction for rho_sigma, one depth at a time.  On a
+        window w the first output letter is the first letter of
+        sigma^{-1}(w|_k); the rest of that preimage followed by the unread
+        input is the depth-(p-1) window that yields the other p-1 letters."""
+        first, rest = np.divmod(self._perm_inverse, self.n_gens ** self.step)
+        return self._prepend_letter(p, first, rest)
 
     def _symbolic_table(self, p: int) -> BlockMapTable:
         """Generic construction from rho applied to cylinder projections."""

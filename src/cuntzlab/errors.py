@@ -33,10 +33,6 @@ class DimensionCapError(CuntzError):
     """A matrix embedding exceeded the configured dimension cap."""
 
 
-class ConvergenceError(CuntzError):
-    """Power iteration failed to converge within the iteration cap."""
-
-
 class DiagonalNotPreservedError(CuntzError):
     """The endomorphism does not map diagonal projections to diagonal 0/1 sums."""
 

@@ -1,6 +1,6 @@
 """Matrix embeddings: the map Psi_k into M_{N^k} (x) O_N, the homogeneous
 matrix-coefficient decomposition, and operator norms of gauge-homogeneous
-elements via exact embedding plus power iteration."""
+elements via exact embedding plus a Hermitian eigensolver."""
 
 from __future__ import annotations
 
@@ -10,12 +10,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .algebra import AlgebraElement, Monomial, Word, words
-from .errors import (ConvergenceError, DimensionCapError, NotHomogeneousError)
+from .errors import DimensionCapError, NotHomogeneousError
 from .scalars import GaussianRational
 
 DIM_CAP = 1024
-POWER_TOL = 1e-12
-POWER_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -97,24 +95,11 @@ def exact_degree0_matrix(x: AlgebraElement) -> Dict[Tuple[Word, Word], GaussianR
 
 
 def largest_eigenvalue(mat: np.ndarray) -> float:
-    """Top eigenvalue of a positive semidefinite matrix by power iteration
-    (all-ones seed, tolerance 1e-12, iteration cap 10^4)."""
-    dim = mat.shape[0]
-    if dim == 0:
+    """Top eigenvalue of a Hermitian (here positive semidefinite) matrix,
+    from the full spectrum."""
+    if mat.shape[0] == 0:
         return 0.0
-    v = np.ones(dim, dtype=complex) / np.sqrt(dim)
-    prev = 0.0
-    for _ in range(POWER_MAX_ITER):
-        w = mat @ v
-        norm = float(np.linalg.norm(w))
-        if norm < POWER_TOL:
-            return 0.0
-        v = w / norm
-        val = float(np.real(np.conjugate(v) @ (mat @ v)))
-        if abs(val - prev) <= POWER_TOL * max(1.0, abs(val)):
-            return val
-        prev = val
-    raise ConvergenceError("power iteration did not converge")
+    return float(np.linalg.eigvalsh(mat)[-1])
 
 
 def operator_norm(x: AlgebraElement) -> float:

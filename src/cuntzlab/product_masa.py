@@ -136,17 +136,12 @@ class ProductMasaDynamics(JoinDynamics):
     # -- tables -------------------------------------------------------------
 
     def _build_table(self, p: int) -> BlockMapTable:
-        """Pure sliding code: output letter j is rule[w_j .. w_{j+k-1}]."""
+        """Pure sliding code: output letter j is rule[w_j .. w_{j+k-1}], so
+        a depth-p window emits rule(w_1 .. w_k) and continues on w_2 ...,
+        the depth-(p-1) window."""
         k = self.endo.rank
-        window = p + self.step
-        self._check_budget(window)
         rule_arr = np.zeros(2 ** k, dtype=np.int64)
         for q, letter in self.rule.items():
             rule_arr[pack_word(q, 2)] = letter - 1
-        codes = np.arange(2 ** window, dtype=np.int64)
-        out = np.zeros(2 ** window, dtype=np.int64)
-        for j in range(p):
-            shiftpow = 2 ** (window - j - k)
-            chunk = (codes // shiftpow) % (2 ** k)
-            out = out * 2 + rule_arr[chunk]
-        return BlockMapTable(2, p, window, out)
+        return self._prepend_letter(p, rule_arr,
+                                    np.arange(2 ** k) % 2 ** self.step)

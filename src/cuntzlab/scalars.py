@@ -75,6 +75,17 @@ class GaussianRational:
     def is_real(self) -> bool:
         return self.im == 0
 
+    def __eq__(self, other) -> bool:
+        if isinstance(other, GaussianRational):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return self.im == 0 and self.re == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        # a real value hashes like its Fraction, so equal values hash equal
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
+
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
 

@@ -2,14 +2,15 @@
 certificate on the standard masa."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
 
 from cuntzlab import (AlgebraElement, BudgetExceededError, CantorDynamics,
-                      EndomorphismSpec, GaussianRational, JoinDynamics,
-                      Permutation)
-from cuntzlab.dynamics import pack_word, unpack_word
+                      EndomorphismSpec, EntropyReport, GaussianRational,
+                      JoinDynamics, Permutation, ProductMasaDynamics)
+from cuntzlab.dynamics import _verdict, pack_word, unpack_word
 
 
 def dyn(label, **kw):
@@ -74,9 +75,44 @@ def test_zero_depth_rejected():
 def test_fast_path_matches_symbolic():
     for perm in all_rank2_perms():
         d = CantorDynamics(EndomorphismSpec.from_permutation(perm))
-        for p in (1, 2, 3):
+        for p in (1, 2, 3, 4):
             assert np.array_equal(d._permutative_table(p).table,
                                   d._symbolic_table(p).table), perm.one_line()
+
+
+def p_pass_table(perm, p):
+    """Reference depth-p table of rho_sigma built from scratch in p passes:
+    each pass reads sigma^{-1} off the first k letters of the residual
+    word, emits the first letter of the preimage and keeps the rest."""
+    n, k = perm.n_gens, perm.k
+    inv = perm.inverse()
+    sinv = np.array([pack_word(inv(w), n)
+                     for w in itertools.product(range(1, n + 1), repeat=k)],
+                    dtype=np.int64)
+    length = p + k - 1
+    cur = np.arange(n ** length, dtype=np.int64)
+    out = np.zeros(n ** length, dtype=np.int64)
+    for _ in range(p):
+        tail = n ** (length - k)
+        pre = sinv[cur // tail]
+        out = out * n + pre // n ** (k - 1)
+        cur = pre % n ** (k - 1) * tail + cur % tail
+        length -= 1
+    return out
+
+
+def test_incremental_tables_match_p_pass_reference():
+    rank3 = random.Random(20260418).sample(
+        list(itertools.permutations(range(1, 9))), 12)
+    cases = ([(perm, 18) for perm in all_rank2_perms()]
+             + [(Permutation.from_one_line(line, 3, 2), 10) for line in rank3])
+    for perm, depth in cases:
+        d = CantorDynamics(EndomorphismSpec.from_permutation(perm))
+        for p in range(1, depth + 1):
+            tbl = d.block_map(p)
+            assert tbl.window == p + perm.k - 1
+            assert np.array_equal(tbl.table, p_pass_table(perm, p)), \
+                (perm.one_line(), p)
 
 
 def test_partition_and_prefix_consistency():
@@ -108,9 +144,52 @@ def test_join_count_monotone_and_bounded():
             assert c <= 2 ** (p + (n - 1))
 
 
+def full_refinement_reports(d, p_max, n_max):
+    """Reference reports that refine every step up to n_max, with no stop
+    at the stable partition."""
+    n = d.n_gens
+    reports = []
+    for p in range(1, p_max + 1):
+        counts = [(1, n ** p)]
+        cls = np.arange(n ** p, dtype=np.int64)
+        n_classes = n ** p
+        for steps in range(2, n_max + 1):
+            length = p + (steps - 1) * d.step
+            img_cls = cls[d.block_map(length - d.step).table]
+            prefix = np.arange(n ** length) // n ** (length - p)
+            _, cls = np.unique(prefix * n_classes + img_cls,
+                               return_inverse=True)
+            n_classes = int(cls.max()) + 1
+            counts.append((steps, n_classes))
+        reports.append(EntropyReport(d.label(), d.masa_name(), p, counts,
+                                     *_verdict(counts)))
+    return reports
+
+
+def test_early_exit_matches_full_refinement():
+    dynamics = [CantorDynamics(EndomorphismSpec.from_permutation(perm))
+                for perm in all_rank2_perms()]
+    dynamics += [ProductMasaDynamics(EndomorphismSpec.from_label(label))
+                 for label in ("(1 2)", "(1 3 2 4)", "(3 4)", "(1 4 2 3)")]
+    for d in dynamics:
+        assert d.entropy(4, 16) == full_refinement_reports(d, 4, 16), d.label()
+
+
+def test_early_exit_skips_deep_tables():
+    # the identity's partitions are stable from n = 1 to n = 2, so the
+    # depth-4 series reads block maps up to depth 4 and no deeper
+    d = CantorDynamics(EndomorphismSpec.identity(2))
+    reports = d.entropy(4, 16)
+    assert all(c == 2 ** r.p for r in reports for _, c in r.counts)
+    assert [n for n, _ in reports[-1].counts] == list(range(1, 17))
+    assert max(d._tables) == 4
+
+
 def test_budget_exceeded():
+    d = dyn("(2 3)", budget=64)
     with pytest.raises(BudgetExceededError):
-        dyn("(2 3)", budget=64).join_count(4, 16)
+        d.join_count(4, 16)
+    assert not d._tables
 
 
 def test_entropy_verdicts():

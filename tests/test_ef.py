@@ -87,3 +87,16 @@ def test_shift_acts_as_shift_in_ef_coordinates():
     tbl = d.block_map(2)
     for w in itertools.product((1, 2), repeat=3):
         assert tbl.map_word(w) == w[1:]
+
+
+def test_sliding_tables_match_rule_reading():
+    """Every E/F table agrees with reading the local rule off each window
+    of k letters, word by word."""
+    for label in ("(1 2)", "(1 3 2 4)", "(3 4)", "(1 4 2 3)"):
+        d = ProductMasaDynamics(EndomorphismSpec.from_label(label))
+        k = d.endo.rank
+        for p in range(1, 11):
+            tbl = d.block_map(p)
+            for w in itertools.product((1, 2), repeat=p + k - 1):
+                expected = tuple(d.rule[w[j:j + k]] for j in range(p))
+                assert tbl.map_word(w) == expected, (label, w)

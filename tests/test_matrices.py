@@ -59,6 +59,10 @@ def test_operator_norm_examples(s1):
         AlgebraElement.generator(2, 2).adjoint()
     assert operator_norm(two_iso) == pytest.approx(2.0, abs=1e-9)
     assert operator_norm(AlgebraElement.zero(2)) == 0.0
+    # the Gram matrix's top eigenvector, (1, -1), is orthogonal to the
+    # all-ones vector, so an eigensolver seeded there would read 0
+    diff = parse_element("s[1] t[1] - s[1] t[2]", 2)
+    assert operator_norm(diff) == pytest.approx(math.sqrt(2), abs=1e-9)
 
 
 def test_norm_bounds_mixed(s1, one):

@@ -33,6 +33,24 @@ def test_coercion_and_bool():
     assert GaussianRational(Fraction(0), Fraction(1, 7))
 
 
+def test_equality_with_rationals():
+    assert GaussianRational(1) == 1
+    assert GaussianRational.of(1) == 1
+    assert 1 == GaussianRational.of(1)
+    assert GaussianRational(Fraction(1, 2)) == Fraction(1, 2)
+    assert GaussianRational(Fraction(1, 2)) != 1
+    assert GaussianRational(Fraction(1), Fraction(1)) != 1
+    assert GaussianRational() == 0
+
+
+@given(scalars)
+def test_hash_consistent_with_equality(a):
+    assert hash(a) == hash(GaussianRational(a.re, a.im))
+    if a.is_real():
+        assert a == a.re and hash(a) == hash(a.re)
+        assert len({a, a.re}) == 1
+
+
 @given(scalars, scalars, scalars)
 def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
