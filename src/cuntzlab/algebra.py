@@ -113,9 +113,6 @@ class AlgebraElement:
     def degrees(self):
         return {m.degree for m in self._terms}
 
-    def bidegree_support(self):
-        return {(len(m.left), len(m.right)) for m in self._terms}
-
     def _require_same_alphabet(self, other: "AlgebraElement") -> None:
         if self.n_gens != other.n_gens:
             raise AlphabetMismatchError(
@@ -339,7 +336,11 @@ class AlgebraElement:
         return format_element(self)
 
     def __repr__(self) -> str:
-        return f"AlgebraElement(N={self.n_gens}, {self})"
+        from .parsing import MAX_TEXT_GENS
+
+        # past the text grammar's alphabet, show the raw terms instead
+        body = self if self.n_gens <= MAX_TEXT_GENS else self.sorted_terms()
+        return f"AlgebraElement(N={self.n_gens}, {body})"
 
 
 def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

@@ -216,9 +216,11 @@ class JoinDynamics:
         n_classes = n ** p
         for steps in range(2, n_max + 1):
             length = p + (steps - 1) * self.step
-            img_cls = cls[self._full_image_table(length)]
-            prefix = np.arange(n ** length, dtype=np.int64) // (n ** (length - p))
-            keys = prefix * n_classes + img_cls
+            # words are packed most-significant letter first, so row h of
+            # the (N^p, N^(length-p)) view holds the words with prefix h
+            img_cls = cls[self._full_image_table(length)].reshape(n ** p, -1)
+            keys = (np.arange(n ** p, dtype=np.int64)[:, None] * n_classes
+                    + img_cls).ravel()
             _, cls = np.unique(keys, return_inverse=True)
             refined = int(cls.max()) + 1
             if refined == n_classes:

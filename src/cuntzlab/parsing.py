@@ -6,9 +6,11 @@
     coeff   := rational | rational ('+'|'-') rational 'i'
     rational := integer ['/' positive-integer]
 
-Digits are single letters 1..N concatenated (so N <= 9).  Whitespace is
-insignificant.  ``format_element`` prints the canonical form and round-trips
-through ``parse_element``.
+Digits are single letters 1..N concatenated, so the grammar holds only
+N <= 9: with N >= 10, s_11 and s_1 s_1 would print alike.  Both
+``parse_element`` and ``format_element`` raise ``ParseError`` for N > 9.
+Whitespace is insignificant.  ``format_element`` prints the canonical form
+and round-trips through ``parse_element``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from typing import List, Tuple
 from .algebra import AlgebraElement, Monomial
 from .errors import ParseError
 from .scalars import GaussianRational
+
+MAX_TEXT_GENS = 9
 
 _TOKEN = re.compile(
     r"""\s*(?:
@@ -159,8 +163,15 @@ class _Parser:
         return result
 
 
+def _check_text_alphabet(n_gens: int) -> None:
+    if n_gens > MAX_TEXT_GENS:
+        raise ParseError(f"the element text grammar has single-digit letters, "
+                         f"so N <= {MAX_TEXT_GENS}; got N = {n_gens}", 0)
+
+
 def parse_element(text: str, n_gens: int) -> AlgebraElement:
     """Parse the element grammar; errors carry a character position."""
+    _check_text_alphabet(n_gens)
     return _Parser(text, n_gens).parse()
 
 
@@ -179,6 +190,7 @@ def _format_monomial(m: Monomial) -> str:
 
 def format_element(a: AlgebraElement) -> str:
     """Deterministic canonical text; round-trips through parse_element."""
+    _check_text_alphabet(a.n_gens)
     canon = a.canonical()
     if canon.is_zero():
         return "0"

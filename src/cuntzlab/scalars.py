@@ -1,104 +1,186 @@
-"""Exact Gaussian-rational scalars (complex numbers with rational parts)."""
+"""Exact Gaussian-rational scalars (complex numbers with rational parts).
+
+A value is stored as three Python ints (a, b, d) meaning (a + b*i)/d, in
+the normal form d > 0 and gcd(a, b, d) = 1, so equal values have equal
+triples.  Every operation is integer arithmetic plus one gcd.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from math import gcd
+from typing import Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
+_new = object.__new__
 
-def _frac(x: RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+
+def _make(a: int, b: int, d: int) -> "GaussianRational":
+    """Wrap a triple already in normal form (no checks, no gcd)."""
+    z = _new(GaussianRational)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+def _reduce(a: int, b: int, d: int) -> "GaussianRational":
+    """Normal form of (a + b*i)/d for d > 0."""
+    g = gcd(a, b, d)
+    if g != 1:
+        return _make(a // g, b // g, d // g)
+    return _make(a, b, d)
+
+
+def _rational(x: RationalLike) -> Tuple[int, int]:
+    """(numerator, denominator) of an int or Fraction, in lowest terms."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x), 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
+def _coerce(x) -> "GaussianRational":
+    if isinstance(x, GaussianRational):
+        return x
+    if isinstance(x, (int, Fraction)):
+        a, d = _rational(x)
+        return _make(a, 0, d)
+    raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
+
+
 class GaussianRational:
-    """a + b*i with exact rational a, b.  All arithmetic is exact."""
+    """a + b*i with exact rational a, b.  All arithmetic is exact and
+    values are immutable."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("_a", "_b", "_d")
 
-    @staticmethod
-    def of(x) -> "GaussianRational":
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(_frac(x), Fraction(0))
-        raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
+    def __new__(cls, re: RationalLike = 0, im: RationalLike = 0):
+        a, d1 = _rational(re)
+        b, d2 = _rational(im)
+        return _reduce(a * d2, b * d1, d1 * d2)
+
+    of = staticmethod(_coerce)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: GaussianRational is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: GaussianRational is immutable")
+
+    def __reduce__(self):
+        return (GaussianRational, (self.re, self.im))
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __add__(self, other) -> "GaussianRational":
-        o = GaussianRational.of(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            a, b = self._a + other._a, self._b + other._b
+            return _make(a, b, 1) if d1 == 1 else _reduce(a, b, d1)
+        return _reduce(self._a * d2 + other._a * d1,
+                       self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __sub__(self, other) -> "GaussianRational":
-        return self + (-GaussianRational.of(other))
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            a, b = self._a - other._a, self._b - other._b
+            return _make(a, b, 1) if d1 == 1 else _reduce(a, b, d1)
+        return _reduce(self._a * d2 - other._a * d1,
+                       self._b * d2 - other._b * d1, d1 * d2)
 
     def __rsub__(self, other) -> "GaussianRational":
-        return GaussianRational.of(other) + (-self)
+        return _coerce(other) - self
 
     def __mul__(self, other) -> "GaussianRational":
-        o = GaussianRational.of(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+        a1, b1, d1 = self._a, self._b, self._d
+        a2, b2, d2 = other._a, other._b, other._d
+        if not b1 and not b2:
+            a, d = a1 * a2, d1 * d2
+            if d == 1:
+                return _make(a, 0, 1)
+            g = gcd(a, d)
+            return _make(a // g, 0, d // g)
+        return _reduce(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "GaussianRational":
-        o = GaussianRational.of(other)
-        n = o.abs2()
-        if n == 0:
+        # (a1 + b1 i)/d1 / ((a2 + b2 i)/d2)
+        #   = (a1 + b1 i)(a2 - b2 i) d2 / (d1 (a2^2 + b2^2))
+        o = _coerce(other)
+        a2, b2, d2 = o._a, o._b, o._d
+        n = a2 * a2 + b2 * b2
+        if not n:
             raise ZeroDivisionError("division by zero GaussianRational")
-        c = o.conjugate()
-        num = self * c
-        return GaussianRational(num.re / n, num.im / n)
+        a1, b1 = self._a, self._b
+        return _reduce((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2,
+                       self._d * n)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     def abs2(self) -> Fraction:
         """|z|^2, exact."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._b
 
     def __eq__(self, other) -> bool:
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return (self._a == other._a and self._b == other._b
+                    and self._d == other._d)
+        if isinstance(other, int):
+            return not self._b and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (not self._b and self._a == other.numerator
+                    and self._d == other.denominator)
         return NotImplemented
 
     def __hash__(self) -> int:
         # a real value hashes like its Fraction, so equal values hash equal
-        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
+        if not self._b:
+            return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
+        return hash((self._a, self._b, self._d))
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return bool(self._a or self._b)
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._d, self._b / self._d)
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     def __str__(self) -> str:
-        if self.im == 0:
+        if not self._b:
             return str(self.re)
-        sign = "+" if self.im >= 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        im = self.im
+        sign = "+" if im >= 0 else "-"
+        return f"{self.re}{sign}{abs(im)}i"
 
 
-ZERO = GaussianRational()
-ONE = GaussianRational(Fraction(1))
-IMAG_UNIT = GaussianRational(Fraction(0), Fraction(1))
+# the slot descriptors' setters write past the immutability guard
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_d = GaussianRational._d.__set__

@@ -79,6 +79,10 @@ def test_exit_codes(capsys):
     assert run(capsys, "entropy", "--perm", "(1 3)", "--masa", "ef")[0] == 3
     assert run(capsys, "entropy", "--perm", "(2 3)", "--budget", "32")[0] == 4
     assert run(capsys, "norm", "--element", "s[1] + s[1] t[1]")[0] == 3
+    # the text grammar has single-digit letters: N >= 10 is a usage error
+    assert run(capsys, "norm", "--n-gens", "12", "--element", "s[11] t[11]")[0] == 2
+    assert run(capsys, "apply", "--perm", "id", "--n-gens", "12",
+               "--element", "s[1]")[0] == 2
 
 
 def test_norm(capsys):

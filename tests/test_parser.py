@@ -48,6 +48,19 @@ def test_errors_carry_positions():
         parse_element("s[1] +", 2)
 
 
+def test_large_alphabets_rejected():
+    # s_11 and s_1 s_1 would both print as s[11]
+    for elem in (AlgebraElement.generator(12, 11),
+                 AlgebraElement.isometry(12, (1, 1))):
+        with pytest.raises(ParseError):
+            format_element(elem)
+        assert "N=12" in repr(elem)
+    with pytest.raises(ParseError):
+        parse_element("s[1]", 12)
+    s9 = AlgebraElement.generator(9, 9)
+    assert parse_element(format_element(s9), 9) == s9
+
+
 def test_roundtrip_random(rng):
     for _ in range(40):
         a = random_element(rng, max_terms=5, max_len=3)
