@@ -331,16 +331,15 @@ class AlgebraElement:
     # -- display -----------------------------------------------------------
 
     def __str__(self) -> str:
-        from .parsing import format_element
+        from .parsing import MAX_TEXT_GENS, format_element
 
+        # past the text grammar's alphabet, show the raw terms instead
+        if self.n_gens > MAX_TEXT_GENS:
+            return str(self.sorted_terms())
         return format_element(self)
 
     def __repr__(self) -> str:
-        from .parsing import MAX_TEXT_GENS
-
-        # past the text grammar's alphabet, show the raw terms instead
-        body = self if self.n_gens <= MAX_TEXT_GENS else self.sorted_terms()
-        return f"AlgebraElement(N={self.n_gens}, {body})"
+        return f"AlgebraElement(N={self.n_gens}, {self})"
 
 
 def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

@@ -19,11 +19,10 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, Monomial
 from .endomorphism import EndomorphismSpec, theta, theta_power
 from .errors import MasaNotInvariantError
 from .dynamics import JoinDynamics, BlockMapTable, DEFAULT_BUDGET, pack_word
-from .parsing import parse_element
 from .scalars import GaussianRational
 
 EFWord = Tuple[int, ...]  # letters 1 (=E) and 2 (=F)
@@ -31,7 +30,8 @@ EFWord = Tuple[int, ...]  # letters 1 (=E) and 2 (=F)
 
 def swap_unitary(n_gens: int = 2) -> AlgebraElement:
     """X = s_1 s_2^* + s_2 s_1^*."""
-    return parse_element("s[1] t[2] + s[2] t[1]", n_gens)
+    return AlgebraElement(n_gens, {Monomial((1,), (2,)): 1,
+                                   Monomial((2,), (1,)): 1})
 
 
 def ef_generators(n_gens: int = 2) -> Tuple[AlgebraElement, AlgebraElement]:

@@ -85,9 +85,6 @@ class GaussianRational:
         if type(other) is not GaussianRational:
             other = _coerce(other)
         d1, d2 = self._d, other._d
-        if d1 == d2:
-            a, b = self._a + other._a, self._b + other._b
-            return _make(a, b, 1) if d1 == 1 else _reduce(a, b, d1)
         return _reduce(self._a * d2 + other._a * d1,
                        self._b * d2 + other._b * d1, d1 * d2)
 
@@ -97,14 +94,7 @@ class GaussianRational:
         return _make(-self._a, -self._b, self._d)
 
     def __sub__(self, other) -> "GaussianRational":
-        if type(other) is not GaussianRational:
-            other = _coerce(other)
-        d1, d2 = self._d, other._d
-        if d1 == d2:
-            a, b = self._a - other._a, self._b - other._b
-            return _make(a, b, 1) if d1 == 1 else _reduce(a, b, d1)
-        return _reduce(self._a * d2 - other._a * d1,
-                       self._b * d2 - other._b * d1, d1 * d2)
+        return self + -_coerce(other)
 
     def __rsub__(self, other) -> "GaussianRational":
         return _coerce(other) - self
@@ -114,12 +104,6 @@ class GaussianRational:
             other = _coerce(other)
         a1, b1, d1 = self._a, self._b, self._d
         a2, b2, d2 = other._a, other._b, other._d
-        if not b1 and not b2:
-            a, d = a1 * a2, d1 * d2
-            if d == 1:
-                return _make(a, 0, 1)
-            g = gcd(a, d)
-            return _make(a // g, 0, d // g)
         return _reduce(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
     __rmul__ = __mul__

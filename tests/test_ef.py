@@ -23,6 +23,17 @@ def test_ef_generators():
     assert e * f == AlgebraElement.zero(2)
 
 
+def test_ef_generators_large_alphabet():
+    # built without the text grammar, so N >= 10 works as for N = 2; for
+    # N > 2, X is a self-adjoint partial isometry rather than a unitary
+    e, f = ef_generators(10)
+    assert e.sorted_terms() == ef_generators(2)[0].sorted_terms()
+    x = e - f
+    assert e + f == AlgebraElement.one(10)
+    assert x.adjoint() == x and x * x * x == x
+    assert ef_projection((1, 2), 10) == e * theta(f)
+
+
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6])
 def test_projection_words_partition(depth):
     one = AlgebraElement.one(2)

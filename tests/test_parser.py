@@ -55,6 +55,7 @@ def test_large_alphabets_rejected():
         with pytest.raises(ParseError):
             format_element(elem)
         assert "N=12" in repr(elem)
+        assert "Monomial" in str(elem)
     with pytest.raises(ParseError):
         parse_element("s[1]", 12)
     s9 = AlgebraElement.generator(9, 9)
