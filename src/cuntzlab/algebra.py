@@ -26,6 +26,23 @@ def words(n_gens: int, length: int) -> Iterator[Word]:
     return itertools.product(range(1, n_gens + 1), repeat=length)
 
 
+def pack_word(word: Word, n_gens: int) -> int:
+    """Base-N code of a word, first letter most significant, digits 0-based;
+    the position of the word in `words(n_gens, len(word))`."""
+    code = 0
+    for letter in word:
+        code = code * n_gens + (letter - 1)
+    return code
+
+
+def unpack_word(code: int, length: int, n_gens: int) -> Word:
+    letters = []
+    for _ in range(length):
+        letters.append(code % n_gens + 1)
+        code //= n_gens
+    return tuple(reversed(letters))
+
+
 class Monomial(NamedTuple):
     """s_I s_J^* with I = left, J = right."""
 

@@ -8,17 +8,17 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 from typing import Callable, Dict, List
 
 from .algebra import AlgebraElement, words
 from .dynamics import CantorDynamics, JoinDynamics
-from .endomorphism import (EndomorphismSpec, Permutation, perm_unitary, theta,
-                           theta_power)
+from .endomorphism import EndomorphismSpec, Permutation, theta, theta_power
 from .matrices import homogeneous_parts, operator_norm, psi
 from .oracles import case2_oracle_for, oracle_equivalence
 from .parsing import parse_element
 from .product_masa import ProductMasaDynamics, ef_projection
-from .sampling import random_element, random_homogeneous
+from .sampling import random_homogeneous
 from .table import TABLE1_EXPECTED
 
 DEFAULT_SEED = 20230517
@@ -79,27 +79,15 @@ def check_matrix_norms(samples: int = 100, seed: int = DEFAULT_SEED) -> dict:
 
 
 def check_range_containment(max_m: int = 3, max_depth: int = 3) -> dict:
-    """For every rank-2 permutation: iterated images of A_{p,l} basis
-    monomials stay inside F_{p+m, l+m}, and images of diagonal cylinder
+    """For every rank-2 permutation: iterated images of A_{p,p} basis
+    monomials stay inside F_{p+m, p+m}, and images of diagonal cylinder
     projections are exact 0/1 sums of cylinder projections."""
     checks = {}
     for endo in all_rank2_specs():
-        ok = True
-        for p in range(1, max_depth + 1):
-            l = p
-            for left in words(2, p):
-                for right in words(2, l):
-                    img = AlgebraElement.monomial(2, left, right)
-                    for m in range(1, max_m + 1):
-                        img = endo.apply(img)
-                        if not img.in_F(p + m, l + m):
-                            ok = False
-            for v in words(2, p):
-                img = endo.apply(AlgebraElement.diagonal(2, v))
-                lev = img.level({0: img.max_right_length(0)})
-                if not lev.is_diagonal_01():
-                    ok = False
-        checks[endo.label()] = ok
+        checks[endo.label()] = (
+            all(endo.range_containment(p, p, max_m)
+                for p in range(1, max_depth + 1))
+            and CantorDynamics(endo).diagonal_invariant(max_depth))
     return _report("range-containment", checks)
 
 
@@ -211,8 +199,10 @@ def check_ef(table_depth: int = 10, proj_depth: int = 5) -> dict:
         projs = [ef_projection(q) for q in itertools.product((1, 2), repeat=m)]
         total = AlgebraElement.zero(2)
         ok = True
-        for i, p in enumerate(projs):
-            ok &= p * p == p and p.adjoint() == p
+        for p in projs:
+            # projections of trace 2^-m summing to 1: 2^m disjoint cylinders
+            ok &= (p.trace_state() == Fraction(1, 2 ** m)
+                   and p * p == p and p.adjoint() == p)
             total = total + p
         checks[f"depth-{m} projection words partition 1"] = ok and total == one
     for label in ("(1 2)", "(1 3 2 4)"):

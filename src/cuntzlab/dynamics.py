@@ -17,28 +17,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import AlgebraElement, Word, words
+from .algebra import AlgebraElement, Word, pack_word, unpack_word, words
 from .endomorphism import EndomorphismSpec
 from .errors import (BudgetExceededError, DiagonalNotPreservedError,
                      PartitionError)
 
 DEFAULT_BUDGET = 2 ** 22
-
-
-def pack_word(word: Word, n_gens: int) -> int:
-    """Base-N code of a word, first letter most significant, digits 0-based."""
-    code = 0
-    for letter in word:
-        code = code * n_gens + (letter - 1)
-    return code
-
-
-def unpack_word(code: int, length: int, n_gens: int) -> Word:
-    letters = []
-    for _ in range(length):
-        letters.append(code % n_gens + 1)
-        code //= n_gens
-    return tuple(reversed(letters))
 
 
 @dataclass(frozen=True)
@@ -188,11 +172,6 @@ class JoinDynamics:
                 f"word length {length} needs {self.n_gens ** length} words, "
                 f"budget {self.budget}")
 
-    def _full_image_table(self, length: int) -> np.ndarray:
-        """Packed map from length-`length` words to their full image of
-        length `length - step`."""
-        return self.block_map(length - self.step).table
-
     # -- join counting ------------------------------------------------------
 
     def join_count(self, p: int, n_steps: int) -> int:
@@ -216,9 +195,12 @@ class JoinDynamics:
         n_classes = n ** p
         for steps in range(2, n_max + 1):
             length = p + (steps - 1) * self.step
-            # words are packed most-significant letter first, so row h of
-            # the (N^p, N^(length-p)) view holds the words with prefix h
-            img_cls = cls[self._full_image_table(length)].reshape(n ** p, -1)
+            # the block map of depth length - step sends each length-`length`
+            # word to its full image; words are packed most-significant
+            # letter first, so row h of the (N^p, N^(length-p)) view holds
+            # the words with prefix h
+            full_image = self.block_map(length - self.step).table
+            img_cls = cls[full_image].reshape(n ** p, -1)
             keys = (np.arange(n ** p, dtype=np.int64)[:, None] * n_classes
                     + img_cls).ravel()
             _, cls = np.unique(keys, return_inverse=True)

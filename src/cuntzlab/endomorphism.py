@@ -8,10 +8,10 @@ bidegree formula rho_u(s_I s_J^*) = u_{|I|} s_I s_J^* u_{|J|}^*.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .algebra import AlgebraElement, Monomial, Word, words
+from .algebra import AlgebraElement, Monomial, Word, pack_word, unpack_word, words
 from .errors import NotUnitaryError, ParseError
 from .scalars import GaussianRational
 
@@ -30,24 +30,6 @@ def theta_power(m: int, a: AlgebraElement) -> AlgebraElement:
     for _ in range(m):
         a = theta(a)
     return a
-
-
-def word_index(word: Word, n_gens: int) -> int:
-    """Lexicographic position (1-based) of a length-k word among J_k."""
-    idx = 0
-    for letter in word:
-        idx = idx * n_gens + (letter - 1)
-    return idx + 1
-
-
-def index_word(idx: int, k: int, n_gens: int) -> Word:
-    """Inverse of word_index."""
-    idx -= 1
-    letters = []
-    for _ in range(k):
-        letters.append(idx % n_gens + 1)
-        idx //= n_gens
-    return tuple(reversed(letters))
 
 
 @dataclass(frozen=True)
@@ -73,8 +55,8 @@ class Permutation:
 
     @classmethod
     def from_one_line(cls, line: Iterable[int], k: int, n_gens: int) -> "Permutation":
-        """Images of 1..N^k in order, as lexicographic indices."""
-        imgs = tuple(index_word(i, k, n_gens) for i in line)
+        """Images of 1..N^k in order, as 1-based lexicographic indices."""
+        imgs = tuple(unpack_word(i - 1, k, n_gens) for i in line)
         return cls(k, n_gens, imgs)
 
     @classmethod
@@ -121,17 +103,17 @@ class Permutation:
         return cls.from_cycles(cycles, k, n_gens)
 
     def __call__(self, word: Word) -> Word:
-        return self.images[word_index(word, self.n_gens) - 1]
+        return self.images[pack_word(word, self.n_gens)]
 
     def inverse(self) -> "Permutation":
         size = self.n_gens ** self.k
         inv: List[Word] = [()] * size
         for i, img in enumerate(self.images):
-            inv[word_index(img, self.n_gens) - 1] = index_word(i + 1, self.k, self.n_gens)
+            inv[pack_word(img, self.n_gens)] = unpack_word(i, self.k, self.n_gens)
         return Permutation(self.k, self.n_gens, tuple(inv))
 
     def one_line(self) -> Tuple[int, ...]:
-        return tuple(word_index(w, self.n_gens) for w in self.images)
+        return tuple(pack_word(w, self.n_gens) + 1 for w in self.images)
 
     def cycle_notation(self) -> str:
         """Canonical cycle string, fixed points omitted; "id" if trivial."""
@@ -226,13 +208,12 @@ class EndomorphismSpec:
 
     def apply(self, a: AlgebraElement) -> AlgebraElement:
         """rho_u(a) by linear extension of u_{|I|} s_I s_J^* u_{|J|}^*."""
-        out = AlgebraElement.zero(self.n_gens)
-        groups: Dict[Tuple[int, int], AlgebraElement] = {}
+        groups: Dict[Tuple[int, int], Dict[Monomial, GaussianRational]] = {}
         for mono, coeff in a.terms.items():
-            key = (len(mono.left), len(mono.right))
-            piece = AlgebraElement(self.n_gens, {mono: coeff})
-            groups[key] = groups.get(key, AlgebraElement.zero(self.n_gens)) + piece
-        for (k, l), piece in groups.items():
+            groups.setdefault((len(mono.left), len(mono.right)), {})[mono] = coeff
+        out = AlgebraElement.zero(self.n_gens)
+        for (k, l), terms in groups.items():
+            piece = AlgebraElement(self.n_gens, terms)
             out = out + self.cocycle(k) * piece * self.cocycle(l).adjoint()
         return out
 
@@ -267,13 +248,14 @@ class EndomorphismSpec:
         return report
 
     def range_containment(self, p: int, l: int, m: int) -> bool:
-        """rho^m(A_{p,l}) inside F_{p+m(k-1), l+m(k-1)}, checked on the
-        full monomial basis."""
-        k = self.rank
-        tp, tl = p + m * (k - 1), l + m * (k - 1)
+        """rho^j(A_{p,l}) inside F_{p+j(k-1), l+j(k-1)} for every j = 1..m,
+        checked on the full monomial basis."""
+        grow = self.rank - 1
         for left in words(self.n_gens, p):
             for right in words(self.n_gens, l):
-                img = self.apply_power(m, AlgebraElement.monomial(self.n_gens, left, right))
-                if not img.in_F(tp, tl):
-                    return False
+                img = AlgebraElement.monomial(self.n_gens, left, right)
+                for j in range(1, m + 1):
+                    img = self.apply(img)
+                    if not img.in_F(p + j * grow, l + j * grow):
+                        return False
         return True

@@ -5,11 +5,11 @@ elements via exact embedding plus a Hermitian eigensolver."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .algebra import AlgebraElement, Monomial, Word, words
+from .algebra import AlgebraElement, Word, words
 from .errors import DimensionCapError, NotHomogeneousError
 from .scalars import GaussianRational
 
@@ -83,15 +83,6 @@ def embed_degree0(x: AlgebraElement) -> np.ndarray:
     for mono, c in lev.terms.items():
         out[index[mono.left], index[mono.right]] = complex(c)
     return out
-
-
-def exact_degree0_matrix(x: AlgebraElement) -> Dict[Tuple[Word, Word], GaussianRational]:
-    """Exact coefficient dictionary of the leveled degree-0 matrix, used
-    when the decomposition must be reconstructed without rounding."""
-    if any(d != 0 for d in x.degrees()):
-        raise NotHomogeneousError("requires gauge degree 0")
-    lev = x.level({0: x.max_right_length(0)})
-    return {(m.left, m.right): c for m, c in lev.terms.items()}
 
 
 def largest_eigenvalue(mat: np.ndarray) -> float:

@@ -1,20 +1,16 @@
 """Acceptance gate: one test per headline requirement, each printing a
-single PASS/FAIL line (run with -s to see them inline)."""
+single PASS/FAIL line (run with -s to see them inline).  Requirements that
+a `cuntzlab verify` suite covers call that suite's check function."""
 
-import itertools
 import random
 import time
 
-import pytest
-
 from cuntzlab import (AlgebraElement, CantorDynamics, EndomorphismSpec,
-                      JoinDynamics, Permutation, ProductMasaDynamics,
-                      compute_table1, homogeneous_parts, operator_norm,
-                      parse_element, psi, theta, words)
-from cuntzlab.checks import (CASE2_PERMS, ORACLE_PAIRINGS, all_rank2_specs,
-                             check_relations)
-from cuntzlab.oracles import case2_oracle_for, oracle_equivalence
-from cuntzlab.sampling import random_element, random_homogeneous
+                      compute_table1)
+from cuntzlab.checks import (check_ef, check_matrix_norms, check_oracles,
+                             check_psi_formulas, check_range_containment,
+                             check_relations, check_trace_invariance)
+from cuntzlab.sampling import random_element
 
 from test_algebra import all_monomials, oracle_product
 
@@ -44,64 +40,25 @@ def test_acceptance_shift_entropy():
 
 
 def test_acceptance_ef_masa():
-    ok = True
-    for label in ("(1 2)", "(1 3 2 4)"):
-        dyn = ProductMasaDynamics(EndomorphismSpec.from_label(label))
-        ok &= oracle_equivalence(dyn, "tEF", 10)
-        ok &= JoinDynamics.summarize(dyn.entropy(4, 16)).verdict == "log2"
-    for label in ("(3 4)", "(1 4 2 3)"):
-        dyn = ProductMasaDynamics(EndomorphismSpec.from_label(label))
-        ok &= JoinDynamics.summarize(dyn.entropy(4, 16)).verdict == "log2"
+    ok = check_ef(table_depth=10, proj_depth=5)["passed"]
     report("E/F masa: tEF tables to depth 10 and log-2 verdicts", ok)
 
 
 def test_acceptance_oracle_suite():
     start = time.monotonic()
-    ok = True
-    count = 0
-    for label, oracle in ORACLE_PAIRINGS:
-        dyn = CantorDynamics(EndomorphismSpec.from_label(label))
-        ok &= oracle_equivalence(dyn, oracle, 12)
-        count += 1
-    for label in CASE2_PERMS:
-        endo = EndomorphismSpec.from_label(label)
-        dyn = CantorDynamics(endo)
-        ok &= oracle_equivalence(dyn, case2_oracle_for(endo), 12)
-        count += 1
+    suite = check_oracles(depth=12)
     elapsed = time.monotonic() - start
-    ok &= count == 17 and elapsed < 30.0
+    ok = suite["passed"] and len(suite["checks"]) == 17 and elapsed < 30.0
     report(f"oracle equivalence suite (17 pairings, {elapsed:.1f}s)", ok)
 
 
 def test_acceptance_norm_bound():
-    rng = random.Random(421731)
-    k, tol = 3, 1e-9
-    ok = True
-    for _ in range(100):
-        p = rng.randint(0, 3)
-        l = rng.randint(0, 3)
-        x = random_homogeneous(rng, 2, p, l)
-        dec = homogeneous_parts(x, k)
-        nx = operator_norm(x)
-        ok &= all(v <= nx + tol for v in dec.part_norms().values())
-        ok &= dec.reconstruct_psi() == psi(x, k)
+    ok = check_matrix_norms(samples=100, seed=421731)["passed"]
     report("matrix-coefficient norm bound and exact reconstruction (100 samples)", ok)
 
 
 def test_acceptance_range_containments():
-    ok = True
-    for endo in all_rank2_specs():
-        for p in (1, 2, 3):
-            for left in words(2, p):
-                for right in words(2, p):
-                    img = AlgebraElement.monomial(2, left, right)
-                    for m in (1, 2, 3):
-                        img = endo.apply(img)
-                        ok &= img.in_F(p + m, p + m)
-            for v in words(2, p):
-                img = endo.apply(AlgebraElement.diagonal(2, v))
-                lev = img.level({0: img.max_right_length(0)})
-                ok &= lev.is_diagonal_01()
+    ok = check_range_containment(max_m=3, max_depth=3)["passed"]
     report("iterated images land in F_{p+m,l+m}; cylinders map to 0/1 sums", ok)
 
 
@@ -128,29 +85,10 @@ def test_acceptance_algebra_core():
 
 
 def test_acceptance_sigma12_closed_formulas():
-    psi12 = EndomorphismSpec.from_label("(1 2)")
-    s1 = AlgebraElement.generator(2, 1)
-    s2 = AlgebraElement.generator(2, 2)
-    ok = True
-    for n in range(1, 11):
-        expect = (AlgebraElement.isometry(2, (1,) + (2,) * n) * s1.adjoint()
-                  + AlgebraElement.isometry(2, (1,) + (2,) * (n - 1) + (1,))
-                  * s2.adjoint())
-        ok &= psi12.apply(AlgebraElement.isometry(2, (1,) * n)) == expect
-    x = parse_element("s[1] t[2] + s[2] t[1]", 2)
-    lhs = psi12.apply(x)
-    rhs = x
-    for _ in range(6):
-        lhs = theta(lhs)
-        rhs = theta(rhs)
-        ok &= lhs == psi12.apply(rhs)
+    ok = check_psi_formulas()["passed"]
     report("sigma_12 closed formulas (n <= 10, k <= 6)", ok)
 
 
 def test_acceptance_trace_invariance():
-    monomials = [AlgebraElement.monomial(2, left, right)
-                 for p in range(4) for l in range(4)
-                 for left in words(2, p) for right in words(2, l)]
-    ok = all(endo.apply(a).trace_state() == a.trace_state()
-             for endo in all_rank2_specs() for a in monomials)
+    ok = check_trace_invariance(max_len=3)["passed"]
     report("trace invariance for all 24 permutative endomorphisms", ok)

@@ -1,0 +1,29 @@
+"""The verification suites behind `cuntzlab verify` can fail: none of them
+passes vacuously, and a wrong oracle pairing fails both the suite and the
+CLI."""
+
+import pytest
+
+from cuntzlab import checks
+from cuntzlab.cli import main
+
+
+@pytest.mark.parametrize("name", sorted(checks.SUITES))
+def test_suite_reports_checks(name):
+    report = checks.SUITES[name]()
+    assert report["suite"] == name
+    assert len(report["checks"]) >= 1
+    assert report["passed"] == all(report["checks"].values())
+
+
+def test_wrong_oracle_pairing_fails(monkeypatch, capsys):
+    pairings = [(label, "psi1324" if oracle == "psi12" else oracle)
+                for label, oracle in checks.ORACLE_PAIRINGS]
+    monkeypatch.setattr(checks, "ORACLE_PAIRINGS", pairings)
+    monkeypatch.setattr(checks, "CASE2_PERMS", [])
+    report = checks.check_oracles()
+    assert not report["passed"]
+    assert [name for name, ok in report["checks"].items() if not ok] == \
+        ["(1 2) ~ psi1324"]
+    assert main(["verify", "oracles"]) == 1
+    assert "failed: (1 2) ~ psi1324" in capsys.readouterr().out

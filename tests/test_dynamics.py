@@ -23,6 +23,8 @@ def all_rank2_perms():
 
 
 def test_pack_unpack_roundtrip():
+    assert [unpack_word(code, 2, 2) for code in range(4)] == \
+        [(1, 1), (1, 2), (2, 1), (2, 2)]
     for length in (1, 2, 3):
         for code in range(2 ** length):
             assert pack_word(unpack_word(code, length, 2), 2) == code

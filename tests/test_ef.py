@@ -3,6 +3,7 @@ sliding-block dynamics that yields the log-2 lower bound where the
 standard masa gives zero."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,7 @@ def test_ef_generators():
     e, f = ef_generators()
     one = AlgebraElement.one(2)
     x = parse_element("s[1] t[2] + s[2] t[1]", 2)
-    assert e == (one + x).scaled(__import__("fractions").Fraction(1, 2))
+    assert e == (one + x).scaled(Fraction(1, 2))
     assert e * e == e and f * f == f
     assert e.adjoint() == e and f.adjoint() == f
     assert e + f == one
@@ -41,6 +42,7 @@ def test_projection_words_partition(depth):
     projs = {q: ef_projection(q)
              for q in itertools.product((1, 2), repeat=depth)}
     for q, p in projs.items():
+        assert p.trace_state() == Fraction(1, 2 ** depth), q
         assert p * p == p and p.adjoint() == p, q
         total = total + p
     assert total == one
