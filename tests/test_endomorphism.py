@@ -8,6 +8,7 @@ import pytest
 from cuntzlab import (AlgebraElement, EndomorphismSpec, NotUnitaryError,
                       ParseError, Permutation, parse_element, perm_unitary,
                       theta, theta_power, words)
+from cuntzlab.algebra import pack_word, unpack_word
 from cuntzlab.sampling import random_element
 from cuntzlab.table import f_invariant
 
@@ -18,6 +19,18 @@ def all_line_perms():
 
 
 # ---------------------------------------------------------------- plumbing
+
+def test_word_indexing():
+    # one-line notation numbers the words of W_k^N from 1 in the order of
+    # `words`; the code behind it is the 0-based position in that order
+    for n_gens, length in ((2, 2), (3, 2), (2, 3)):
+        listed = list(words(n_gens, length))
+        assert [pack_word(w, n_gens) for w in listed] == list(range(len(listed)))
+        assert [unpack_word(i, length, n_gens) for i in range(len(listed))] == listed
+    p = Permutation.parse("(1 2)")
+    assert p((1, 1)) == (1, 2) and p((1, 2)) == (1, 1)
+    assert p((2, 1)) == (2, 1)
+
 
 def test_permutation_parsing():
     p = Permutation.parse("(1 2)(3 4)")
