@@ -2,7 +2,9 @@
 
 Covers the canonical shift theta, permutative endomorphisms rho_sigma
 built from permutations of length-k words, cocycles u_k, and the closed
-bidegree formula rho_u(s_I s_J^*) = u_{|I|} s_I s_J^* u_{|J|}^*.
+bidegree formula rho_u(s_I s_J^*) = u_{|I|} s_I s_J^* u_{|J|}^*.  For a
+permutative u_sigma that formula is pure word rewriting:
+rho_sigma(s_I s_J^*) = sum over |V| = k-1 of s_{pi(IV)} s_{pi(JV)}^*.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .algebra import AlgebraElement, Monomial, Word, pack_word, unpack_word, words
-from .errors import NotUnitaryError, ParseError
+from .errors import AlphabetMismatchError, NotUnitaryError, ParseError
 from .scalars import GaussianRational
 
 
@@ -207,7 +209,13 @@ class EndomorphismSpec:
         return self._cocycles[k]
 
     def apply(self, a: AlgebraElement) -> AlgebraElement:
-        """rho_u(a) by linear extension of u_{|I|} s_I s_J^* u_{|J|}^*."""
+        """rho_u(a): by word rewriting when u is permutative, otherwise by
+        linear extension of u_{|I|} s_I s_J^* u_{|J|}^*."""
+        if a.n_gens != self.n_gens:
+            raise AlphabetMismatchError(
+                f"alphabet sizes differ: {self.n_gens} vs {a.n_gens}")
+        if self.perm is not None:
+            return self._apply_words(a)
         groups: Dict[Tuple[int, int], Dict[Monomial, GaussianRational]] = {}
         for mono, coeff in a.terms.items():
             groups.setdefault((len(mono.left), len(mono.right)), {})[mono] = coeff
@@ -216,6 +224,32 @@ class EndomorphismSpec:
             piece = AlgebraElement(self.n_gens, terms)
             out = out + self.cocycle(k) * piece * self.cocycle(l).adjoint()
         return out
+
+    def _apply_words(self, a: AlgebraElement) -> AlgebraElement:
+        """rho_sigma(s_I s_J^*) = sum over |V| = k-1 of s_{pi(IV)} s_{pi(JV)}^*,
+        where u_m sends s_W to s_{pi(W)} for |W| = m+k-1.  Distinct (I, J, V)
+        give distinct output monomials (pi is a bijection on each length),
+        so every coefficient carries over unchanged."""
+        tails = list(words(self.n_gens, self.perm.k - 1))
+        out: Dict[Monomial, GaussianRational] = {}
+        for (left, right), coeff in a.terms.items():
+            if not left and not right:
+                out[Monomial((), ())] = coeff  # u_0 = 1, so rho(1) = 1
+                continue
+            for v in tails:
+                out[Monomial(self._rewrite(left + v), self._rewrite(right + v))] = coeff
+        return AlgebraElement(self.n_gens, out)
+
+    def _rewrite(self, word: Word) -> Word:
+        """pi(W) for |W| = m+k-1: sigma applied to the k-letter window at
+        positions m-1, m-2, ..., 0, right to left, as in
+        u_m = u theta(u) ... theta^{m-1}(u)."""
+        sigma = self.perm
+        k, n, images = sigma.k, sigma.n_gens, sigma.images
+        out = list(word)
+        for pos in range(len(out) - k, -1, -1):
+            out[pos:pos + k] = images[pack_word(out[pos:pos + k], n)]
+        return tuple(out)
 
     def apply_power(self, m: int, a: AlgebraElement) -> AlgebraElement:
         for _ in range(m):

@@ -9,7 +9,8 @@ import pytest
 
 from cuntzlab import (AlgebraElement, BudgetExceededError, CantorDynamics,
                       EndomorphismSpec, EntropyReport, GaussianRational,
-                      JoinDynamics, Permutation, ProductMasaDynamics)
+                      JoinDynamics, Permutation, ProductMasaDynamics,
+                      perm_unitary)
 from cuntzlab.dynamics import _verdict, pack_word, unpack_word
 
 
@@ -75,11 +76,14 @@ def test_zero_depth_rejected():
 
 
 def test_fast_path_matches_symbolic():
+    # without `perm`, the symbolic table applies rho by the cocycle formula
     for perm in all_rank2_perms():
         d = CantorDynamics(EndomorphismSpec.from_permutation(perm))
+        symbolic = CantorDynamics(
+            EndomorphismSpec(perm_unitary(perm), rank=perm.k, check=False))
         for p in (1, 2, 3, 4):
             assert np.array_equal(d._permutative_table(p).table,
-                                  d._symbolic_table(p).table), perm.one_line()
+                                  symbolic._symbolic_table(p).table), perm.one_line()
 
 
 def p_pass_table(perm, p):

@@ -2,12 +2,14 @@
 and the range-containment facts that bound the induced dynamics."""
 
 import itertools
+import random
+import time
 
 import pytest
 
-from cuntzlab import (AlgebraElement, EndomorphismSpec, NotUnitaryError,
-                      ParseError, Permutation, parse_element, perm_unitary,
-                      theta, theta_power, words)
+from cuntzlab import (AlgebraElement, AlphabetMismatchError, EndomorphismSpec,
+                      NotUnitaryError, ParseError, Permutation, ef_generators,
+                      parse_element, perm_unitary, theta, theta_power, words)
 from cuntzlab.algebra import pack_word, unpack_word
 from cuntzlab.sampling import random_element
 from cuntzlab.table import f_invariant
@@ -145,6 +147,58 @@ def test_apply_agrees_with_generator_substitution(psi12, s1, s2):
                 via_gens = via_gens * psi12.apply(
                     AlgebraElement.generator(2, c)).adjoint()
             assert psi12.apply(mono) == via_gens
+
+
+def oracle_permutations():
+    """All 24 rank-2 permutations of O_2, six seeded rank-3 ones, one seeded
+    rank-2 permutation of O_3 and the rank-1 letter swap for N = 2, 3."""
+    rng = random.Random(20240605)
+    perms = list(all_line_perms())
+    for k, n_gens, count in ((3, 2, 6), (2, 3, 1)):
+        for _ in range(count):
+            line = list(range(1, n_gens ** k + 1))
+            rng.shuffle(line)
+            perms.append(Permutation.from_one_line(line, k, n_gens))
+    perms += [Permutation.from_cycles([(1, 2)], 1, n_gens) for n_gens in (2, 3)]
+    return perms
+
+
+def test_word_rewriting_matches_cocycle_path():
+    # the same unitary without `perm` runs the cocycle formula: the oracle
+    for sigma in oracle_permutations():
+        n = sigma.n_gens
+        fast = EndomorphismSpec.from_permutation(sigma)
+        slow = EndomorphismSpec(perm_unitary(sigma), rank=sigma.k, check=False)
+        inputs = [AlgebraElement.monomial(n, left, right)
+                  for p in range(3) for l in range(3)
+                  for left in words(n, p) for right in words(n, l)]
+        inputs += ef_generators(n)
+        for a in inputs:
+            img = fast.apply(a)
+            assert img == slow.apply(a), (sigma, a)
+            assert fast.apply(img) == slow.apply(slow.apply(a)), (sigma, a)
+
+
+def test_word_rewriting_is_not_exponential(psi12, s1, s2):
+    # u_40 has 2^41 terms; the closed form of check_psi_formulas has two
+    n = 40
+    start = time.perf_counter()
+    img = psi12.apply(AlgebraElement.isometry(2, (1,) * n))
+    assert time.perf_counter() - start < 1.0
+    assert len(img.terms) == 2
+    assert img == (AlgebraElement.isometry(2, (1,) + (2,) * n) * s1.adjoint()
+                   + AlgebraElement.isometry(2, (1,) + (2,) * (n - 1) + (1,))
+                   * s2.adjoint())
+
+
+def test_apply_rejects_other_alphabets():
+    permutative = EndomorphismSpec.from_label("(1 2)")
+    symbolic = EndomorphismSpec(permutative.u, rank=2, check=False)
+    for endo in (permutative, symbolic, EndomorphismSpec.canonical_shift(2)):
+        for a in (AlgebraElement.generator(3, 1), AlgebraElement.generator(3, 3),
+                  AlgebraElement.zero(3)):
+            with pytest.raises(AlphabetMismatchError):
+                endo.apply(a)
 
 
 def test_correspondence_roundtrip():
