@@ -6,17 +6,26 @@ the isometry relations (s_i^* s_j = delta_ij); equality is decided by
 inserting the range-projection identity sum_i s_i s_i^* = 1 until both
 sides live at a common bidegree per gauge degree, then comparing
 coefficient dictionaries.  All values are immutable.
+
+Degree-0 elements at level m are N^m x N^m matrices (F_N^m = M_{N^m}).
+Products and equality of pure degree-0 elements go to an exact dense
+kernel when its work is no larger than the sparse work it replaces;
+everything else takes the sparse monomial path.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
-from typing import Dict, Iterable, Iterator, Mapping, NamedTuple, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from .errors import AlphabetMismatchError, LevelError
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _reduce
 
 Word = Tuple[int, ...]
 
@@ -152,12 +161,12 @@ class AlgebraElement:
                 out[mono] = s
             elif acc is not None:
                 del out[mono]
-        return AlgebraElement(self.n_gens, out)
+        return _wrap(self.n_gens, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.n_gens, {m: -c for m, c in self._terms.items()})
+        return _wrap(self.n_gens, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "AlgebraElement":
         return self + (-other if isinstance(other, AlgebraElement)
@@ -170,7 +179,7 @@ class AlgebraElement:
         c = GaussianRational.of(coeff)
         if not c:
             return AlgebraElement.zero(self.n_gens)
-        return AlgebraElement(self.n_gens, {m: v * c for m, v in self._terms.items()})
+        return _wrap(self.n_gens, {m: v * c for m, v in self._terms.items()})
 
     # -- multiplication ----------------------------------------------------
 
@@ -187,7 +196,7 @@ class AlgebraElement:
         return NotImplemented
 
     def adjoint(self) -> "AlgebraElement":
-        return AlgebraElement(
+        return _wrap(
             self.n_gens,
             {Monomial(m.right, m.left): c.conjugate() for m, c in self._terms.items()},
         )
@@ -226,14 +235,13 @@ class AlgebraElement:
                     out[mono] = s
                 elif acc is not None:
                     del out[mono]
-        return AlgebraElement(self.n_gens, out)
+        return _wrap(self.n_gens, out)
 
     def _common_targets(self, other: "AlgebraElement") -> Dict[int, int]:
         targets: Dict[int, int] = {}
-        for elem in (self, other):
-            for m in elem._terms:
-                d = m.degree
-                targets[d] = max(targets.get(d, 0), len(m.right))
+        for p, l in _shapes(self) | _shapes(other):
+            if targets.get(p - l, -1) < l:
+                targets[p - l] = l
         return targets
 
     def __eq__(self, other) -> bool:
@@ -242,7 +250,13 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._require_same_alphabet(other)
+        if self._terms == other._terms:
+            return True
         targets = self._common_targets(other)
+        m = targets.get(0, 0)
+        if len(targets) == 1 and m and _dense_fits(
+                self.n_gens ** m, len(self._terms), len(other._terms), product=False):
+            return _dense_eq(self, other, m)
         return self.level(targets)._terms == other.level(targets)._terms
 
     __hash__ = None  # semantic equality is not hash-compatible
@@ -287,7 +301,7 @@ class AlgebraElement:
                 elif acc is not None:
                     del cur[merged]
                 changed = True
-        return AlgebraElement(self.n_gens, cur)
+        return _wrap(self.n_gens, cur)
 
     # -- gauge structure ---------------------------------------------------
 
@@ -297,11 +311,11 @@ class AlgebraElement:
         parts: Dict[int, Dict[Monomial, GaussianRational]] = {}
         for m, c in self._terms.items():
             parts.setdefault(m.degree, {})[m] = c
-        return {d: AlgebraElement(self.n_gens, t) for d, t in sorted(parts.items())}
+        return {d: _wrap(self.n_gens, t) for d, t in sorted(parts.items())}
 
     def expectation(self) -> "AlgebraElement":
         """Degree-0 component (kills all unbalanced monomials)."""
-        return AlgebraElement(
+        return _wrap(
             self.n_gens, {m: c for m, c in self._terms.items() if m.degree == 0}
         )
 
@@ -365,6 +379,9 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
                            = s_I s_{LJ'}^*  if J = K J',
                            = 0 otherwise."""
     a._require_same_alphabet(b)
+    m = _dense_mul_level(a, b)
+    if m is not None:
+        return _dense_mul(a, b, m)
     out: Dict[Monomial, GaussianRational] = {}
 
     by_left: Dict[Word, list] = {}
@@ -397,4 +414,146 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
             trunc_cache[len(j)] = idx
         for mb, cb in idx.get(j, ()):
             _accumulate(Monomial(ma.left + mb.left[len(j):], mb.right), ca * cb)
-    return AlgebraElement(a.n_gens, out)
+    return _wrap(a.n_gens, out)
+
+
+def _wrap(n_gens: int, terms: Dict[Monomial, GaussianRational]) -> AlgebraElement:
+    """An element over `terms` built from validated operands: Monomial keys
+    with letters in 1..n_gens and nonzero GaussianRational values, taken
+    as they are.  Outside input goes through `AlgebraElement(...)`."""
+    elem = object.__new__(AlgebraElement)
+    elem.n_gens = n_gens
+    elem._terms = terms
+    return elem
+
+
+def _shapes(elem: AlgebraElement) -> set:
+    """The distinct (|I|, |J|) over the terms."""
+    return {(len(left), len(right)) for left, right in elem._terms}
+
+
+# -- exact dense kernel for degree-0 elements -------------------------------
+#
+# At level m, s_I s_J^* with |I| = |J| = r <= m is the block E_(I,J) (x) 1 of
+# the N^m x N^m matrix: its coefficient sits on the diagonal of the
+# N^(m-r)-square block at rows pack(I) N^(m-r) + t, columns
+# pack(J) N^(m-r) + t.  A matrix is a pair of integer numerator matrices
+# (real, imaginary) over one common denominator, int64 when a bound on its
+# entries fits and Python ints otherwise.
+#
+# Routing compares work, so it needs no tuning.  With both operands pure
+# degree 0 at level m, a product goes dense when the N^(3m) matmul work is
+# at most the |a| |b| term pairs the sparse rule may visit, and a
+# comparison when the N^(2m) entries are at most _DENSE_ENTRIES_PER_TERM
+# per operand term, which also bounds what any dense call allocates.  Both
+# also need enough sparse work to pay for a kernel call, whose numpy
+# overhead costs about as much as _DENSE_CALL_COST sparse term operations.
+
+_INT64_MAX = 2 ** 63 - 1
+_DENSE_ENTRIES_PER_TERM = 4
+_DENSE_CALL_COST = 128
+
+
+def _dense_fits(dim: int, size_a: int, size_b: int, product: bool) -> bool:
+    if dim * dim > _DENSE_ENTRIES_PER_TERM * (size_a + size_b):
+        return False
+    if product:
+        return max(dim ** 3, _DENSE_CALL_COST) <= size_a * size_b
+    return _DENSE_CALL_COST <= size_a + size_b
+
+
+def _dense_mul_level(a: AlgebraElement, b: AlgebraElement) -> Optional[int]:
+    """The level at which the kernel multiplies a and b, or None for the
+    sparse rule."""
+    n, size_a, size_b = a.n_gens, len(a._terms), len(b._terms)
+    if not _dense_fits(n, size_a, size_b, product=True):
+        return None  # not even at level 1
+    shapes = _shapes(a) | _shapes(b)
+    if any(p != l for p, l in shapes):
+        return None
+    m = max(l for _, l in shapes)
+    return m if m and _dense_fits(n ** m, size_a, size_b, product=True) else None
+
+
+def _common_denominator(*elems: AlgebraElement) -> int:
+    return lcm(*{c._d for elem in elems for c in elem._terms.values()})
+
+
+# the (a + b i)/d triple of a GaussianRational
+_get_a, _get_b, _get_d = (operator.attrgetter(f"_{x}") for x in "abd")
+
+
+def _dense(elem: AlgebraElement, m: int, den: int):
+    """(real, imaginary) numerator matrices of a pure degree-0 element
+    leveled to m, over `den`, a multiple of every coefficient's
+    denominator."""
+    n, dim, size = elem.n_gens, elem.n_gens ** m, len(elem._terms)
+    if not size:
+        return np.zeros((dim, dim), np.int64), np.zeros((dim, dim), np.int64)
+    lefts, rights = zip(*elem._terms)
+    coeffs = elem._terms.values()
+    res, ims = list(map(_get_a, coeffs)), list(map(_get_b, coeffs))
+    dens = list(map(_get_d, coeffs))
+    if dens.count(den) != size:
+        scale = list(map(operator.floordiv, itertools.repeat(den, size), dens))
+        res = list(map(operator.mul, res, scale))
+        ims = list(map(operator.mul, ims, scale))
+    # an entry sums the numerators of distinct terms
+    bound = sum(map(abs, res)) + sum(map(abs, ims))
+    dtype = np.int64 if bound <= _INT64_MAX else object
+    codes: Dict[Word, int] = {}  # pack_word of every word up to length m
+    for r in range(m + 1):
+        codes.update(zip(words(n, r), range(n ** r)))
+    block = n ** (m - np.fromiter(map(len, lefts), np.int64, size))
+    rows = np.fromiter(map(codes.__getitem__, lefts), np.int64, size) * block
+    cols = np.fromiter(map(codes.__getitem__, rights), np.int64, size) * block
+    # the diagonal of each term's block: (rows + t, cols + t), t < block
+    t = np.arange(block.sum()) - np.repeat(np.cumsum(block) - block, block)
+    flat = np.repeat(rows * dim + cols, block) + t * (dim + 1)
+    out = []
+    for nums in (res, ims):
+        mat = np.zeros(dim * dim, dtype=dtype)
+        # blocks of terms of different lengths may overlap
+        np.add.at(mat, flat, np.repeat(np.array(nums, dtype=dtype), block))
+        out.append(mat.reshape(dim, dim))
+    return out[0], out[1]
+
+
+def _degree0_matrix(elem: AlgebraElement, m: int):
+    """(real, imaginary, denominator) of a pure degree-0 element at level m
+    >= its longest word, exact."""
+    den = _common_denominator(elem)
+    re, im = _dense(elem, m, den)
+    return re, im, den
+
+
+def _dense_eq(a: AlgebraElement, b: AlgebraElement, m: int) -> bool:
+    den = _common_denominator(a, b)
+    a_re, a_im = _dense(a, m, den)
+    b_re, b_im = _dense(b, m, den)
+    return bool(np.array_equal(a_re, b_re) and np.array_equal(a_im, b_im))
+
+
+def _max_abs(*mats) -> int:
+    return max(int(np.abs(x).max()) for x in mats)
+
+
+def _dense_mul(a: AlgebraElement, b: AlgebraElement, m: int) -> AlgebraElement:
+    n = a.n_gens
+    a_re, a_im, den_a = _degree0_matrix(a, m)
+    b_re, b_im, den_b = _degree0_matrix(b, m)
+    # each entry of the product is a sum of 2 N^m products of entries
+    if _max_abs(a_re, a_im) * _max_abs(b_re, b_im) * 2 * n ** m > _INT64_MAX:
+        a_re, a_im, b_re, b_im = (x.astype(object) for x in (a_re, a_im, b_re, b_im))
+    re = a_re @ b_re - a_im @ b_im
+    im = a_re @ b_im + a_im @ b_re
+    den = den_a * den_b
+    flat = np.flatnonzero((re != 0) | (im != 0))
+    ws = list(words(n, m))
+    dim = len(ws)
+    out: Dict[Monomial, GaussianRational] = {}
+    for idx, x, y in zip(flat.tolist(), re.ravel()[flat].tolist(),
+                         im.ravel()[flat].tolist()):
+        row, col = divmod(idx, dim)
+        out[Monomial(ws[row], ws[col])] = _reduce(x, y, den)
+    return _wrap(n, out)

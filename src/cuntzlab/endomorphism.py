@@ -13,19 +13,22 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .algebra import AlgebraElement, Monomial, Word, pack_word, unpack_word, words
+from .algebra import (AlgebraElement, Monomial, Word, _wrap, pack_word,
+                      unpack_word, words)
 from .errors import AlphabetMismatchError, NotUnitaryError, ParseError
 from .scalars import GaussianRational
 
 
 def theta(a: AlgebraElement) -> AlgebraElement:
-    """The canonical shift x -> sum_i s_i x s_i^*."""
+    """The canonical shift x -> sum_i s_i x s_i^*, by word rewriting:
+    theta(s_I s_J^*) = sum_i s_{iI} s_{iJ}^*.  Distinct (i, I, J) give
+    distinct monomials, so every coefficient carries over unchanged."""
     n = a.n_gens
-    out = AlgebraElement.zero(n)
-    for i in range(1, n + 1):
-        s_i = AlgebraElement.generator(n, i)
-        out = out + s_i * a * s_i.adjoint()
-    return out
+    out: Dict[Monomial, GaussianRational] = {}
+    for (left, right), coeff in a.terms.items():
+        for i in range(1, n + 1):
+            out[Monomial((i,) + left, (i,) + right)] = coeff
+    return _wrap(n, out)
 
 
 def theta_power(m: int, a: AlgebraElement) -> AlgebraElement:
@@ -238,7 +241,7 @@ class EndomorphismSpec:
                 continue
             for v in tails:
                 out[Monomial(self._rewrite(left + v), self._rewrite(right + v))] = coeff
-        return AlgebraElement(self.n_gens, out)
+        return _wrap(self.n_gens, out)
 
     def _rewrite(self, word: Word) -> Word:
         """pi(W) for |W| = m+k-1: sigma applied to the k-letter window at

@@ -9,7 +9,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .algebra import AlgebraElement, Word, words
+from .algebra import AlgebraElement, Word, _degree0_matrix, words
 from .errors import DimensionCapError, NotHomogeneousError
 from .scalars import GaussianRational
 
@@ -68,8 +68,9 @@ def psi(x: AlgebraElement, k: int) -> OperatorMatrix:
 
 
 def embed_degree0(x: AlgebraElement) -> np.ndarray:
-    """Level a degree-0 element to bidegree (m, m) and return its complex
-    matrix in M_{N^m} (lexicographic word order)."""
+    """The complex matrix in M_{N^m} (lexicographic word order) of a
+    degree-0 element with longest word m: the exact kernel's matrix,
+    rounded."""
     if any(d != 0 for d in x.degrees()):
         raise NotHomogeneousError("embed_degree0 requires gauge degree 0")
     n = x.n_gens
@@ -77,11 +78,11 @@ def embed_degree0(x: AlgebraElement) -> np.ndarray:
     dim = n ** m
     if dim > DIM_CAP:
         raise DimensionCapError(f"matrix dimension {dim} exceeds cap {DIM_CAP}")
-    lev = x.level({0: m})
-    out = np.zeros((dim, dim), dtype=complex)
-    index = {w: i for i, w in enumerate(words(n, m))}
-    for mono, c in lev.terms.items():
-        out[index[mono.left], index[mono.right]] = complex(c)
+    re, im, den = _degree0_matrix(x, m)
+    out = np.empty((dim, dim), dtype=complex)
+    # Python int division rounds each entry once, as complex(c) does
+    out.real = (re.astype(object) / den).astype(float)
+    out.imag = (im.astype(object) / den).astype(float)
     return out
 
 

@@ -2,6 +2,7 @@
 form, gauge structure, and agreement of the product with an independent
 small-step word-rewriting oracle."""
 
+import contextlib
 import itertools
 import random
 from fractions import Fraction
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuntzlab import (AlgebraElement, AlphabetMismatchError, GaussianRational,
-                      LevelError, Monomial, words)
+                      LevelError, Monomial, format_element, words)
+from cuntzlab import algebra
 from cuntzlab.sampling import random_element
 
 
@@ -53,6 +55,15 @@ def test_alphabet_mismatch():
         AlgebraElement.one(2) * AlgebraElement.one(3)
     with pytest.raises(AlphabetMismatchError):
         AlgebraElement.one(2) + AlgebraElement.one(3)
+    # the public constructor checks outside input: letters and coefficients
+    for bad in ((0,), (3,), (1, 3)):
+        with pytest.raises(ValueError):
+            AlgebraElement(2, {Monomial(bad, (1,)): 1})
+        with pytest.raises(ValueError):
+            AlgebraElement(2, {Monomial((1,), bad): 1})
+    for coeff in (0.5, "1", None):
+        with pytest.raises(TypeError):
+            AlgebraElement(2, {Monomial((1,), (1,)): coeff})
 
 
 # ---------------------------------------------------- word-rewriting oracle
@@ -228,3 +239,133 @@ def test_level_preserves_equality(a):
     targets = {d: a.max_right_length(d) + 1 for d in a.degrees()}
     assert a.level(targets) == a
     assert a.canonical() == a
+
+
+# ------------------------------------------------- dense degree-0 kernel
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts of the products and comparisons the dense kernel handled."""
+    calls = {"mul": 0, "eq": 0}
+    for name in calls:
+        original = getattr(algebra, f"_dense_{name}")
+
+        def spy(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(algebra, f"_dense_{name}", spy)
+    return calls
+
+
+@pytest.fixture
+def sparse_reference(monkeypatch):
+    """A context in which every product and comparison takes the sparse
+    monomial path, the reference for the kernel."""
+    @contextlib.contextmanager
+    def context():
+        with monkeypatch.context() as mp:
+            mp.setattr(algebra, "_dense_fits", lambda *args, **kwargs: False)
+            yield
+    return context
+
+
+def _random_degree0(rng, n, m, size, coeff):
+    """`size` distinct degree-0 monomials with words of length <= m (one of
+    them of length m), each with a nonzero coefficient from `coeff(rng)`."""
+    monos = [Monomial(left, right) for r in range(m)
+             for left in words(n, r) for right in words(n, r)]
+    top = [Monomial(left, right) for left in words(n, m) for right in words(n, m)]
+    picked = [rng.choice(top)] + rng.sample(monos + top, size - 1)
+    while len(set(picked)) < size:
+        picked = [rng.choice(top)] + rng.sample(monos + top, size - 1)
+    terms = {}
+    for mono in picked:
+        c = coeff(rng)
+        while not c:
+            c = coeff(rng)
+        terms[mono] = c
+    return AlgebraElement(n, terms)
+
+
+def _small_complex(rng):
+    # non-dyadic denominators, so the common denominator is not a power of 2
+    return GaussianRational(Fraction(rng.randint(-9, 9), rng.choice((1, 3, 5, 7))),
+                            Fraction(rng.randint(-9, 9), rng.choice((1, 3, 7))))
+
+
+def _check_against_reference(a, b, m, rng, sparse_reference):
+    """a * b through the router against the sparse product, and equality
+    against the product and against copies that differ in one entry."""
+    got = a * b
+    with sparse_reference():
+        want = a * b
+        assert got == want
+        i, j = (rng.choice(list(words(a.n_gens, m))) for _ in range(2))
+        bumps = [want + AlgebraElement.monomial(a.n_gens, i, j, eps)
+                 for eps in (Fraction(1, 7), GaussianRational(0, Fraction(-2, 5)))]
+        assert all(not (got == bumped) for bumped in bumps)
+        sparse_text = format_element(want)
+    assert got == want and want == got
+    assert all(not (got == bumped) and not (bumped == want) for bumped in bumps)
+    assert format_element(got) == sparse_text
+
+
+# (N, level, |a|, |b|, product on the kernel?, comparisons on the kernel?)
+KERNEL_CASES = [
+    (2, 2, 12, 12, True, False), (2, 4, 100, 120, True, True),
+    (3, 2, 60, 60, True, True), (2, 2, 8, 8, False, False),
+    (2, 3, 4, 5, False, False), (3, 2, 4, 10, False, False),
+]
+
+
+@pytest.mark.parametrize("n, m, size_a, size_b, dense, dense_eq", KERNEL_CASES)
+def test_dense_kernel_matches_sparse_reference(n, m, size_a, size_b, dense,
+                                               dense_eq, kernel_calls,
+                                               sparse_reference):
+    rng = random.Random(1000 * n + 10 * m + size_a)
+    for _ in range(4):
+        a = _random_degree0(rng, n, m, size_a, _small_complex)
+        b = _random_degree0(rng, n, m, size_b, _small_complex)
+        assert (algebra._dense_mul_level(a, b) is not None) == dense
+        _check_against_reference(a, b, m, rng, sparse_reference)
+        # a mixed-degree operand always takes the sparse rule
+        assert algebra._dense_mul_level(a + AlgebraElement.generator(n, 1), b) is None
+    assert (kernel_calls["mul"] > 0) == dense
+    assert (kernel_calls["eq"] > 0) == dense_eq
+
+
+def _big_complex(rng):
+    return GaussianRational(Fraction(2 ** 40 + rng.randint(0, 999), 3),
+                            Fraction(-2 ** 40 - rng.randint(0, 999), 7))
+
+
+def test_dense_kernel_python_int_fallback(kernel_calls, sparse_reference):
+    rng = random.Random(2 ** 40)
+    # numerators near 2^40: every product entry overflows int64
+    a = _random_degree0(rng, 2, 2, 12, _big_complex)
+    b = _random_degree0(rng, 2, 2, 12, _big_complex)
+    _check_against_reference(a, b, 2, rng, sparse_reference)
+    # every level-3 entry near 2^30.6: a product of two entries fits in
+    # int64, a sum of 2^3 of them does not
+    a, b = (AlgebraElement(2, {Monomial(i, j): 3 * 2 ** 29 + rng.randint(0, 99)
+                               for i in words(2, 3) for j in words(2, 3)})
+            for _ in range(2))
+    _check_against_reference(a, b, 3, rng, sparse_reference)
+    assert kernel_calls["mul"] == 2
+
+
+def test_sparse_high_level_product_stays_sparse(monkeypatch):
+    def no_matrix(*args):
+        raise AssertionError("dense matrix allocated")
+
+    monkeypatch.setattr(algebra, "_dense", no_matrix)
+    p = AlgebraElement.diagonal(2, (1,) * 20)
+    assert algebra._dense_mul_level(p, p) is None
+    assert p * p == p
+    # enough terms to pay for a kernel call, but 2^40 entries at level 20
+    rng = random.Random(20)
+    cylinders = {tuple(rng.randint(1, 2) for _ in range(20)) for _ in range(200)}
+    q = AlgebraElement(2, {Monomial(w, w): 1 for w in cylinders})
+    assert algebra._dense_mul_level(q, q) is None
+    assert q * q == q.level({0: 21})

@@ -67,6 +67,15 @@ def test_theta_homomorphism(rng):
         a = random_element(rng, max_terms=3, max_len=2)
         b = random_element(rng, max_terms=3, max_len=2)
         assert theta(a * b) == theta(a) * theta(b)
+    # the word rewriting agrees with sum_i s_i a s_i^* built by products
+    for n in (2, 3):
+        gens = [AlgebraElement.generator(n, i) for i in range(1, n + 1)]
+        for _ in range(10):
+            a = random_element(rng, n_gens=n, max_terms=5, max_len=3)
+            by_products = AlgebraElement.zero(n)
+            for s_i in gens:
+                by_products = by_products + s_i * a * s_i.adjoint()
+            assert theta(a) == by_products
 
 
 def test_perm_unitary_examples(one):
