@@ -212,29 +212,21 @@ class AlgebraElement:
         are left untouched."""
         out: Dict[Monomial, GaussianRational] = {}
         for mono, c in self._terms.items():
-            d = mono.degree
-            if d in targets:
-                t = targets[d]
-                gap = t - len(mono.right)
-                if gap < 0:
-                    raise LevelError(
-                        f"target right-length {t} below current {len(mono.right)} in degree {d}"
-                    )
-                for w in words(self.n_gens, gap):
-                    key = Monomial(mono.left + w, mono.right + w)
-                    acc = out.get(key)
-                    s = c if acc is None else acc + c
-                    if s:
-                        out[key] = s
-                    elif acc is not None:
-                        del out[key]
-            else:
-                acc = out.get(mono)
+            t = targets.get(mono.degree, len(mono.right))
+            gap = t - len(mono.right)
+            if gap < 0:
+                raise LevelError(
+                    f"target right-length {t} below current {len(mono.right)} "
+                    f"in degree {mono.degree}"
+                )
+            for w in words(self.n_gens, gap):
+                key = Monomial(mono.left + w, mono.right + w)
+                acc = out.get(key)
                 s = c if acc is None else acc + c
                 if s:
-                    out[mono] = s
+                    out[key] = s
                 elif acc is not None:
-                    del out[mono]
+                    del out[key]
         return _wrap(self.n_gens, out)
 
     def _common_targets(self, other: "AlgebraElement") -> Dict[int, int]:
@@ -264,43 +256,28 @@ class AlgebraElement:
     # -- canonical display form --------------------------------------------
 
     def canonical(self) -> "AlgebraElement":
-        """Level per gauge degree, then greedily contract sibling groups
-        sum_i c s_{Ii} s_{Ji}^* back to c s_I s_J^*.  Idempotent and
-        equality-preserving; used for display and membership tests."""
+        """Level per gauge degree, then contract each complete sibling group
+        sum_i c s_{Ii} s_{Ji}^* with equal coefficients back to c s_I s_J^*.
+        Leveled, the terms of one degree share one right length, so a term
+        lies in at most one group and a contracted term never meets a term
+        already there; each round rescans only the terms it merged.
+        Idempotent and equality-preserving; used for display."""
         targets = {d: self.max_right_length(d) for d in self.degrees()}
         cur = dict(self.level(targets)._terms)
         n = self.n_gens
-        changed = True
-        while changed:
-            changed = False
-            groups: Dict[Tuple[Word, Word], Dict[int, GaussianRational]] = {}
-            for m, c in cur.items():
+        merged = cur
+        while merged:
+            groups: Dict[Tuple[Word, Word], list] = {}
+            for m, c in merged.items():
                 if m.left and m.right and m.left[-1] == m.right[-1]:
-                    groups.setdefault((m.left[:-1], m.right[:-1]), {})[m.left[-1]] = c
-            order = sorted(
-                groups.items(),
-                key=lambda kv: (len(kv[0][0]) - len(kv[0][1]), kv[0][1], kv[0][0]),
-            )
-            for (left, right), sibs in order:
-                if len(sibs) != n:
-                    continue
-                coeffs = list(sibs.values())
-                if any(c != coeffs[0] for c in coeffs[1:]):
-                    continue
-                # re-check membership: an earlier contraction may have consumed terms
-                keys = [Monomial(left + (i,), right + (i,)) for i in range(1, n + 1)]
-                if not all(cur.get(k) == coeffs[0] for k in keys):
-                    continue
-                for k in keys:
-                    del cur[k]
-                merged = Monomial(left, right)
-                acc = cur.get(merged)
-                s = coeffs[0] if acc is None else acc + coeffs[0]
-                if s:
-                    cur[merged] = s
-                elif acc is not None:
-                    del cur[merged]
-                changed = True
+                    groups.setdefault((m.left[:-1], m.right[:-1]), []).append(c)
+            merged = {}
+            for (left, right), sibs in groups.items():
+                if len(sibs) == n and all(c == sibs[0] for c in sibs[1:]):
+                    for i in range(1, n + 1):
+                        del cur[Monomial(left + (i,), right + (i,))]
+                    merged[Monomial(left, right)] = sibs[0]
+            cur.update(merged)
         return _wrap(self.n_gens, cur)
 
     # -- gauge structure ---------------------------------------------------
@@ -338,21 +315,26 @@ class AlgebraElement:
         return len(m.left) == p and len(m.right) == l
 
     def in_F(self, p: int, l: int) -> bool:
-        """Whether the element lies in the span of monomials with |I| = p,
-        |J| = l (decided exactly via leveling and reconstruction)."""
+        """Whether the element lies in F_{p,l}, the span of monomials with
+        |I| = p, |J| = l.  Leveled to one right length big >= l, an element
+        of degree p - l has a unique term dict (the core is M_{N^infinity}).
+        It lies in F_{p,l} iff every term is s_{IW} s_{JW}^* with |I| = p,
+        |J| = l, the coefficient depends only on (I, J), and every (I, J)
+        comes with all N^(big-l) tails W."""
         if self.is_zero():
             return True
         d = p - l
         if any(m.degree != d for m in self._terms):
             return False
         big = max(l, self.max_right_length(d))
-        lev = self.level({d: big})
-        pad = (1,) * (big - l)
-        cand: Dict[Monomial, GaussianRational] = {}
-        for m, c in lev._terms.items():
-            if m.right[l:] == pad and m.left[p:] == pad:
-                cand[Monomial(m.left[:p], m.right[:l])] = c
-        return AlgebraElement(self.n_gens, cand) == self
+        lev = self.level({d: big})._terms
+        coeffs: Dict[Tuple[Word, Word], GaussianRational] = {}
+        for m, c in lev.items():
+            if m.left[p:] != m.right[l:]:
+                return False
+            if coeffs.setdefault((m.left[:p], m.right[:l]), c) != c:
+                return False
+        return len(lev) == len(coeffs) * self.n_gens ** (big - l)
 
     def is_diagonal_01(self) -> bool:
         """All terms are s_w s_w^* with coefficient exactly 1."""

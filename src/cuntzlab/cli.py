@@ -62,14 +62,20 @@ def build_parser() -> argparse.ArgumentParser:
                                  "entropy of their Cantor-set dynamics")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, perm=False, element=False):
-        p.add_argument("--n-gens", type=int, default=_env_int("N_GENS", 2),
-                       help="alphabet size N (default 2)")
-        p.add_argument("--rank", type=int, default=_env_int("RANK", 2),
-                       help="permutation rank k (default 2)")
-        p.add_argument("--budget", type=int,
-                       default=_env_int("BUDGET", DEFAULT_BUDGET),
-                       help="enumeration budget in words (default 2^22)")
+    def common(p, perm=False, element=False, budget=False):
+        """--json, plus only the flags the subcommand reads: the alphabet
+        size for a permutation or element text, the rank for a
+        permutation, the enumeration budget where words are enumerated."""
+        if perm or element:
+            p.add_argument("--n-gens", type=int, default=_env_int("N_GENS", 2),
+                           help="alphabet size N (default 2)")
+        if perm:
+            p.add_argument("--rank", type=int, default=_env_int("RANK", 2),
+                           help="permutation rank k (default 2)")
+        if budget:
+            p.add_argument("--budget", type=int,
+                           default=_env_int("BUDGET", DEFAULT_BUDGET),
+                           help="enumeration budget in words (default 2^22)")
         p.add_argument("--json", action="store_true",
                        default=_env("JSON", "") not in ("", "0", "false"),
                        help="emit JSON")
@@ -86,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_apply, perm=True, element=True)
 
     p_entropy = sub.add_parser("entropy", help="entropy report on a masa")
-    common(p_entropy, perm=True)
+    common(p_entropy, perm=True, budget=True)
     p_entropy.add_argument("--masa", choices=["standard", "ef"],
                            default=_env("MASA", "standard"))
     p_entropy.add_argument("--depth", type=int, default=_env_int("DEPTH", 4),
@@ -95,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="maximum join steps n (default 16)")
 
     p_table = sub.add_parser("table1", help="full 24-row entropy regression")
-    common(p_table)
+    common(p_table, budget=True)
     p_table.add_argument("--depth", type=int, default=_env_int("DEPTH", 4))
     p_table.add_argument("--steps", type=int, default=_env_int("STEPS", 16))
     p_table.add_argument("--format", choices=["text", "json", "csv"],

@@ -269,17 +269,14 @@ class CantorDynamics(JoinDynamics):
         return self.endo.label()
 
     def diagonal_invariant(self, depth: int) -> bool:
-        """Every cylinder projection of depth <= `depth` maps to an exact
-        0/1 sum of cylinder projections."""
-        n = self.n_gens
-        for length in range(1, depth + 1):
-            for v in words(n, length):
-                img = self.endo.apply(AlgebraElement.diagonal(n, v))
-                if any(d != 0 for d in img.degrees()):
-                    return False
-                lev = img.level({0: img.max_right_length(0)})
-                if not lev.is_diagonal_01():
-                    return False
+        """Whether the symbolic block map builds at every depth <= `depth`:
+        every cylinder projection maps to an exact 0/1 sum of cylinder
+        projections, and these sums partition the input words."""
+        try:
+            for p in range(1, depth + 1):
+                self._symbolic_table(p)
+        except (DiagonalNotPreservedError, PartitionError):
+            return False
         return True
 
     def _build_table(self, p: int) -> BlockMapTable:

@@ -192,6 +192,76 @@ def test_trace_positivity(rng):
         assert val.is_real() and val.re >= 0
 
 
+# -- reference models: membership by reconstruction, contraction by rescans
+
+def reference_in_F(a, p, l):
+    """Level to one right length, rebuild the candidate sum of s_I s_J^*
+    from the terms padded with 1s, and compare it with `a`."""
+    if a.is_zero():
+        return True
+    d = p - l
+    if any(m.degree != d for m in a.terms):
+        return False
+    big = max(l, a.max_right_length(d))
+    lev = a.level({d: big})
+    pad = (1,) * (big - l)
+    cand = {}
+    for m, c in lev.terms.items():
+        if m.right[l:] == pad and m.left[p:] == pad:
+            cand[Monomial(m.left[:p], m.right[:l])] = c
+    return AlgebraElement(a.n_gens, cand) == a
+
+
+def reference_canonical(a):
+    """Level per gauge degree, then contract complete sibling groups with
+    equal coefficients, rescanning every term until a round changes
+    nothing."""
+    targets = {d: a.max_right_length(d) for d in a.degrees()}
+    cur = dict(a.level(targets).terms)
+    n = a.n_gens
+    changed = True
+    while changed:
+        changed = False
+        groups = {}
+        for m, c in cur.items():
+            if m.left and m.right and m.left[-1] == m.right[-1]:
+                groups.setdefault((m.left[:-1], m.right[:-1]), {})[m.left[-1]] = c
+        order = sorted(
+            groups.items(),
+            key=lambda kv: (len(kv[0][0]) - len(kv[0][1]), kv[0][1], kv[0][0]),
+        )
+        for (left, right), sibs in order:
+            if len(sibs) != n:
+                continue
+            coeffs = list(sibs.values())
+            if any(c != coeffs[0] for c in coeffs[1:]):
+                continue
+            keys = [Monomial(left + (i,), right + (i,)) for i in range(1, n + 1)]
+            if not all(cur.get(k) == coeffs[0] for k in keys):
+                continue
+            for k in keys:
+                del cur[k]
+            merged = Monomial(left, right)
+            acc = cur.get(merged)
+            s = coeffs[0] if acc is None else acc + coeffs[0]
+            if s:
+                cur[merged] = s
+            elif acc is not None:
+                del cur[merged]
+            changed = True
+    return AlgebraElement(n, cur)
+
+
+def check_against_references(a):
+    """in_F for p, l <= 5 and canonical of `a` and of each of its gauge
+    components (which can lie in some F_{p,l}) agree with the models."""
+    for x in [a, *a.gauge_components().values()]:
+        for p in range(6):
+            for l in range(6):
+                assert x.in_F(p, l) == reference_in_F(x, p, l), (x, p, l)
+        assert dict(x.canonical().terms) == dict(reference_canonical(x).terms), x
+
+
 def test_membership_predicates():
     s1 = gen(1)
     assert (s1 * s1.adjoint()).in_A(1, 1)
@@ -239,6 +309,49 @@ def test_level_preserves_equality(a):
     targets = {d: a.max_right_length(d) + 1 for d in a.degrees()}
     assert a.level(targets) == a
     assert a.canonical() == a
+    check_against_references(a)
+
+
+def test_in_F_and_canonical_match_references_n3():
+    rng = random.Random(3)
+    for _ in range(40):
+        check_against_references(random_element(rng, 3, max_terms=6, max_len=3))
+
+
+def sum_of(n, terms):
+    return AlgebraElement(n, {Monomial(left, right): c for left, right, c in terms})
+
+
+def test_membership_and_contraction_edge_cases():
+    # an incomplete sibling group: two of the three tails of s_1 s_1^*
+    part = sum_of(3, [((1, 1), (1, 1), 1), ((1, 2), (1, 2), 1)])
+    assert not part.in_F(1, 1) and part.in_F(2, 2)
+    assert part.canonical().terms == part.terms
+    # unequal siblings
+    uneven = sum_of(2, [((1, 1), (1, 1), 1), ((1, 2), (1, 2), 2)])
+    assert not uneven.in_F(1, 1) and uneven.in_F(2, 2)
+    assert uneven.canonical().terms == uneven.terms
+    # every (I, J) = (1, 1) has both tails, but with W1 != W2
+    crossed = sum_of(2, [((1, 1), (1, 2), 1), ((1, 2), (1, 1), 1)])
+    assert not crossed.in_F(1, 1) and crossed.in_F(2, 2)
+    assert crossed.canonical().terms == crossed.terms
+    # a complete group with equal coefficients contracts, in any degree
+    full = sum_of(2, [((1, 1), (1, 1), 3), ((1, 2), (1, 2), 3)])
+    assert full.in_F(1, 1) and not full.in_F(0, 0)
+    assert full.canonical().terms == {Monomial((1,), (1,)): GaussianRational.of(3)}
+    lifted = sum_of(2, [((2, 1, 1), (1,), 1), ((2, 1, 2), (2,), 1)])
+    assert lifted.in_F(2, 0) and not lifted.in_F(1, 0)
+    assert set(lifted.canonical().terms) == {Monomial((2, 1), ())}
+    # gap 0: leveling to the current length, or for a degree left out of
+    # the targets, keeps the terms; membership needs no padding
+    mixed = sum_of(2, [((1, 2), (2, 1), 1), ((2,), (), 5)])
+    assert mixed.level({0: 2}).terms == mixed.terms
+    assert mixed.level({}).terms == mixed.terms
+    assert mixed.level({1: 0}).terms == mixed.terms
+    top = mixed.expectation()
+    assert top.in_F(2, 2) and not top.in_F(1, 1) and top.in_F(3, 3)
+    for x in (part, uneven, crossed, full, lifted, mixed, top):
+        check_against_references(x)
 
 
 # ------------------------------------------------- dense degree-0 kernel

@@ -83,6 +83,18 @@ def test_exit_codes(capsys):
     assert run(capsys, "norm", "--n-gens", "12", "--element", "s[11] t[11]")[0] == 2
     assert run(capsys, "apply", "--perm", "id", "--n-gens", "12",
                "--element", "s[1]")[0] == 2
+    # each subcommand takes only the flags it reads
+    for argv in (("table1", "--n-gens", "3"), ("table1", "--rank", "3"),
+                 ("verify", "relations", "--n-gens", "3"),
+                 ("verify", "relations", "--rank", "3"),
+                 ("verify", "relations", "--budget", "32"),
+                 ("norm", "--rank", "3", "--element", "s[1]"),
+                 ("norm", "--budget", "32", "--element", "s[1]"),
+                 ("psi", "--rank", "3", "--element", "s[1]"),
+                 ("psi", "--budget", "32", "--element", "s[1]"),
+                 ("apply", "--budget", "32", "--perm", "id",
+                  "--element", "s[1]")):
+        assert run(capsys, *argv)[0] == 2, argv
 
 
 def test_norm(capsys):
