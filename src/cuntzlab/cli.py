@@ -75,7 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
         if budget:
             p.add_argument("--budget", type=int,
                            default=_env_int("BUDGET", DEFAULT_BUDGET),
-                           help="enumeration budget in words (default 2^22)")
+                           help="enumeration budget in words (default "
+                                "2^22); also the largest key range that join "
+                                "refinement marks instead of sorting")
         p.add_argument("--json", action="store_true",
                        default=_env("JSON", "") not in ("", "0", "false"),
                        help="emit JSON")

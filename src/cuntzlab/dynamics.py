@@ -187,11 +187,24 @@ class JoinDynamics:
         means the two partitions are equal; then the class after n+2 steps
         is (w|_p, class of Tw after n+1 steps) = the class after n+1 steps,
         and every later count is the same.  Refinement stops there and the
-        remaining counts are filled in exactly."""
+        remaining counts are filled in exactly.
+
+        The pair is the key h * n_classes + class(Tw) in [0, N^p *
+        n_classes).  While that range fits the budget, the keys are marked
+        in a boolean array instead of sorted: the marks count the classes,
+        and when every word has its own key the partition is discrete, so
+        the words label themselves and no class array is built.  Otherwise
+        the rank of each key among the marked ones is its label.  Past the
+        budget the keys are sorted."""
+        if p < 1:
+            raise ValueError(f"partition depth p must be at least 1, got {p}")
+        if n_max < 1:
+            raise ValueError(f"join steps n must be at least 1, got {n_max}")
         n = self.n_gens
         self._check_budget(p + (n_max - 1) * self.step)
         counts: List[Tuple[int, int]] = [(1, n ** p)]
-        cls = np.arange(n ** p, dtype=np.int64)
+        # None: the partition is discrete and each word is its own class
+        cls: Optional[np.ndarray] = None
         n_classes = n ** p
         for steps in range(2, n_max + 1):
             length = p + (steps - 1) * self.step
@@ -200,11 +213,23 @@ class JoinDynamics:
             # letter first, so row h of the (N^p, N^(length-p)) view holds
             # the words with prefix h
             full_image = self.block_map(length - self.step).table
-            img_cls = cls[full_image].reshape(n ** p, -1)
+            img_cls = full_image if cls is None else cls[full_image]
             keys = (np.arange(n ** p, dtype=np.int64)[:, None] * n_classes
-                    + img_cls).ravel()
-            _, cls = np.unique(keys, return_inverse=True)
-            refined = int(cls.max()) + 1
+                    + img_cls.reshape(n ** p, -1)).ravel()
+            key_range = n ** p * n_classes
+            if key_range <= self.budget:
+                mark = np.zeros(key_range, dtype=bool)
+                mark[keys] = True
+                refined = int(np.count_nonzero(mark))
+                if refined == keys.size:
+                    cls = None
+                else:
+                    lookup = np.empty(key_range, dtype=np.int64)
+                    lookup[np.flatnonzero(mark)] = np.arange(refined)
+                    cls = lookup[keys]
+            else:
+                _, cls = np.unique(keys, return_inverse=True)
+                refined = int(cls.max()) + 1
             if refined == n_classes:
                 counts.extend((s, n_classes) for s in range(steps, n_max + 1))
                 break
@@ -214,6 +239,9 @@ class JoinDynamics:
 
     def entropy(self, p_max: int = 4, n_max: int = 16) -> List[EntropyReport]:
         """One EntropyReport per depth p = 1..p_max."""
+        if p_max < 1:
+            raise ValueError(
+                f"maximum partition depth must be at least 1, got {p_max}")
         reports = []
         for p in range(1, p_max + 1):
             counts = self._join_counts(p, n_max)

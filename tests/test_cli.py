@@ -78,6 +78,13 @@ def test_exit_codes(capsys):
     assert run(capsys, "apply", "--element", "s[1]")[0] == 2
     assert run(capsys, "entropy", "--perm", "(1 3)", "--masa", "ef")[0] == 3
     assert run(capsys, "entropy", "--perm", "(2 3)", "--budget", "32")[0] == 4
+    # the join over fewer than one step or depth is not a count
+    for argv in (("entropy", "--perm", "(2 3)", "--steps", "0"),
+                 ("entropy", "--perm", "(2 3)", "--steps", "-3"),
+                 ("entropy", "--perm", "(2 3)", "--depth", "0"),
+                 ("table1", "--depth", "0"),
+                 ("table1", "--steps", "0")):
+        assert run(capsys, *argv)[0] == 2, argv
     assert run(capsys, "norm", "--element", "s[1] + s[1] t[1]")[0] == 3
     # the text grammar has single-digit letters: N >= 10 is a usage error
     assert run(capsys, "norm", "--n-gens", "12", "--element", "s[11] t[11]")[0] == 2

@@ -191,6 +191,52 @@ def test_early_exit_skips_deep_tables():
     assert max(d._tables) == 4
 
 
+def test_nonpositive_depth_and_steps_rejected():
+    d = dyn("(2 3)")
+    for p, n_steps in ((2, 0), (2, -3), (0, 4), (-1, 4)):
+        with pytest.raises(ValueError):
+            d.join_count(p, n_steps)
+    for p_max, n_max in ((0, 16), (4, 0), (-2, 5)):
+        with pytest.raises(ValueError):
+            d.entropy(p_max, n_max)
+    assert not d._tables
+
+
+def test_join_counts_non_discrete_partitions():
+    # rank-3 permutations whose partitions keep growing without becoming
+    # discrete, so each step's labels come from the marked-key ranks
+    series = {
+        ((3, 4, 7, 8), (5, 6)): [2, 4, 6, 10, 16, 26, 42, 68, 110, 178, 288],
+        ((1, 8), (2, 4, 5, 6, 3, 7)):
+            [2, 4, 7, 13, 24, 44, 81, 149, 274, 504, 927],
+        ((1, 8), (2, 7, 6)): [2, 4, 6, 7, 8, 10, 12, 14, 16, 18, 21],
+    }
+    for cycles, expected in series.items():
+        perm = Permutation.from_cycles(cycles, 3, 2)
+        d = CantorDynamics(EndomorphismSpec.from_permutation(perm))
+        assert d._join_counts(1, 11) == list(enumerate(expected, start=1))
+        assert d.entropy(2, 11) == full_refinement_reports(d, 2, 11), cycles
+
+
+def test_sorted_keys_past_budget_agree(monkeypatch):
+    # with a 2^12 budget the key range N^4 * n_classes passes the budget
+    # at steps 7 and 8, where the keys are sorted instead of marked; the
+    # default budget marks every step
+    sorted_sizes = []
+    unique = np.unique
+
+    def spy(*args, **kwargs):
+        sorted_sizes.append(args[0].size)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    counts = dyn("(2 3)", budget=2 ** 12)._join_counts(4, 8)
+    assert sorted_sizes == [2 ** 10, 2 ** 11]
+    assert counts == dyn("(2 3)")._join_counts(4, 8)
+    assert sorted_sizes == [2 ** 10, 2 ** 11]
+    assert counts == [(n, 2 ** (n + 3)) for n in range(1, 9)]
+
+
 def test_budget_exceeded():
     d = dyn("(2 3)", budget=64)
     with pytest.raises(BudgetExceededError):
