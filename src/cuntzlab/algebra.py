@@ -10,7 +10,9 @@ coefficient dictionaries.  All values are immutable.
 Degree-0 elements at level m are N^m x N^m matrices (F_N^m = M_{N^m}).
 Products and equality of pure degree-0 elements go to an exact dense
 kernel when its work is no larger than the sparse work it replaces;
-everything else takes the sparse monomial path.
+everything else takes the sparse monomial path.  An element keeps the
+exact matrix the kernel made of it, and a kernel product builds its terms
+only when they are read.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple
 
@@ -79,7 +81,11 @@ def _check_word(word: Word, n_gens: int) -> Word:
 class AlgebraElement:
     """Finite linear combination of monomials s_I s_J^* (no zero terms stored)."""
 
-    __slots__ = ("n_gens", "_terms")
+    # _matrix: memo (m, real, imaginary, denominator) of the kernel's exact
+    # matrix at level m; _shape_set: memo of _shapes.  Constructors leave
+    # both unset (read them with getattr(..., None)), so building an
+    # element costs no more for them.
+    __slots__ = ("n_gens", "_terms", "_matrix", "_shape_set")
 
     def __init__(self, n_gens: int, terms: Mapping[Monomial, object] | None = None):
         if n_gens < 2:
@@ -242,12 +248,13 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._require_same_alphabet(other)
-        if self._terms == other._terms:
+        terms = _built_terms(self)
+        if terms is not None and terms == _built_terms(other):
             return True
         targets = self._common_targets(other)
         m = targets.get(0, 0)
         if len(targets) == 1 and m and _dense_fits(
-                self.n_gens ** m, len(self._terms), len(other._terms), product=False):
+                self.n_gens ** m, _size(self), _size(other), product=False):
             return _dense_eq(self, other, m)
         return self.level(targets)._terms == other.level(targets)._terms
 
@@ -409,9 +416,48 @@ def _wrap(n_gens: int, terms: Dict[Monomial, GaussianRational]) -> AlgebraElemen
     return elem
 
 
+class _KernelProduct(AlgebraElement):
+    """A product made by the dense kernel: it holds its exact matrix and
+    builds its terms the first time they are read.  (A hook for a missing
+    attribute on AlgebraElement itself would slow every attribute read.)"""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        # reached only while the _terms slot is unassigned
+        if name != "_terms":
+            raise AttributeError(f"'AlgebraElement' object has no attribute {name!r}")
+        self._terms = _matrix_terms(self.n_gens, *self._matrix)
+        return self._terms
+
+
+_TERMS_SLOT = AlgebraElement._terms  # reads the slot without building terms
+
+
+def _built_terms(elem: AlgebraElement) -> Optional[Dict[Monomial, GaussianRational]]:
+    """The term dict, or None for a kernel product that has not built it."""
+    try:
+        return _TERMS_SLOT.__get__(elem)
+    except AttributeError:
+        return None
+
+
+def _size(elem: AlgebraElement) -> int:
+    """The number of terms, which for a kernel product is the number of
+    nonzero entries of its matrix; read without building terms."""
+    terms = _built_terms(elem)
+    if terms is not None:
+        return len(terms)
+    _, re, im, _ = elem._matrix
+    return int(np.count_nonzero((re != 0) | (im != 0)))
+
+
 def _shapes(elem: AlgebraElement) -> set:
-    """The distinct (|I|, |J|) over the terms."""
-    return {(len(left), len(right)) for left, right in elem._terms}
+    """The distinct (|I|, |J|) over the terms; memoized."""
+    shapes = getattr(elem, "_shape_set", None)
+    if shapes is None:
+        shapes = elem._shape_set = {(len(left), len(right)) for left, right in elem._terms}
+    return shapes
 
 
 # -- exact dense kernel for degree-0 elements -------------------------------
@@ -421,7 +467,10 @@ def _shapes(elem: AlgebraElement) -> set:
 # N^(m-r)-square block at rows pack(I) N^(m-r) + t, columns
 # pack(J) N^(m-r) + t.  A matrix is a pair of integer numerator matrices
 # (real, imaginary) over one common denominator, int64 when a bound on its
-# entries fits and Python ints otherwise.
+# entries fits and Python ints otherwise.  Each element keeps the last
+# matrix made of it, read-only, so an operand used twice is densified once.
+# A product keeps the matrix it computed, reduced to the lowest common
+# denominator, and builds its terms from it only when they are read.
 #
 # Routing compares work, so it needs no tuning.  With both operands pure
 # degree 0 at level m, a product goes dense when the N^(3m) matmul work is
@@ -447,7 +496,7 @@ def _dense_fits(dim: int, size_a: int, size_b: int, product: bool) -> bool:
 def _dense_mul_level(a: AlgebraElement, b: AlgebraElement) -> Optional[int]:
     """The level at which the kernel multiplies a and b, or None for the
     sparse rule."""
-    n, size_a, size_b = a.n_gens, len(a._terms), len(b._terms)
+    n, size_a, size_b = a.n_gens, _size(a), _size(b)
     if not _dense_fits(n, size_a, size_b, product=True):
         return None  # not even at level 1
     shapes = _shapes(a) | _shapes(b)
@@ -455,10 +504,6 @@ def _dense_mul_level(a: AlgebraElement, b: AlgebraElement) -> Optional[int]:
         return None
     m = max(l for _, l in shapes)
     return m if m and _dense_fits(n ** m, size_a, size_b, product=True) else None
-
-
-def _common_denominator(*elems: AlgebraElement) -> int:
-    return lcm(*{c._d for elem in elems for c in elem._terms.values()})
 
 
 # the (a + b i)/d triple of a GaussianRational
@@ -503,16 +548,35 @@ def _dense(elem: AlgebraElement, m: int, den: int):
 
 def _degree0_matrix(elem: AlgebraElement, m: int):
     """(real, imaginary, denominator) of a pure degree-0 element at level m
-    >= its longest word, exact."""
-    den = _common_denominator(elem)
+    >= its longest word, exact; the denominator is the lcm of the
+    coefficients' denominators.  Kept on the element for the next call at
+    level m."""
+    memo = getattr(elem, "_matrix", None)
+    if memo is not None and memo[0] == m:
+        return memo[1:]
+    den = lcm(*{c._d for c in elem._terms.values()})
     re, im = _dense(elem, m, den)
+    re.flags.writeable = im.flags.writeable = False
+    elem._matrix = (m, re, im, den)
     return re, im, den
 
 
+def _scaled(re, im, factor: int):
+    """Both numerator matrices times `factor`, exact."""
+    if factor == 1:
+        return re, im
+    if max(_max_abs(re, im), 1) * factor > _INT64_MAX:
+        re, im = re.astype(object), im.astype(object)
+    return re * factor, im * factor
+
+
 def _dense_eq(a: AlgebraElement, b: AlgebraElement, m: int) -> bool:
-    den = _common_denominator(a, b)
-    a_re, a_im = _dense(a, m, den)
-    b_re, b_im = _dense(b, m, den)
+    a_re, a_im, den_a = _degree0_matrix(a, m)
+    b_re, b_im, den_b = _degree0_matrix(b, m)
+    # x / den_a = y / den_b  iff  x (den_b / g) = y (den_a / g)
+    g = gcd(den_a, den_b)
+    a_re, a_im = _scaled(a_re, a_im, den_b // g)
+    b_re, b_im = _scaled(b_re, b_im, den_a // g)
     return bool(np.array_equal(a_re, b_re) and np.array_equal(a_im, b_im))
 
 
@@ -529,13 +593,34 @@ def _dense_mul(a: AlgebraElement, b: AlgebraElement, m: int) -> AlgebraElement:
         a_re, a_im, b_re, b_im = (x.astype(object) for x in (a_re, a_im, b_re, b_im))
     re = a_re @ b_re - a_im @ b_im
     im = a_re @ b_im + a_im @ b_re
-    den = den_a * den_b
+    if not (re.any() or im.any()):
+        return _wrap(n, {})
+    # lowest common denominator: the lcm of the entries' reduced denominators
+    g = gcd(den_a * den_b, int(np.gcd.reduce(re.ravel())),
+            int(np.gcd.reduce(im.ravel())))
+    if g != 1:
+        re, im = re // g, im // g
+    re.flags.writeable = im.flags.writeable = False
+    out = object.__new__(_KernelProduct)
+    out.n_gens = n
+    out._matrix = (m, re, im, den_a * den_b // g)
+    out._shape_set = {(m, m)}
+    return out
+
+
+def _matrix_terms(n: int, m: int, re, im, den: int) -> Dict[Monomial, GaussianRational]:
+    """The term dict of a level-m matrix: s_I s_J^* with |I| = |J| = m for
+    each nonzero entry.  Equal entries share one scalar."""
     flat = np.flatnonzero((re != 0) | (im != 0))
     ws = list(words(n, m))
     dim = len(ws)
+    shared: Dict[Tuple[int, int], GaussianRational] = {}
     out: Dict[Monomial, GaussianRational] = {}
     for idx, x, y in zip(flat.tolist(), re.ravel()[flat].tolist(),
                          im.ravel()[flat].tolist()):
+        c = shared.get((x, y))
+        if c is None:
+            c = shared[x, y] = _reduce(x, y, den)
         row, col = divmod(idx, dim)
-        out[Monomial(ws[row], ws[col])] = _reduce(x, y, den)
-    return _wrap(n, out)
+        out[Monomial(ws[row], ws[col])] = c
+    return out

@@ -8,9 +8,9 @@ projections (E is identified with the letter 1, F with 2).
 
 An endomorphism leaves C_{E,F} invariant when the images of E and F are
 exact 0/1 sums of depth-k projection words and the shift-commutation
-identity psi(theta^n(E)) = theta^n(psi(E)) holds; the induced map is then
-the sliding block code whose local rule reads off which depth-k words
-appear in psi(E)."""
+identity psi(theta^n(E)) = theta^n(psi(E)) holds for every n (checked for
+n < k, which implies the rest); the induced map is then the sliding block
+code whose local rule reads off which depth-k words appear in psi(E)."""
 
 from __future__ import annotations
 
@@ -59,17 +59,15 @@ class ProductMasaDynamics(JoinDynamics):
 
     Construction verifies membership of psi(E), psi(F) in the depth-k
     projection-word span (exact coefficient extraction against the trace,
-    then exact re-expression) and checks the shift-commutation identity
-    symbolically up to `check_depth`; deeper tables extend the verified
+    then exact re-expression) and proves the shift-commutation identity
+    from exact checks at n = 1..k-1; deeper tables extend the verified
     local rule structurally."""
 
-    def __init__(self, endo: EndomorphismSpec, budget: int = DEFAULT_BUDGET,
-                 check_depth: int = 6):
+    def __init__(self, endo: EndomorphismSpec, budget: int = DEFAULT_BUDGET):
         if endo.n_gens != 2:
             raise MasaNotInvariantError("the E/F masa is defined for N = 2")
         super().__init__(2, max(endo.rank - 1, 0), budget)
         self.endo = endo
-        self.check_depth = check_depth
         self.rule: Dict[EFWord, int] = {}
         self._extract_rule()
         self._verify_shift_commutation()
@@ -119,11 +117,25 @@ class ProductMasaDynamics(JoinDynamics):
             self.rule[q] = 2
 
     def _verify_shift_commutation(self) -> None:
-        """Check psi(theta^n(E)) = theta^n(psi(E)) (and for F) for
-        n = 1..check_depth."""
+        """Prove psi(theta^n(x)) = theta^n(psi(x)) for x = E, F and every
+        n >= 1 by checking it exactly for n = 1..k-1.
+
+        psi = rho_u sends s_i to u s_i, so psi(theta(y)) = u theta(psi(y)) u^*.
+        If the identity holds at n - 1, then psi(theta^n(x)) =
+        u theta^n(psi(x)) u^*.  The unitary u lies in span{s_I s_J^* :
+        |I| = |J| = k}, the first k tensor factors of the core M_{N^infinity};
+        psi(x) has degree 0, so theta^n(psi(x)) lies in the factors past n.
+        For n >= k the two commute, so the identity at n - 1 gives it at n,
+        and the checks at n < k cover every n.  The hypothesis on u is
+        checked first: u.in_F(k, k), which also makes u degree 0."""
+        k = self.endo.rank
+        if not self.endo.u.in_F(k, k):
+            raise MasaNotInvariantError(
+                f"u is not in F_({k},{k}), so shift commutation is not "
+                f"implied by the checks below depth {k}")
         for gen in ef_generators(2):
             shifted, img = gen, self.endo.apply(gen)
-            for _ in range(self.check_depth):
+            for _ in range(k - 1):
                 shifted, img = theta(shifted), theta(img)
                 if not self.endo.apply(shifted) == img:
                     raise MasaNotInvariantError(

@@ -121,6 +121,8 @@ class GaussianRational:
                        self._d * n)
 
     def conjugate(self) -> "GaussianRational":
+        if not self._b:
+            return self  # a real value is its own conjugate, and immutable
         return _make(self._a, -self._b, self._d)
 
     def abs2(self) -> Fraction:

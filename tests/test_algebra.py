@@ -7,12 +7,14 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuntzlab import (AlgebraElement, AlphabetMismatchError, GaussianRational,
-                      LevelError, Monomial, format_element, words)
+                      LevelError, Monomial, ef_projection, format_element,
+                      words)
 from cuntzlab import algebra
 from cuntzlab.sampling import random_element
 
@@ -482,3 +484,96 @@ def test_sparse_high_level_product_stays_sparse(monkeypatch):
     q = AlgebraElement(2, {Monomial(w, w): 1 for w in cylinders})
     assert algebra._dense_mul_level(q, q) is None
     assert q * q == q.level({0: 21})
+
+
+# --------------------------------------------- kernel memo and lazy terms
+
+def _lazy_product(a, b):
+    """a * b through the kernel, with its terms not yet built."""
+    out = a * b
+    assert algebra._built_terms(out) is None
+    assert algebra._shapes(out) == {(out._matrix[0],) * 2}
+    return out
+
+
+def test_lazy_kernel_product_matches_sparse_term_for_term(sparse_reference):
+    rng = random.Random(41)
+    a = _random_degree0(rng, 2, 4, 100, _small_complex)
+    b = _random_degree0(rng, 2, 4, 120, _small_complex)
+    extra = _random_degree0(rng, 2, 3, 20, _small_complex)
+    with sparse_reference():
+        want = a * b
+    want_leveled = want.level({0: 4})
+    got = _lazy_product(a, b)
+    assert algebra._size(got) == len(want_leveled.terms)
+    assert got.terms == want_leveled.terms
+    assert format_element(_lazy_product(a, b)) == format_element(want)
+    ops = (lambda x: x + extra, lambda x: extra + x,
+           lambda x: x.adjoint(), lambda x: x.level({0: 5}))
+    lazy = [_lazy_product(a, b) for _ in ops]
+    with sparse_reference():
+        for op, x in zip(ops, lazy):
+            assert op(x).terms == op(want_leveled).terms
+    for p in (3, 4, 5):
+        assert _lazy_product(a, b).in_F(p, p) == want.in_F(p, p)
+
+
+def test_lazy_kernel_product_shares_equal_coefficients():
+    p = ef_projection((1, 2, 2, 1, 2))
+    values = list(_lazy_product(p, p).terms.values())
+    assert len(values) == 2 ** 10
+    assert len({id(c) for c in values}) == len(set(values)) == 2
+
+
+def _same_value_new_denominator(x, den):
+    """x plus c s_w s_w^* minus c (s_w1 s_w1^* + s_w2 s_w2^*), c = 1/den:
+    the same element, with den in its common denominator."""
+    w = (1,) * (x.max_right_length(0) - 1)
+    c = Fraction(1, den)
+    return (x + AlgebraElement.diagonal(2, w).scaled(c)
+            - AlgebraElement.diagonal(2, w + (1,)).scaled(c)
+            - AlgebraElement.diagonal(2, w + (2,)).scaled(c))
+
+
+def _huge_complex(rng):
+    # about 2^54: a sum of 100 numerators fits in int64, one times 1009 not
+    return GaussianRational(Fraction(2 ** 54 + rng.randint(0, 999), 3),
+                            Fraction(-2 ** 54 - rng.randint(0, 999), 3))
+
+
+@pytest.mark.parametrize("coeff", [_small_complex, _huge_complex])
+def test_dense_eq_across_denominators(coeff, kernel_calls, sparse_reference):
+    rng = random.Random(1009)
+    x = _random_degree0(rng, 2, 4, 100, coeff)
+    y = _same_value_new_denominator(x, 1009)
+    assert x.terms != y.terms
+    x_re, _, x_den = algebra._degree0_matrix(x, 4)
+    _, _, y_den = algebra._degree0_matrix(y, 4)
+    assert y_den == 1009 * x_den
+    if coeff is _huge_complex:
+        assert x_re.dtype == np.int64 and algebra._max_abs(x_re) * 1009 > 2 ** 63
+    bumped = y + AlgebraElement.monomial(2, (2,) * 4, (1,) * 4, Fraction(1, 1009))
+    calls = kernel_calls["eq"]
+    assert x == y and y == x
+    assert not (x == bumped) and not (bumped == x)
+    assert kernel_calls["eq"] == calls + 4
+    with sparse_reference():
+        assert x == y and not (x == bumped)
+
+
+def test_memo_at_one_level_answers_at_a_higher_level(kernel_calls,
+                                                     sparse_reference):
+    rng = random.Random(3)
+    a = _random_degree0(rng, 2, 3, 60, _small_complex)
+    b = _random_degree0(rng, 2, 3, 60, _small_complex)
+    with sparse_reference():
+        want = (a * b).level({0: 4})
+    got = _lazy_product(a, b)  # memos of a, b and got at level 3
+    assert got._matrix[0] == 3 and a._matrix[0] == 3
+    calls = kernel_calls["eq"]
+    # equal at level 4, and unequal after one level-4 entry changes
+    bumped = want + AlgebraElement.monomial(2, (1, 2, 1, 2), (2, 1, 2, 1), 1)
+    assert got == want and not (got == bumped)
+    assert a == a.level({0: 4}) and not (a == a.level({0: 4}) + bumped - want)
+    assert kernel_calls["eq"] == calls + 4
+    assert got._matrix[0] == 4 and a._matrix[0] == 4

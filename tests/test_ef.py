@@ -10,6 +10,7 @@ import pytest
 from cuntzlab import (AlgebraElement, EndomorphismSpec, JoinDynamics,
                       MasaNotInvariantError, ProductMasaDynamics,
                       ef_generators, ef_projection, parse_element, theta)
+from cuntzlab.endomorphism import theta_power
 from cuntzlab.oracles import oracle_equivalence, oracle_map
 
 
@@ -89,9 +90,52 @@ def test_ef_entropy_verdicts():
 
 def test_non_invariant_rejected():
     with pytest.raises(MasaNotInvariantError):
-        ProductMasaDynamics(EndomorphismSpec.from_label("(1 3)"), check_depth=3)
+        ProductMasaDynamics(EndomorphismSpec.from_label("(1 3)"))
     with pytest.raises(MasaNotInvariantError):
-        ProductMasaDynamics(EndomorphismSpec.from_label("(2 3 4)"), check_depth=3)
+        ProductMasaDynamics(EndomorphismSpec.from_label("(2 3 4)"))
+
+
+def _shift_commutes(spec, n):
+    """psi(theta^n(x)) == theta^n(psi(x)) for x = E and for x = F."""
+    return [spec.apply(theta_power(n, x)) == theta_power(n, spec.apply(x))
+            for x in ef_generators()]
+
+
+def _rule_only(monkeypatch, spec):
+    """The E/F dynamics of `spec` with the shift-commutation check off."""
+    with monkeypatch.context() as mp:
+        mp.setattr(ProductMasaDynamics, "_verify_shift_commutation",
+                   lambda self: None)
+        return ProductMasaDynamics(spec)
+
+
+@pytest.mark.parametrize("label, k, passing_depths", [
+    ("(2 4)", 2, 0),                # its rule exists; n = 1 rejects it
+    ("(1 6 5 4 7 8)(2 3)", 3, 1),   # passes n = 1; n = 2 = k - 1 rejects it
+])
+def test_shift_commutation_checked_to_depth_k_minus_1(monkeypatch, label, k,
+                                                      passing_depths):
+    spec = EndomorphismSpec.from_label(label, k=k)
+    assert _rule_only(monkeypatch, spec).rule
+    for n in range(1, passing_depths + 1):
+        assert _shift_commutes(spec, n) == [True, True]
+    assert _shift_commutes(spec, passing_depths + 1) == [False, False]
+    with pytest.raises(MasaNotInvariantError, match="shift-commutation"):
+        ProductMasaDynamics(spec)
+
+
+def test_shift_commutation_needs_u_in_F_kk(monkeypatch):
+    """A rank-3 unitary declared as rank 2 has a depth-2 rule and passes the
+    check at n = 1, but fails at n = 2: the proof's hypothesis u in F_{k,k}
+    is what rejects it."""
+    rank3 = EndomorphismSpec.from_label("(1 6 5 4 7 8)(2 3)", k=3)
+    spec = EndomorphismSpec(rank3.u, rank=2, check=False)
+    assert not spec.u.in_F(2, 2)
+    assert _rule_only(monkeypatch, spec).rule
+    assert _shift_commutes(spec, 1) == [True, True]
+    assert _shift_commutes(spec, 2) == [False, False]
+    with pytest.raises(MasaNotInvariantError, match="F_"):
+        ProductMasaDynamics(spec)
 
 
 def test_shift_acts_as_shift_in_ef_coordinates():

@@ -67,6 +67,9 @@ def test_basic_arithmetic():
     assert a + b == GaussianRational.of(1)
     assert a.conjugate() == b
     assert a.abs2() == Fraction(1, 2)
+    for real in (GaussianRational(Fraction(-3, 4)), GaussianRational.of(0)):
+        assert real.conjugate() is real
+    assert a.conjugate().im == Fraction(-1, 2) and b.conjugate() == a
 
 
 def test_division_and_str():
@@ -135,6 +138,9 @@ def test_unary_ops_match_reference(a):
     re, im = ref(a)
     check(-a, (-re, -im))
     check(a.conjugate(), (re, -im))
+    # a real value is its own conjugate; scalars are immutable, so the
+    # value itself is returned
+    assert (a.conjugate() is a) == (im == 0)
     assert a.abs2() == re * re + im * im and type(a.abs2()) is Fraction
 
 
