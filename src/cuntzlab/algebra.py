@@ -9,10 +9,14 @@ coefficient dictionaries.  All values are immutable.
 
 Degree-0 elements at level m are N^m x N^m matrices (F_N^m = M_{N^m}).
 Products and equality of pure degree-0 elements go to an exact dense
-kernel when its work is no larger than the sparse work it replaces;
+kernel when its work, priced in measured units (multiply-adds against
+sparse term pairs), is no larger than the sparse work it replaces;
 everything else takes the sparse monomial path.  An element keeps the
-exact matrix the kernel made of it, and a kernel product builds its terms
-only when they are read.
+exact matrix the kernel made of it, and a lower-level matrix serves a
+higher level by a Kronecker product with the identity.  Elements the
+kernel made (products, sums, adjoints) build their terms only when they
+are read: the sum of two elements that hold matrices, the adjoint and the
+trace state of one that has no terms are read off the matrices.
 """
 
 from __future__ import annotations
@@ -159,6 +163,12 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._require_same_alphabet(other)
+        if _held_matrix(self) is not None and _held_matrix(other) is not None:
+            return _dense_add(self, other)
+        if _built_terms(other) == {}:
+            return self
+        if _built_terms(self) == {}:
+            return other
         out = dict(self._terms)
         for mono, c in other._terms.items():
             acc = out.get(mono)
@@ -202,6 +212,8 @@ class AlgebraElement:
         return NotImplemented
 
     def adjoint(self) -> "AlgebraElement":
+        if _built_terms(self) is None and _held_matrix(self) is not None:
+            return _dense_adjoint(self)
         return _wrap(
             self.n_gens,
             {Monomial(m.right, m.left): c.conjugate() for m, c in self._terms.items()},
@@ -306,6 +318,8 @@ class AlgebraElement:
     def trace_state(self) -> GaussianRational:
         """The canonical trace state applied after the expectation:
         sum over diagonal terms of c_(I,I) * N^{-|I|}."""
+        if _built_terms(self) is None and _held_matrix(self) is not None:
+            return _dense_trace(self)
         total = GaussianRational()
         for m, c in self._terms.items():
             if m.left == m.right:
@@ -416,10 +430,11 @@ def _wrap(n_gens: int, terms: Dict[Monomial, GaussianRational]) -> AlgebraElemen
     return elem
 
 
-class _KernelProduct(AlgebraElement):
-    """A product made by the dense kernel: it holds its exact matrix and
-    builds its terms the first time they are read.  (A hook for a missing
-    attribute on AlgebraElement itself would slow every attribute read.)"""
+class _KernelElement(AlgebraElement):
+    """An element made by the dense kernel (a product, sum or adjoint): it
+    holds its exact matrix and builds its terms the first time they are
+    read.  (A hook for a missing attribute on AlgebraElement itself would
+    slow every attribute read.)"""
 
     __slots__ = ()
 
@@ -435,7 +450,7 @@ _TERMS_SLOT = AlgebraElement._terms  # reads the slot without building terms
 
 
 def _built_terms(elem: AlgebraElement) -> Optional[Dict[Monomial, GaussianRational]]:
-    """The term dict, or None for a kernel product that has not built it."""
+    """The term dict, or None for a kernel element that has not built it."""
     try:
         return _TERMS_SLOT.__get__(elem)
     except AttributeError:
@@ -443,7 +458,7 @@ def _built_terms(elem: AlgebraElement) -> Optional[Dict[Monomial, GaussianRation
 
 
 def _size(elem: AlgebraElement) -> int:
-    """The number of terms, which for a kernel product is the number of
+    """The number of terms, which for a kernel element is the number of
     nonzero entries of its matrix; read without building terms."""
     terms = _built_terms(elem)
     if terms is not None:
@@ -468,28 +483,44 @@ def _shapes(elem: AlgebraElement) -> set:
 # pack(J) N^(m-r) + t.  A matrix is a pair of integer numerator matrices
 # (real, imaginary) over one common denominator, int64 when a bound on its
 # entries fits and Python ints otherwise.  Each element keeps the last
-# matrix made of it, read-only, so an operand used twice is densified once.
-# A product keeps the matrix it computed, reduced to the lowest common
-# denominator, and builds its terms from it only when they are read.
+# matrix made of it, read-only, so an operand used twice is densified once;
+# a matrix at level m0 gives the one at m > m0 as kron(M, I_(N^(m-m0))),
+# since one leveling step is x -> x (x) I_N.  A product, a sum of two
+# elements that hold matrices, and the adjoint of an element with no terms
+# keep the matrix they computed, in lowest terms, and build their terms
+# from it only when they are read; the trace state of such an element is
+# its normalized matrix trace.
 #
-# Routing compares work, so it needs no tuning.  With both operands pure
-# degree 0 at level m, a product goes dense when the N^(3m) matmul work is
-# at most the |a| |b| term pairs the sparse rule may visit, and a
-# comparison when the N^(2m) entries are at most _DENSE_ENTRIES_PER_TERM
-# per operand term, which also bounds what any dense call allocates.  Both
-# also need enough sparse work to pay for a kernel call, whose numpy
-# overhead costs about as much as _DENSE_CALL_COST sparse term operations.
+# Routing compares work in measured units, so it needs no tuning.  With
+# both operands pure degree 0 at level m, a product goes dense when its
+# N^(3m) multiply-adds (MACs) are at most _DENSE_MACS_PER_PAIR per term
+# pair |a| |b| the sparse rule may visit, and a comparison when the N^(2m)
+# entries are at most _DENSE_ENTRIES_PER_TERM per operand term, which also
+# bounds what any dense call allocates.  Both also need enough sparse work
+# to pay for a kernel call, whose numpy overhead costs about as much as
+# _DENSE_CALL_COST sparse term operations.
+#
+# The ratio, measured on 2 cores with Python 3.11 and numpy 2.4: an int64
+# MAC costs 1.0-4.0 ns (64 x 64 down to 8 x 8 matmuls), an object-dtype MAC
+# 32-38 ns (about 110 ns for 2^70-sized numerators), and a sparse term
+# pair 0.3-1.1 us (the E/F projection chain, depths 3-5).  A complex
+# product is at most 4 matmuls, so at 4 MACs per pair the int64 kernel
+# costs at most about a fifth of the sparse work it replaces and the
+# object-dtype one about as much.  The E/F chain P_q = q_1 theta(q_2)...
+# needs at least 3.6 at level 3 (2^9 MACs, 12 x 12 pairs).
 
 _INT64_MAX = 2 ** 63 - 1
 _DENSE_ENTRIES_PER_TERM = 4
 _DENSE_CALL_COST = 128
+_DENSE_MACS_PER_PAIR = 4
 
 
 def _dense_fits(dim: int, size_a: int, size_b: int, product: bool) -> bool:
     if dim * dim > _DENSE_ENTRIES_PER_TERM * (size_a + size_b):
         return False
     if product:
-        return max(dim ** 3, _DENSE_CALL_COST) <= size_a * size_b
+        pairs = size_a * size_b
+        return dim ** 3 <= _DENSE_MACS_PER_PAIR * pairs and _DENSE_CALL_COST <= pairs
     return _DENSE_CALL_COST <= size_a + size_b
 
 
@@ -548,17 +579,33 @@ def _dense(elem: AlgebraElement, m: int, den: int):
 
 def _degree0_matrix(elem: AlgebraElement, m: int):
     """(real, imaginary, denominator) of a pure degree-0 element at level m
-    >= its longest word, exact; the denominator is the lcm of the
-    coefficients' denominators.  Kept on the element for the next call at
-    level m."""
+    >= its longest word, exact; the denominator is a multiple of the
+    coefficients' denominators (their lcm when made from the terms).  Kept
+    on the element for the next call at level m."""
     memo = getattr(elem, "_matrix", None)
     if memo is not None and memo[0] == m:
         return memo[1:]
-    den = lcm(*{c._d for c in elem._terms.values()})
-    re, im = _dense(elem, m, den)
+    if memo is not None and memo[0] < m:
+        m0, re, im, den = memo
+        k = elem.n_gens ** (m - m0)
+        re, im = _kron_identity(re, k), _kron_identity(im, k)
+        if _built_terms(elem) is None:
+            elem._shape_set = {(m, m)}  # the terms it builds are at level m
+    else:
+        den = lcm(*{c._d for c in elem._terms.values()})
+        re, im = _dense(elem, m, den)
     re.flags.writeable = im.flags.writeable = False
     elem._matrix = (m, re, im, den)
     return re, im, den
+
+
+def _kron_identity(mat, k: int):
+    """kron(mat, I_k), in mat's dtype; as np.kron, without its overhead."""
+    d = len(mat)
+    out = np.zeros((d, k, d, k), mat.dtype)
+    t = np.arange(k)
+    out[:, t, :, t] = mat  # entry (i k + t, j k + t) is mat[i, j]
+    return out.reshape(d * k, d * k)
 
 
 def _scaled(re, im, factor: int):
@@ -591,21 +638,73 @@ def _dense_mul(a: AlgebraElement, b: AlgebraElement, m: int) -> AlgebraElement:
     # each entry of the product is a sum of 2 N^m products of entries
     if _max_abs(a_re, a_im) * _max_abs(b_re, b_im) * 2 * n ** m > _INT64_MAX:
         a_re, a_im, b_re, b_im = (x.astype(object) for x in (a_re, a_im, b_re, b_im))
-    re = a_re @ b_re - a_im @ b_im
-    im = a_re @ b_im + a_im @ b_re
+    # an imaginary part that is zero drops the matmuls it takes part in
+    a_cx, b_cx = a_im.any(), b_im.any()
+    re, im = a_re @ b_re, np.zeros_like(a_re)
+    if a_cx and b_cx:
+        re -= a_im @ b_im
+    if b_cx:
+        im += a_re @ b_im
+    if a_cx:
+        im += a_im @ b_re
+    return _lowest_terms(n, m, re, im, den_a * den_b)
+
+
+def _dense_add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """a + b for two elements that hold matrices, at the higher level."""
+    m = max(a._matrix[0], b._matrix[0])
+    a_re, a_im, den_a = _degree0_matrix(a, m)
+    b_re, b_im, den_b = _degree0_matrix(b, m)
+    # x / den_a + y / den_b = (x (den_b / g) + y (den_a / g)) / lcm
+    g = gcd(den_a, den_b)
+    a_re, a_im = _scaled(a_re, a_im, den_b // g)
+    b_re, b_im = _scaled(b_re, b_im, den_a // g)
+    if _max_abs(a_re, a_im) + _max_abs(b_re, b_im) > _INT64_MAX:
+        a_re, a_im, b_re, b_im = (x.astype(object) for x in (a_re, a_im, b_re, b_im))
+    return _lowest_terms(a.n_gens, m, a_re + b_re, a_im + b_im, den_a // g * den_b)
+
+
+def _dense_adjoint(elem: AlgebraElement) -> AlgebraElement:
+    """The adjoint of an element with no terms: the conjugate transpose."""
+    m, re, im, den = elem._matrix
+    im = -im.T
+    im.flags.writeable = False
+    return _held_element(elem.n_gens, m, re.T, im, den)
+
+
+def _dense_trace(elem: AlgebraElement) -> GaussianRational:
+    """The trace state of an element with no terms: tr / (den N^m)."""
+    m, re, im, den = elem._matrix
+    return _reduce(sum(re.diagonal().tolist()), sum(im.diagonal().tolist()),
+                   den * elem.n_gens ** m)
+
+
+def _lowest_terms(n: int, m: int, re, im, den: int) -> AlgebraElement:
+    """The element of the level-m matrix (re + i im) / den, with the
+    denominator reduced to the lcm of the entries' reduced denominators."""
     if not (re.any() or im.any()):
         return _wrap(n, {})
-    # lowest common denominator: the lcm of the entries' reduced denominators
-    g = gcd(den_a * den_b, int(np.gcd.reduce(re.ravel())),
-            int(np.gcd.reduce(im.ravel())))
+    g = gcd(den, int(np.gcd.reduce(re.ravel())), int(np.gcd.reduce(im.ravel())))
     if g != 1:
         re, im = re // g, im // g
     re.flags.writeable = im.flags.writeable = False
-    out = object.__new__(_KernelProduct)
+    return _held_element(n, m, re, im, den // g)
+
+
+def _held_element(n: int, m: int, re, im, den: int) -> AlgebraElement:
+    """An element that holds the read-only level-m matrix (re + i im) / den,
+    in lowest terms, and builds its terms when they are read."""
+    out = object.__new__(_KernelElement)
     out.n_gens = n
-    out._matrix = (m, re, im, den_a * den_b // g)
+    out._matrix = (m, re, im, den)
     out._shape_set = {(m, m)}
     return out
+
+
+def _held_matrix(elem: AlgebraElement):
+    """The matrix memo (m, real, imaginary, denominator) the element holds,
+    or None; sums, adjoints and trace states read it in place of terms."""
+    return getattr(elem, "_matrix", None)
 
 
 def _matrix_terms(n: int, m: int, re, im, den: int) -> Dict[Monomial, GaussianRational]:

@@ -49,6 +49,8 @@ def ef_projection(word: EFWord, n_gens: int = 2) -> AlgebraElement:
     e, f = ef_generators(n_gens)
     out = AlgebraElement.one(n_gens)
     for pos, letter in enumerate(word):
+        if letter not in (1, 2):
+            raise ValueError(f"E/F letter {letter!r} is not 1 (E) or 2 (F)")
         q = e if letter == 1 else f
         out = out * theta_power(pos, q)
     return out

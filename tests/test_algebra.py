@@ -6,6 +6,7 @@ import contextlib
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -360,8 +361,9 @@ def test_membership_and_contraction_edge_cases():
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts of the products and comparisons the dense kernel handled."""
-    calls = {"mul": 0, "eq": 0}
+    """Counts of the products, comparisons, sums, adjoints and trace states
+    the dense kernel handled."""
+    calls = {"mul": 0, "eq": 0, "add": 0, "adjoint": 0, "trace": 0}
     for name in calls:
         original = getattr(algebra, f"_dense_{name}")
 
@@ -375,12 +377,13 @@ def kernel_calls(monkeypatch):
 
 @pytest.fixture
 def sparse_reference(monkeypatch):
-    """A context in which every product and comparison takes the sparse
-    monomial path, the reference for the kernel."""
+    """A context in which every product, comparison, sum, adjoint and trace
+    state takes the sparse monomial path, the reference for the kernel."""
     @contextlib.contextmanager
     def context():
         with monkeypatch.context() as mp:
             mp.setattr(algebra, "_dense_fits", lambda *args, **kwargs: False)
+            mp.setattr(algebra, "_held_matrix", lambda elem: None)
             yield
     return context
 
@@ -427,10 +430,15 @@ def _check_against_reference(a, b, m, rng, sparse_reference):
 
 
 # (N, level, |a|, |b|, product on the kernel?, comparisons on the kernel?)
+# (2, 3, 12, 12) is the level-3 product of the E/F projection chain: 2^9
+# MACs against 144 term pairs; (2, 4, 30, 34) is just under the work bound,
+# 2^12 > 4 * 1020, with the storage and call-cost bounds met (its products
+# have enough terms for the comparisons to go dense).
 KERNEL_CASES = [
     (2, 2, 12, 12, True, False), (2, 4, 100, 120, True, True),
-    (3, 2, 60, 60, True, True), (2, 2, 8, 8, False, False),
-    (2, 3, 4, 5, False, False), (3, 2, 4, 10, False, False),
+    (3, 2, 60, 60, True, True), (2, 3, 12, 12, True, False),
+    (2, 2, 8, 8, False, False), (2, 3, 4, 5, False, False),
+    (3, 2, 4, 10, False, False), (2, 4, 30, 34, False, True),
 ]
 
 
@@ -577,3 +585,134 @@ def test_memo_at_one_level_answers_at_a_higher_level(kernel_calls,
     assert a == a.level({0: 4}) and not (a == a.level({0: 4}) + bumped - want)
     assert kernel_calls["eq"] == calls + 4
     assert got._matrix[0] == 4 and a._matrix[0] == 4
+
+
+# ------------------------------------------ operations on held matrices
+
+def _held_pair(seed, m_a=3, m_b=3):
+    """Kernel products x = a b at level m_a and y = c d at level m_b with
+    complex coefficients over different denominators, and their sparse
+    references."""
+    rng = random.Random(seed)
+    ops = [_random_degree0(rng, 2, m, 60, _small_complex)
+           for m in (m_a, m_a, m_b, m_b)]
+    ops[2] = ops[2].scaled(Fraction(1, 11))
+    x, y = _lazy_product(*ops[:2]), _lazy_product(*ops[2:])
+    assert x._matrix[3] != y._matrix[3]
+    return x, y, ops
+
+
+def test_held_matrix_releveled_by_kronecker_product(kernel_calls,
+                                                    sparse_reference):
+    x, y, (a, b, c, d) = _held_pair(5, 3, 4)
+    with sparse_reference():
+        want_x, want_y = a * b, c * d
+    # x's level-3 memo answers at level 5 with no terms built
+    re, im, den = algebra._degree0_matrix(x, 5)
+    assert re.shape == (32, 32) and den == x._matrix[3]
+    assert algebra._built_terms(x) is None and algebra._shapes(x) == {(5, 5)}
+    assert x.terms == want_x.level({0: 5}).terms
+    # a level-3 operand times a level-4 one: a level-4 kernel product
+    x, y, _ = _held_pair(5, 3, 4)
+    calls = kernel_calls["mul"]
+    got = x * y
+    assert kernel_calls["mul"] == calls + 1 and got._matrix[0] == 4
+    assert algebra._built_terms(x) is None and x._matrix[0] == 4
+    with sparse_reference():
+        want = want_x * want_y
+    assert got.terms == want.level({0: 4}).terms
+
+
+def test_held_adjoint_is_the_conjugate_transpose(kernel_calls,
+                                                 sparse_reference):
+    x, _, (a, b, _, _) = _held_pair(6)
+    with sparse_reference():
+        want = (a * b).adjoint()
+    got = x.adjoint()
+    assert kernel_calls["adjoint"] == 1
+    assert algebra._built_terms(got) is None and algebra._built_terms(x) is None
+    assert got.terms == want.level({0: 3}).terms
+    assert format_element(got) == format_element(want)
+    # the adjoint of the adjoint is x again, and a Hermitian square
+    assert got.adjoint() == x and not (got == x)
+    h = x * got
+    assert h.adjoint() == h
+
+
+def test_held_sum_matches_sparse_sum(kernel_calls, sparse_reference):
+    x, y, (a, b, c, d) = _held_pair(7, 3, 4)
+    with sparse_reference():
+        want = a * b + c * d
+    got = x + y
+    assert kernel_calls["add"] == 1 and algebra._built_terms(got) is None
+    assert got._matrix[0] == 4 and algebra._built_terms(x) is None
+    assert got.terms == want.level({0: 4}).terms
+    # lowest terms: the lcm of the reduced denominators of the entries
+    assert got._matrix[3] == lcm(*{v._d for v in want.terms.values()})
+    assert format_element(y + x) == format_element(want)
+    # a sum that cancels is the empty element
+    neg = _lazy_product(a.scaled(-1), b)
+    zero = x + neg
+    assert algebra._built_terms(zero) == {} and zero == AlgebraElement.zero(2)
+    # adding the zero element builds no terms
+    empty = AlgebraElement.zero(2)
+    assert empty + y is y and y + empty is y and zero + y is y
+    assert algebra._built_terms(y) is None
+    assert kernel_calls["add"] == 3
+
+
+def test_held_sum_promotes_to_python_ints(kernel_calls, sparse_reference):
+    big = 2 ** 62 + 7
+    x = AlgebraElement.monomial(2, (1, 2), (2, 1), big)
+    y = AlgebraElement(2, {Monomial((1, 2), (2, 1)): big,
+                           Monomial((2, 2), (2, 2)): -5})
+    for elem in (x, y):
+        re, _, _ = algebra._degree0_matrix(elem, 2)  # now each holds a matrix
+        assert re.dtype == np.int64
+    with sparse_reference():
+        want = x + y
+    got = x + y
+    assert kernel_calls["add"] == 1
+    assert got._matrix[1].dtype == object
+    assert got.terms == want.terms
+    assert got.terms[Monomial((1, 2), (2, 1))] == 2 * big
+
+
+def test_held_trace_state_reads_the_matrix(kernel_calls, sparse_reference):
+    x, y, (a, b, c, d) = _held_pair(8, 3, 4)
+    with sparse_reference():
+        want_x, want_y = (a * b).trace_state(), (c * d).trace_state()
+    assert x.trace_state() == want_x and (x + y).trace_state() == want_x + want_y
+    assert want_x.im and want_x._d > 8
+    assert kernel_calls["trace"] == 2 and algebra._built_terms(x) is None
+    # with its terms built, an element takes the sparse sum
+    y.terms
+    assert y.trace_state() == want_y and kernel_calls["trace"] == 2
+
+
+def test_sparse_reference_uses_no_kernel_operation(kernel_calls,
+                                                   sparse_reference):
+    def run_ops(x, y):
+        return [x * y, x + y, x.adjoint(), x == y, x.trace_state(),
+                x.adjoint() * x == x * x.adjoint()]
+
+    x, y, _ = _held_pair(9, 3, 4)
+    before = dict(kernel_calls)
+    with sparse_reference():
+        want = run_ops(x, y)
+    assert kernel_calls == before
+    x, y, _ = _held_pair(9, 3, 4)
+    before = dict(kernel_calls)
+    assert run_ops(x, y) == want
+    assert all(kernel_calls[op] > before[op] for op in before), kernel_calls
+
+
+def test_ef_projection_is_built_on_the_kernel(kernel_calls, sparse_reference):
+    for q in itertools.product((1, 2), repeat=5):
+        calls = kernel_calls["mul"]
+        p = ef_projection(q)
+        assert algebra._built_terms(p) is None, q
+        assert kernel_calls["mul"] - calls >= 3, q
+        with sparse_reference():
+            want = ef_projection(q)
+        assert p.terms == want.level({0: 5}).terms, q

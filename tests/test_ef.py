@@ -36,6 +36,13 @@ def test_ef_generators_large_alphabet():
     assert ef_projection((1, 2), 10) == e * theta(f)
 
 
+@pytest.mark.parametrize("word", [(1, 3), (0,), (2, 1, -1), (1.5,)])
+def test_ef_projection_rejects_bad_letters(word):
+    # no letter outside {1, 2} is read as F
+    with pytest.raises(ValueError, match="E/F letter"):
+        ef_projection(word)
+
+
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6])
 def test_projection_words_partition(depth):
     one = AlgebraElement.one(2)
