@@ -9,14 +9,15 @@ coefficient dictionaries.  All values are immutable.
 
 Degree-0 elements at level m are N^m x N^m matrices (F_N^m = M_{N^m}).
 Products and equality of pure degree-0 elements go to an exact dense
-kernel when its work, priced in measured units (multiply-adds against
-sparse term pairs), is no larger than the sparse work it replaces;
+kernel when its work, priced at a fixed number of multiply-adds per
+sparse term pair, is no larger than the sparse work it replaces;
 everything else takes the sparse monomial path.  An element keeps the
 exact matrix the kernel made of it, and a lower-level matrix serves a
 higher level by a Kronecker product with the identity.  Elements the
-kernel made (products, sums, adjoints) build their terms only when they
-are read: the sum of two elements that hold matrices, the adjoint and the
-trace state of one that has no terms are read off the matrices.
+kernel made (products, sums, adjoints) build their terms, at the level
+they were made at, only when they are read; until then the sum of two
+of them, and the adjoint and the trace state of one, are read off the
+matrices.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._require_same_alphabet(other)
-        if _held_matrix(self) is not None and _held_matrix(other) is not None:
+        if _unbuilt(self) and _unbuilt(other):
             return _dense_add(self, other)
         if _built_terms(other) == {}:
             return self
@@ -212,7 +213,7 @@ class AlgebraElement:
         return NotImplemented
 
     def adjoint(self) -> "AlgebraElement":
-        if _built_terms(self) is None and _held_matrix(self) is not None:
+        if _unbuilt(self):
             return _dense_adjoint(self)
         return _wrap(
             self.n_gens,
@@ -318,7 +319,7 @@ class AlgebraElement:
     def trace_state(self) -> GaussianRational:
         """The canonical trace state applied after the expectation:
         sum over diagonal terms of c_(I,I) * N^{-|I|}."""
-        if _built_terms(self) is None and _held_matrix(self) is not None:
+        if _unbuilt(self):
             return _dense_trace(self)
         total = GaussianRational()
         for m, c in self._terms.items():
@@ -442,7 +443,7 @@ class _KernelElement(AlgebraElement):
         # reached only while the _terms slot is unassigned
         if name != "_terms":
             raise AttributeError(f"'AlgebraElement' object has no attribute {name!r}")
-        self._terms = _matrix_terms(self.n_gens, *self._matrix)
+        self._terms = _matrix_terms(self.n_gens, *_held(self))
         return self._terms
 
 
@@ -463,7 +464,7 @@ def _size(elem: AlgebraElement) -> int:
     terms = _built_terms(elem)
     if terms is not None:
         return len(terms)
-    _, re, im, _ = elem._matrix
+    _, re, im, _ = _held(elem)
     return int(np.count_nonzero((re != 0) | (im != 0)))
 
 
@@ -482,32 +483,36 @@ def _shapes(elem: AlgebraElement) -> set:
 # N^(m-r)-square block at rows pack(I) N^(m-r) + t, columns
 # pack(J) N^(m-r) + t.  A matrix is a pair of integer numerator matrices
 # (real, imaginary) over one common denominator, int64 when a bound on its
-# entries fits and Python ints otherwise.  Each element keeps the last
-# matrix made of it, read-only, so an operand used twice is densified once;
-# a matrix at level m0 gives the one at m > m0 as kron(M, I_(N^(m-m0))),
-# since one leveling step is x -> x (x) I_N.  A product, a sum of two
-# elements that hold matrices, and the adjoint of an element with no terms
-# keep the matrix they computed, in lowest terms, and build their terms
-# from it only when they are read; the trace state of such an element is
-# its normalized matrix trace.
+# entries fits and Python ints otherwise.  Each element keeps the matrix
+# at the highest level asked of it, read-only, so an operand used twice is
+# densified once: a matrix at level m0 gives the one at m > m0 as
+# kron(M, I_(N^(m-m0))), since one leveling step is x -> x (x) I_N, and the
+# one at m < m0 as its entries at the rows and columns N^(m0-m) divides.
+# A product, a sum of two kernel elements and the adjoint of a kernel
+# element are kernel elements: each keeps the matrix it computed, in
+# lowest terms, and builds its terms from it only when they are read, at
+# the level it was made at; the trace state of one with no terms is its
+# normalized matrix trace.
 #
-# Routing compares work in measured units, so it needs no tuning.  With
-# both operands pure degree 0 at level m, a product goes dense when its
-# N^(3m) multiply-adds (MACs) are at most _DENSE_MACS_PER_PAIR per term
-# pair |a| |b| the sparse rule may visit, and a comparison when the N^(2m)
-# entries are at most _DENSE_ENTRIES_PER_TERM per operand term, which also
-# bounds what any dense call allocates.  Both also need enough sparse work
-# to pay for a kernel call, whose numpy overhead costs about as much as
+# Routing compares work, so it needs no tuning.  With both operands pure
+# degree 0 at level m, a product goes dense when its N^(3m) multiply-adds
+# (MACs) are at most _DENSE_MACS_PER_PAIR per term pair |a| |b| the sparse
+# rule may visit, and a comparison when the N^(2m) entries are at most
+# _DENSE_ENTRIES_PER_TERM per operand term, which also bounds what any
+# dense call allocates.  Both also need enough sparse work to pay for a
+# kernel call, whose numpy overhead costs about as much as
 # _DENSE_CALL_COST sparse term operations.
 #
-# The ratio, measured on 2 cores with Python 3.11 and numpy 2.4: an int64
-# MAC costs 1.0-4.0 ns (64 x 64 down to 8 x 8 matmuls), an object-dtype MAC
-# 32-38 ns (about 110 ns for 2^70-sized numerators), and a sparse term
-# pair 0.3-1.1 us (the E/F projection chain, depths 3-5).  A complex
-# product is at most 4 matmuls, so at 4 MACs per pair the int64 kernel
-# costs at most about a fifth of the sparse work it replaces and the
-# object-dtype one about as much.  The E/F chain P_q = q_1 theta(q_2)...
-# needs at least 3.6 at level 3 (2^9 MACs, 12 x 12 pairs).
+# _DENSE_MACS_PER_PAIR = 4 is the smallest round ratio that puts the
+# level-3 product of the E/F chain P_q = q_1 theta(q_2)... on the kernel
+# (2^9 MACs against 12 x 12 pairs needs 3.6).  Measured on 2 cores with
+# Python 3.11 and numpy 2.4: an int64 MAC costs 1.0-4.8 ns (64 x 64 down
+# to 8 x 8 matmuls), an object-dtype MAC 35-45 ns and 115-132 ns for
+# 2^70-sized numerators, a sparse term pair 0.1-1.2 us.  At the bound
+# (levels 3-5, N = 2), a complex int64 kernel product from held matrices
+# took 0.2-0.9 times the time of the sparse product it replaces, but with
+# 2^70-sized numerators the object-dtype one took 1.6-3.8 times; no
+# benchmark workload forms object-dtype products in that window.
 
 _INT64_MAX = 2 ** 63 - 1
 _DENSE_ENTRIES_PER_TERM = 4
@@ -580,17 +585,21 @@ def _dense(elem: AlgebraElement, m: int, den: int):
 def _degree0_matrix(elem: AlgebraElement, m: int):
     """(real, imaginary, denominator) of a pure degree-0 element at level m
     >= its longest word, exact; the denominator is a multiple of the
-    coefficients' denominators (their lcm when made from the terms).  Kept
-    on the element for the next call at level m."""
+    coefficients' denominators (their lcm when made from the terms).  The
+    element keeps the matrix at the highest level asked of it, and reads a
+    lower level off it as a strided view."""
     memo = getattr(elem, "_matrix", None)
-    if memo is not None and memo[0] == m:
-        return memo[1:]
-    if memo is not None and memo[0] < m:
+    if memo is not None and memo[0] >= m:
+        m0, re, im, den = memo
+        if m0 == m:
+            return re, im, den
+        # kron(M, I_k) has M's entries at the rows and columns that k divides
+        k = elem.n_gens ** (m0 - m)
+        return re[::k, ::k], im[::k, ::k], den
+    if memo is not None:
         m0, re, im, den = memo
         k = elem.n_gens ** (m - m0)
         re, im = _kron_identity(re, k), _kron_identity(im, k)
-        if _built_terms(elem) is None:
-            elem._shape_set = {(m, m)}  # the terms it builds are at level m
     else:
         den = lcm(*{c._d for c in elem._terms.values()})
         re, im = _dense(elem, m, den)
@@ -640,7 +649,8 @@ def _dense_mul(a: AlgebraElement, b: AlgebraElement, m: int) -> AlgebraElement:
         a_re, a_im, b_re, b_im = (x.astype(object) for x in (a_re, a_im, b_re, b_im))
     # an imaginary part that is zero drops the matmuls it takes part in
     a_cx, b_cx = a_im.any(), b_im.any()
-    re, im = a_re @ b_re, np.zeros_like(a_re)
+    re = a_re @ b_re
+    im = np.zeros_like(re)  # in the dtype of the products
     if a_cx and b_cx:
         re -= a_im @ b_im
     if b_cx:
@@ -651,8 +661,9 @@ def _dense_mul(a: AlgebraElement, b: AlgebraElement, m: int) -> AlgebraElement:
 
 
 def _dense_add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """a + b for two elements that hold matrices, at the higher level."""
-    m = max(a._matrix[0], b._matrix[0])
+    """a + b for two kernel elements without terms, at the higher of their
+    levels."""
+    m = max(l for _, l in _shapes(a) | _shapes(b))
     a_re, a_im, den_a = _degree0_matrix(a, m)
     b_re, b_im, den_b = _degree0_matrix(b, m)
     # x / den_a + y / den_b = (x (den_b / g) + y (den_a / g)) / lcm
@@ -666,7 +677,7 @@ def _dense_add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 def _dense_adjoint(elem: AlgebraElement) -> AlgebraElement:
     """The adjoint of an element with no terms: the conjugate transpose."""
-    m, re, im, den = elem._matrix
+    m, re, im, den = _held(elem)
     im = -im.T
     im.flags.writeable = False
     return _held_element(elem.n_gens, m, re.T, im, den)
@@ -674,7 +685,7 @@ def _dense_adjoint(elem: AlgebraElement) -> AlgebraElement:
 
 def _dense_trace(elem: AlgebraElement) -> GaussianRational:
     """The trace state of an element with no terms: tr / (den N^m)."""
-    m, re, im, den = elem._matrix
+    m, re, im, den = _held(elem)
     return _reduce(sum(re.diagonal().tolist()), sum(im.diagonal().tolist()),
                    den * elem.n_gens ** m)
 
@@ -701,10 +712,18 @@ def _held_element(n: int, m: int, re, im, den: int) -> AlgebraElement:
     return out
 
 
-def _held_matrix(elem: AlgebraElement):
-    """The matrix memo (m, real, imaginary, denominator) the element holds,
-    or None; sums, adjoints and trace states read it in place of terms."""
-    return getattr(elem, "_matrix", None)
+def _unbuilt(elem: AlgebraElement) -> bool:
+    """Whether elem is a kernel element that has not built its terms; its
+    sums with another such element, its adjoint and its trace state read
+    its matrix in place of terms."""
+    return _built_terms(elem) is None
+
+
+def _held(elem: AlgebraElement):
+    """(m, real, imaginary, denominator) of a kernel element at the level m
+    of the terms it builds, which the level of its memo may exceed."""
+    (m, _), = elem._shape_set
+    return (m, *_degree0_matrix(elem, m))
 
 
 def _matrix_terms(n: int, m: int, re, im, den: int) -> Dict[Monomial, GaussianRational]:

@@ -383,7 +383,7 @@ def sparse_reference(monkeypatch):
     def context():
         with monkeypatch.context() as mp:
             mp.setattr(algebra, "_dense_fits", lambda *args, **kwargs: False)
-            mp.setattr(algebra, "_held_matrix", lambda elem: None)
+            mp.setattr(algebra, "_unbuilt", lambda elem: False)
             yield
     return context
 
@@ -609,9 +609,22 @@ def test_held_matrix_releveled_by_kronecker_product(kernel_calls,
         want_x, want_y = a * b, c * d
     # x's level-3 memo answers at level 5 with no terms built
     re, im, den = algebra._degree0_matrix(x, 5)
-    assert re.shape == (32, 32) and den == x._matrix[3]
-    assert algebra._built_terms(x) is None and algebra._shapes(x) == {(5, 5)}
-    assert x.terms == want_x.level({0: 5}).terms
+    want_re, want_im, want_den = algebra._degree0_matrix(want_x, 5)
+    assert den == want_den == x._matrix[3] and x._matrix[0] == 5
+    assert np.array_equal(re, want_re) and np.array_equal(im, want_im)
+    # and the level-5 memo answers at level 3 and 4, again exactly
+    for m in (3, 4):
+        got_re, got_im, _ = algebra._degree0_matrix(x, m)
+        want_re, want_im, _ = algebra._degree0_matrix(want_x.level({0: m}), m)
+        assert np.array_equal(got_re, want_re) and np.array_equal(got_im, want_im)
+    # x still reads as made: its size, adjoint and terms are at level 3
+    assert algebra._built_terms(x) is None and algebra._shapes(x) == {(3, 3)}
+    want_x = want_x.level({0: 3})
+    assert algebra._size(x) == len(want_x.terms)
+    with sparse_reference():
+        want_adjoint = want_x.adjoint()
+    assert x.adjoint().terms == want_adjoint.terms
+    assert x.terms == want_x.terms and x._matrix[0] == 5
     # a level-3 operand times a level-4 one: a level-4 kernel product
     x, y, _ = _held_pair(5, 3, 4)
     calls = kernel_calls["mul"]
@@ -621,6 +634,7 @@ def test_held_matrix_releveled_by_kronecker_product(kernel_calls,
     with sparse_reference():
         want = want_x * want_y
     assert got.terms == want.level({0: 4}).terms
+    assert x.terms == want_x.terms and algebra._shapes(x) == {(3, 3)}
 
 
 def test_held_adjoint_is_the_conjugate_transpose(kernel_calls,
@@ -659,23 +673,35 @@ def test_held_sum_matches_sparse_sum(kernel_calls, sparse_reference):
     assert empty + y is y and y + empty is y and zero + y is y
     assert algebra._built_terms(y) is None
     assert kernel_calls["add"] == 3
+    # an element with built terms takes the sparse sum, matrix or not
+    one = AlgebraElement.one(2)
+    algebra._degree0_matrix(one, 4)
+    got = y + one
+    assert kernel_calls["add"] == 3 and algebra._built_terms(got) is not None
+    with sparse_reference():
+        want = y + one
+    assert got.terms == want.terms
 
 
 def test_held_sum_promotes_to_python_ints(kernel_calls, sparse_reference):
-    big = 2 ** 62 + 7
-    x = AlgebraElement.monomial(2, (1, 2), (2, 1), big)
-    y = AlgebraElement(2, {Monomial((1, 2), (2, 1)): big,
-                           Monomial((2, 2), (2, 2)): -5})
-    for elem in (x, y):
-        re, _, _ = algebra._degree0_matrix(elem, 2)  # now each holds a matrix
-        assert re.dtype == np.int64
-    with sparse_reference():
-        want = x + y
-    got = x + y
-    assert kernel_calls["add"] == 1
+    # a level-2 kernel product whose entries reach 4 big = 2^61 + 4, inside
+    # int64: all of a but its row (2, 2) times all of b but its column (2, 2)
+    big = 2 ** 59 + 1
+    ws = list(words(2, 2))
+    a = AlgebraElement(2, {Monomial(i, j): big for i in ws[:3] for j in ws})
+    b = AlgebraElement(2, {Monomial(i, j): 1 for i in ws for j in ws[:3]})
+    x = _lazy_product(a, b)
+    assert x._matrix[1].dtype == np.int64
+    twice = x + x  # 2^62 + 8 still fits
+    assert twice._matrix[1].dtype == np.int64
+    got = twice + twice  # 2^63 + 16 does not
+    assert kernel_calls["add"] == 2 and algebra._built_terms(got) is None
     assert got._matrix[1].dtype == object
+    with sparse_reference():
+        want = a * b
+        want = want + want + want + want
     assert got.terms == want.terms
-    assert got.terms[Monomial((1, 2), (2, 1))] == 2 * big
+    assert got.terms[Monomial((1, 1), (1, 1))] == 4 * 4 * big
 
 
 def test_held_trace_state_reads_the_matrix(kernel_calls, sparse_reference):
@@ -716,3 +742,24 @@ def test_ef_projection_is_built_on_the_kernel(kernel_calls, sparse_reference):
         with sparse_reference():
             want = ef_projection(q)
         assert p.terms == want.level({0: 5}).terms, q
+
+
+def test_kernel_product_of_int64_and_object_operands(kernel_calls,
+                                                     sparse_reference):
+    rng = random.Random(12)
+    top = [Monomial(i, j) for i in words(2, 4) for j in words(2, 4)]
+    picked = rng.sample(top, 220)
+    # a's unit numerators stay in int64; b's sum past it, so b is densified
+    # in Python ints, while max|a| max|b| 2 N^4 = 2^62 needs no promotion
+    a = AlgebraElement(2, {mono: GaussianRational(rng.choice((-1, 0, 1)),
+                                                  rng.choice((-1, 1)))
+                           for mono in picked[:100]})
+    b = AlgebraElement(2, {mono: 2 ** 57 - k for k, mono in enumerate(picked[100:])})
+    assert algebra._degree0_matrix(a, 4)[0].dtype == np.int64
+    assert algebra._degree0_matrix(b, 4)[0].dtype == object
+    with sparse_reference():
+        want = [a * b, b * a, b.adjoint() * a]
+    got = [a * b, b * a, b.adjoint() * a]
+    assert kernel_calls["mul"] == 3
+    for x, y in zip(got, want):
+        assert x.terms == y.level({0: 4}).terms
