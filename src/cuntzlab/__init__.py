@@ -7,9 +7,10 @@ from .dynamics import (BlockMapTable, CantorDynamics, EntropyReport,
 from .endomorphism import (EndomorphismSpec, Permutation, perm_unitary, theta,
                            theta_power)
 from .errors import (AlphabetMismatchError, BudgetExceededError, CuntzError,
-                     DiagonalNotPreservedError, DimensionCapError, LevelError,
-                     MasaNotInvariantError, NotHomogeneousError,
-                     NotUnitaryError, ParseError, PartitionError)
+                     CylinderError, DiagonalNotPreservedError,
+                     DimensionCapError, LevelError, MasaNotInvariantError,
+                     NotHomogeneousError, NotUnitaryError, ParseError,
+                     PartitionError)
 from .matrices import (OperatorMatrix, embed_degree0, homogeneous_parts,
                        norm_bounds, operator_norm, psi)
 from .oracles import oracle_equivalence, oracle_map, oracle_table
@@ -33,6 +34,6 @@ __all__ = [
     "Table1Row", "compute_table1",
     "CuntzError", "AlphabetMismatchError", "LevelError", "ParseError",
     "NotUnitaryError", "NotHomogeneousError", "DimensionCapError",
-    "DiagonalNotPreservedError", "MasaNotInvariantError",
+    "CylinderError", "DiagonalNotPreservedError", "MasaNotInvariantError",
     "PartitionError", "BudgetExceededError",
 ]

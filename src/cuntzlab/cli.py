@@ -21,10 +21,9 @@ from .algebra import AlgebraElement
 from .checks import SUITES
 from .dynamics import CantorDynamics, JoinDynamics, DEFAULT_BUDGET
 from .endomorphism import EndomorphismSpec, Permutation
-from .errors import (BudgetExceededError, CuntzError,
-                     DiagonalNotPreservedError, DimensionCapError,
-                     MasaNotInvariantError, NotHomogeneousError,
-                     NotUnitaryError, ParseError, PartitionError)
+from .errors import (BudgetExceededError, CuntzError, CylinderError,
+                     DimensionCapError, MasaNotInvariantError,
+                     NotHomogeneousError, NotUnitaryError, ParseError)
 from .matrices import homogeneous_parts, operator_norm, psi
 from .parsing import format_element, parse_element
 from .product_masa import ProductMasaDynamics
@@ -37,7 +36,7 @@ EXIT_DOMAIN = 3
 EXIT_BUDGET = 4
 
 _DOMAIN_ERRORS = (NotUnitaryError, MasaNotInvariantError, NotHomogeneousError,
-                  DiagonalNotPreservedError, PartitionError, DimensionCapError)
+                  CylinderError, DimensionCapError)
 
 
 class _Parser(argparse.ArgumentParser):

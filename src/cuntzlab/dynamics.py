@@ -330,18 +330,21 @@ class CantorDynamics(JoinDynamics):
             img = self.endo.apply(AlgebraElement.diagonal(n, v))
             if any(d != 0 for d in img.degrees()):
                 raise DiagonalNotPreservedError(
-                    f"image of cylinder {v} has unbalanced terms")
+                    f"image of cylinder {v} has unbalanced terms", v)
             lev = img.level({0: window})
             if not lev.is_diagonal_01():
                 raise DiagonalNotPreservedError(
-                    f"image of cylinder {v} is not a 0/1 diagonal sum")
+                    f"image of cylinder {v} is not a 0/1 diagonal sum", v)
             code_v = pack_word(v, n)
             for mono in lev.terms:
                 w = pack_word(mono.left, n)
                 if table[w] != -1:
                     raise PartitionError(
-                        f"input word {mono.left} claimed by two outputs")
+                        f"input word {mono.left} claimed by two outputs",
+                        mono.left)
                 table[w] = code_v
         if (table == -1).any():
-            raise PartitionError("block map is not total: uncovered input words")
+            word = unpack_word(int(np.argmin(table)), window, n)
+            raise PartitionError(f"block map is not total: {word} uncovered",
+                                 word)
         return BlockMapTable(n, p, window, table)

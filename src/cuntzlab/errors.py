@@ -33,16 +33,26 @@ class DimensionCapError(CuntzError):
     """A matrix embedding exceeded the configured dimension cap."""
 
 
-class DiagonalNotPreservedError(CuntzError):
-    """The endomorphism does not map diagonal projections to diagonal 0/1 sums."""
+class CylinderError(CuntzError):
+    """A block map fails to build; `word` names the witness cylinder."""
+
+    def __init__(self, message, word):
+        super().__init__(message)
+        self.word = tuple(word)
+
+
+class DiagonalNotPreservedError(CylinderError):
+    """The endomorphism does not map diagonal projections to diagonal 0/1 sums;
+    the witness is a cylinder whose image is not one."""
 
 
 class MasaNotInvariantError(CuntzError):
     """The endomorphism does not leave the requested masa invariant."""
 
 
-class PartitionError(CuntzError):
-    """A block map assignment violated the cylinder partition property."""
+class PartitionError(CylinderError):
+    """A block map assignment violated the cylinder partition property; the
+    witness is an input word claimed by two outputs or by none."""
 
 
 class BudgetExceededError(CuntzError):

@@ -6,26 +6,29 @@ a masa of O_2 isomorphic to C(Cantor): the depth-m projections
 P_q = q_1 theta(q_2) ... theta^{m-1}(q_m), q in {E,F}^m, are the cylinder
 projections (E is identified with the letter 1, F with 2).
 
-An endomorphism leaves C_{E,F} invariant when the images of E and F are
-exact 0/1 sums of depth-k projection words and the shift-commutation
-identity psi(theta^n(E)) = theta^n(psi(E)) holds for every n (checked for
-n < k, which implies the rest); the induced map is then the sliding block
-code whose local rule reads off which depth-k words appear in psi(E)."""
+C_{E,F} is the standard masa C_2 moved by a Bogolubov automorphism.  For
+the unitary V = ((1+i)/2) [[1, 1], [1, -1]], lambda_V(s_i) = sum_a V_ai s_a
+is rho_w with w = sum_{a,b} V_ab s_a s_b^*; it commutes with theta (V is
+unitary) and sends s_1 s_1^* to E and s_2 s_2^* to F, hence s_q s_q^* to
+P_q for every word q.  So rho leaves C_{E,F} invariant exactly when its
+conjugate rho' = lambda_V^{-1} rho lambda_V leaves C_2 invariant, and the
+two induced Cantor maps are the same map."""
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, Tuple
+from fractions import Fraction
+from typing import Optional, Tuple
 
-import numpy as np
-
-from .algebra import AlgebraElement, Monomial
-from .endomorphism import EndomorphismSpec, theta, theta_power
-from .errors import MasaNotInvariantError
-from .dynamics import JoinDynamics, BlockMapTable, DEFAULT_BUDGET, pack_word
+from .algebra import AlgebraElement, Monomial, words
+from .dynamics import DEFAULT_BUDGET, CantorDynamics
+from .endomorphism import EndomorphismSpec, Permutation, theta_power
+from .errors import CylinderError, MasaNotInvariantError
 from .scalars import GaussianRational
 
 EFWord = Tuple[int, ...]  # letters 1 (=E) and 2 (=F)
+
+_C = GaussianRational(Fraction(1, 2), Fraction(1, 2))  # (1+i)/2
+V = ((_C, _C), (_C, -_C))  # lambda_V(C_2) = C_{E,F}, E as letter 1
 
 
 def swap_unitary(n_gens: int = 2) -> AlgebraElement:
@@ -36,12 +39,8 @@ def swap_unitary(n_gens: int = 2) -> AlgebraElement:
 
 def ef_generators(n_gens: int = 2) -> Tuple[AlgebraElement, AlgebraElement]:
     """E = (1 + X)/2 and F = (1 - X)/2."""
-    from fractions import Fraction
-
-    x = swap_unitary(n_gens)
-    half = Fraction(1, 2)
-    one = AlgebraElement.one(n_gens)
-    return (one + x).scaled(half), (one - x).scaled(half)
+    x, one = swap_unitary(n_gens), AlgebraElement.one(n_gens)
+    return (one + x).scaled(Fraction(1, 2)), (one - x).scaled(Fraction(1, 2))
 
 
 def ef_projection(word: EFWord, n_gens: int = 2) -> AlgebraElement:
@@ -56,102 +55,63 @@ def ef_projection(word: EFWord, n_gens: int = 2) -> AlgebraElement:
     return out
 
 
-class ProductMasaDynamics(JoinDynamics):
-    """Sliding-block dynamics induced on C_{E,F} by an endomorphism.
+def _conjugate_unitary(endo: EndomorphismSpec) -> AlgebraElement:
+    """u' with rho_{u'} = lambda_V^{-1} rho lambda_V.  By Cuntz's rule
+    rho_a rho_b = rho_{rho_a(b) a}, rho lambda_V = rho_{rho(w) u} and
+    u' = lambda_{V^*}(rho(w) u) w^*; for u in F_{k,k} so is u'."""
+    w = AlgebraElement(2, {Monomial((a + 1,), (b + 1,)): V[a][b]
+                           for a in range(2) for b in range(2)})
+    inverse = EndomorphismSpec(w.adjoint(), rank=1)  # lambda_{V^*}
+    return inverse.apply(endo.apply(w) * endo.u) * w.adjoint()
 
-    Construction verifies membership of psi(E), psi(F) in the depth-k
-    projection-word span (exact coefficient extraction against the trace,
-    then exact re-expression) and proves the shift-commutation identity
-    from exact checks at n = 1..k-1; deeper tables extend the verified
-    local rule structurally."""
+
+def _phased_permutation(u: AlgebraElement, k: int) -> Optional[Permutation]:
+    """sigma' when u, leveled to rank k, is sum_J c_J s_{sigma'(J)} s_J^*
+    with every |c_J| = 1; None for any other u."""
+    terms = u.level({0: k}).terms
+    if len(terms) != 2 ** k or any(c.abs2() != 1 for c in terms.values()):
+        return None
+    images = {m.right: m.left for m in terms}
+    try:
+        return Permutation(k, 2, tuple(images.get(j, ()) for j in words(2, k)))
+    except ValueError:
+        return None
+
+
+class ProductMasaDynamics(CantorDynamics):
+    """The dynamics induced on C_{E,F} by rho: the standard-masa dynamics
+    of the conjugate rho' = rho_{u'}, under rho's label.
+
+    When u' is a phased permutation sum_J c_J s_{sigma'(J)} s_J^*, so is
+    every cocycle u'_m = u' theta(u') ... theta^{m-1}(u'), with the
+    permutation of sigma'.  Conjugating a cylinder projection by a phased
+    permutation gives the same projection as conjugating it by the bare
+    permutation, so rho' and rho_{sigma'} induce the same map, C_{E,F} is
+    invariant and the tables are those of sigma' on the word path.  Any
+    other u' takes the generic path: depths 1..k are built here, and a
+    cylinder whose image is not a 0/1 sum is reported as an E/F word."""
 
     def __init__(self, endo: EndomorphismSpec, budget: int = DEFAULT_BUDGET):
         if endo.n_gens != 2:
             raise MasaNotInvariantError("the E/F masa is defined for N = 2")
-        super().__init__(2, max(endo.rank - 1, 0), budget)
-        self.endo = endo
-        self.rule: Dict[EFWord, int] = {}
-        self._extract_rule()
-        self._verify_shift_commutation()
+        u = _conjugate_unitary(endo)
+        sigma = _phased_permutation(u, endo.rank)
+        super().__init__(
+            EndomorphismSpec(u, rank=endo.rank, check=False) if sigma is None
+            else EndomorphismSpec.from_permutation(sigma), budget)
+        self.rho = endo
+        if sigma is None:
+            for p in range(1, endo.rank + 1):
+                try:
+                    self.block_map(p)
+                except CylinderError as exc:
+                    cylinder = "".join("EF"[c - 1] for c in exc.word)
+                    raise MasaNotInvariantError(
+                        f"{endo.label()} does not leave C_{{E,F}} invariant: "
+                        f"witness E/F cylinder {cylinder} ({exc})") from exc
 
     def label(self) -> str:
-        return self.endo.label()
+        return self.rho.label()
 
     def masa_name(self) -> str:
         return "EF"
-
-    # -- invariance and local rule -----------------------------------------
-
-    def _expand(self, img: AlgebraElement, source: str) -> List[EFWord]:
-        """Write `img` as an exact 0/1 combination of depth-k projection
-        words; raise MasaNotInvariantError if impossible."""
-        k = self.endo.rank
-        support: List[EFWord] = []
-        total = AlgebraElement.zero(2)
-        for q in itertools.product((1, 2), repeat=k):
-            p_q = ef_projection(q)
-            weight = (img * p_q).trace_state()
-            share = p_q.trace_state()
-            coeff = weight / share
-            if not coeff:
-                continue
-            if coeff != GaussianRational.of(1):
-                raise MasaNotInvariantError(
-                    f"psi({source}) has non-0/1 weight {coeff} on P_{q}")
-            support.append(q)
-            total = total + p_q
-        if not total == img:
-            raise MasaNotInvariantError(
-                f"psi({source}) is not a sum of depth-{k} E/F projection words")
-        return support
-
-    def _extract_rule(self) -> None:
-        e, f = ef_generators(2)
-        support_e = self._expand(self.endo.apply(e), "E")
-        support_f = self._expand(self.endo.apply(f), "F")
-        if sorted(support_e + support_f) != sorted(
-                itertools.product((1, 2), repeat=self.endo.rank)):
-            raise MasaNotInvariantError(
-                "images of E and F do not partition the depth-k cylinders")
-        for q in support_e:
-            self.rule[q] = 1
-        for q in support_f:
-            self.rule[q] = 2
-
-    def _verify_shift_commutation(self) -> None:
-        """Prove psi(theta^n(x)) = theta^n(psi(x)) for x = E, F and every
-        n >= 1 by checking it exactly for n = 1..k-1.
-
-        psi = rho_u sends s_i to u s_i, so psi(theta(y)) = u theta(psi(y)) u^*.
-        If the identity holds at n - 1, then psi(theta^n(x)) =
-        u theta^n(psi(x)) u^*.  The unitary u lies in span{s_I s_J^* :
-        |I| = |J| = k}, the first k tensor factors of the core M_{N^infinity};
-        psi(x) has degree 0, so theta^n(psi(x)) lies in the factors past n.
-        For n >= k the two commute, so the identity at n - 1 gives it at n,
-        and the checks at n < k cover every n.  The hypothesis on u is
-        checked first: u.in_F(k, k), which also makes u degree 0."""
-        k = self.endo.rank
-        if not self.endo.u.in_F(k, k):
-            raise MasaNotInvariantError(
-                f"u is not in F_({k},{k}), so shift commutation is not "
-                f"implied by the checks below depth {k}")
-        for gen in ef_generators(2):
-            shifted, img = gen, self.endo.apply(gen)
-            for _ in range(k - 1):
-                shifted, img = theta(shifted), theta(img)
-                if not self.endo.apply(shifted) == img:
-                    raise MasaNotInvariantError(
-                        "shift-commutation identity fails on C_{E,F}")
-
-    # -- tables -------------------------------------------------------------
-
-    def _build_table(self, p: int) -> BlockMapTable:
-        """Pure sliding code: output letter j is rule[w_j .. w_{j+k-1}], so
-        a depth-p window emits rule(w_1 .. w_k) and continues on w_2 ...,
-        the depth-(p-1) window."""
-        k = self.endo.rank
-        rule_arr = np.zeros(2 ** k, dtype=np.int64)
-        for q, letter in self.rule.items():
-            rule_arr[pack_word(q, 2)] = letter - 1
-        return self._prepend_letter(p, rule_arr,
-                                    np.arange(2 ** k) % 2 ** self.step)

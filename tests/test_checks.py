@@ -27,3 +27,14 @@ def test_wrong_oracle_pairing_fails(monkeypatch, capsys):
         ["(1 2) ~ psi1324"]
     assert main(["verify", "oracles"]) == 1
     assert "failed: (1 2) ~ psi1324" in capsys.readouterr().out
+
+
+def test_inapplicable_case2_oracle_fails(monkeypatch, capsys):
+    # (1 2) matches neither first-letter-forgetting case: a failed check
+    monkeypatch.setattr(checks, "ORACLE_PAIRINGS", [])
+    monkeypatch.setattr(checks, "CASE2_PERMS", checks.CASE2_PERMS + ["(1 2)"])
+    report = checks.check_oracles(depth=4)
+    assert [name for name, ok in report["checks"].items() if not ok] == \
+        ["(1 2) ~ case2"]
+    assert main(["verify", "oracles"]) == 1
+    assert "failed: (1 2) ~ case2" in capsys.readouterr().out

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from cuntzlab import parse_element
+from cuntzlab.checks import all_rank2_specs
 from cuntzlab.cli import CSV_COLUMNS, main
 
 
@@ -63,6 +64,11 @@ def test_entropy_ef(capsys):
                        "--depth", "2", "--steps", "8", "--json")
     assert code == 0
     assert json.loads(out)["summary"]["verdict"] == "log2"
+    # C_{E,F} is invariant under every rank-2 permutation
+    for spec in all_rank2_specs():
+        argv = ("entropy", "--perm", spec.label(), "--masa", "ef",
+                "--depth", "2", "--steps", "6")
+        assert run(capsys, *argv)[0] == 0, argv
 
 
 def test_entropy_zero(capsys):
@@ -76,7 +82,10 @@ def test_exit_codes(capsys):
     assert run(capsys, "apply", "--perm", "(1 2", "--element", "s[1]")[0] == 2
     assert run(capsys, "apply", "--perm", "id", "--element", "s[1] ++")[0] == 2
     assert run(capsys, "apply", "--element", "s[1]")[0] == 2
-    assert run(capsys, "entropy", "--perm", "(1 3)", "--masa", "ef")[0] == 3
+    assert run(capsys, "entropy", "--perm", "(1 3)", "--masa", "ef")[0] == 0
+    code, _, err = run(capsys, "entropy", "--rank", "3",
+                       "--perm", "(1 7 2 8 6 4 5)", "--masa", "ef")
+    assert code == 3 and "witness E/F cylinder" in err
     assert run(capsys, "entropy", "--perm", "(2 3)", "--budget", "32")[0] == 4
     # the join over fewer than one step or depth is not a count
     for argv in (("entropy", "--perm", "(2 3)", "--steps", "0"),

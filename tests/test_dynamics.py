@@ -55,6 +55,21 @@ def test_diagonal_not_preserved():
     from cuntzlab import DiagonalNotPreservedError
     with pytest.raises(DiagonalNotPreservedError):
         d.block_map(2)
+    # the error names the first cylinder whose image is not a 0/1 sum
+    with pytest.raises(DiagonalNotPreservedError) as info:
+        CantorDynamics(endo).block_map(1)
+    assert info.value.word == (1,)
+
+
+def test_partition_error_names_an_input_word():
+    # the projection s_1 s_1^* is not unitary: rho(s_2 s_2^*) = 0, so the
+    # input word (2,) lies under no image
+    from cuntzlab import PartitionError
+    proj = EndomorphismSpec(AlgebraElement.diagonal(2, (1,)), rank=1,
+                            check=False)
+    with pytest.raises(PartitionError, match="uncovered") as info:
+        CantorDynamics(proj).block_map(1)
+    assert info.value.word == (2,)
 
 
 def test_block_map_examples():

@@ -5,13 +5,19 @@ standard masa gives zero."""
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from cuntzlab import (AlgebraElement, EndomorphismSpec, JoinDynamics,
-                      MasaNotInvariantError, ProductMasaDynamics,
-                      ef_generators, ef_projection, parse_element, theta)
-from cuntzlab.endomorphism import theta_power
+from cuntzlab import (AlgebraElement, CantorDynamics, EndomorphismSpec,
+                      GaussianRational, JoinDynamics, MasaNotInvariantError,
+                      NotUnitaryError, Permutation, ProductMasaDynamics,
+                      ef_generators, ef_projection, parse_element,
+                      product_masa, theta)
+from cuntzlab.checks import all_rank2_specs, ef_expansion_holds
 from cuntzlab.oracles import oracle_equivalence, oracle_map
+
+# the four Table 1 rows whose log-2 lower bound comes from C_{E,F}
+EF_ROWS = ("(1 2)", "(1 3 2 4)", "(3 4)", "(1 4 2 3)")
 
 
 def test_ef_generators():
@@ -59,9 +65,20 @@ def test_projection_words_partition(depth):
     assert projs[qs[0]] * projs[qs[-1]] == AlgebraElement.zero(2)
 
 
+# tEF: out_j = E iff w_j = w_{j+1}, the local rule of all four E/F rows
+TEF_RULE = {(1, 1): 1, (2, 2): 1, (1, 2): 2, (2, 1): 2}
+
+
+def _local_rule(d):
+    """The depth-1 table as {window: output letter}."""
+    tbl = d.block_map(1)
+    return {w: tbl.map_word(w)[0]
+            for w in itertools.product((1, 2), repeat=tbl.window)}
+
+
 def test_sigma12_rule_is_tensor_form():
     d = ProductMasaDynamics(EndomorphismSpec.from_label("(1 2)"))
-    assert d.rule == {(1, 1): 1, (2, 2): 1, (1, 2): 2, (2, 1): 2}
+    assert _local_rule(d) == TEF_RULE
     # psi(E) = E (x) E + F (x) F literally
     e, f = ef_generators()
     psi_e = EndomorphismSpec.from_label("(1 2)").apply(e)
@@ -71,7 +88,9 @@ def test_sigma12_rule_is_tensor_form():
 def test_sigma1324_coincides_with_sigma12():
     a = ProductMasaDynamics(EndomorphismSpec.from_label("(1 2)"))
     b = ProductMasaDynamics(EndomorphismSpec.from_label("(1 3 2 4)"))
-    assert a.rule == b.rule
+    assert _local_rule(b) == TEF_RULE
+    for p in range(1, 9):
+        assert np.array_equal(a.block_map(p).table, b.block_map(p).table), p
 
 
 def test_tEF_oracle_match():
@@ -89,65 +108,79 @@ def test_identity_gives_identity_table():
 
 
 def test_ef_entropy_verdicts():
-    for label in ("(1 2)", "(1 3 2 4)", "(3 4)", "(1 4 2 3)"):
+    for label in EF_ROWS:
         d = ProductMasaDynamics(EndomorphismSpec.from_label(label))
         assert JoinDynamics.summarize(d.entropy(4, 16)).verdict == "log2"
         assert d.separation_check(8)
 
 
 def test_non_invariant_rejected():
-    with pytest.raises(MasaNotInvariantError):
-        ProductMasaDynamics(EndomorphismSpec.from_label("(1 3)"))
-    with pytest.raises(MasaNotInvariantError):
-        ProductMasaDynamics(EndomorphismSpec.from_label("(2 3 4)"))
+    # C_{E,F} is invariant under every rank-2 permutation, these included
+    for label in ("(1 3)", "(2 3 4)"):
+        d = ProductMasaDynamics(EndomorphismSpec.from_label(label))
+        assert d.label() == label and d.masa_name() == "EF"
+    # a non-affine rank-3 sigma fails at the first depth, with a witness
+    spec = EndomorphismSpec.from_label("(1 7 2 8 6 4 5)", k=3)
+    with pytest.raises(MasaNotInvariantError, match="witness E/F cylinder E "):
+        ProductMasaDynamics(spec)
 
 
-def _shift_commutes(spec, n):
-    """psi(theta^n(x)) == theta^n(psi(x)) for x = E and for x = F."""
-    return [spec.apply(theta_power(n, x)) == theta_power(n, spec.apply(x))
-            for x in ef_generators()]
-
-
-def _rule_only(monkeypatch, spec):
-    """The E/F dynamics of `spec` with the shift-commutation check off."""
-    with monkeypatch.context() as mp:
-        mp.setattr(ProductMasaDynamics, "_verify_shift_commutation",
-                   lambda self: None)
-        return ProductMasaDynamics(spec)
-
-
-@pytest.mark.parametrize("label, k, passing_depths", [
-    ("(2 4)", 2, 0),                # its rule exists; n = 1 rejects it
-    ("(1 6 5 4 7 8)(2 3)", 3, 1),   # passes n = 1; n = 2 = k - 1 rejects it
+@pytest.mark.parametrize("label, k, conjugate", [
+    ("id", 2, "id"), ("(1 2)", 2, "(2 4)"), ("(3 4)", 2, "(2 4)"),
+    ("(1 3)", 2, "(3 4)"), ("(2 3)", 2, "(2 3)"), ("(1 4)(2 3)", 2, "id"),
+    ("(1 6 5 4 7 8)(2 3)", 3, "(3 7 6)(4 8 5)"),
 ])
-def test_shift_commutation_checked_to_depth_k_minus_1(monkeypatch, label, k,
-                                                      passing_depths):
-    spec = EndomorphismSpec.from_label(label, k=k)
-    assert _rule_only(monkeypatch, spec).rule
-    for n in range(1, passing_depths + 1):
-        assert _shift_commutes(spec, n) == [True, True]
-    assert _shift_commutes(spec, passing_depths + 1) == [False, False]
-    with pytest.raises(MasaNotInvariantError, match="shift-commutation"):
-        ProductMasaDynamics(spec)
+def test_conjugate_is_a_permutation(label, k, conjugate):
+    """lambda_V^{-1} rho_sigma lambda_V is rho_{sigma'} up to phases, and
+    its tables are the E/F tables."""
+    d = ProductMasaDynamics(EndomorphismSpec.from_label(label, k=k))
+    assert d.endo.perm == Permutation.parse(conjugate, k, 2)
+    assert d.label() == EndomorphismSpec.from_label(label, k=k).label()
 
 
-def test_shift_commutation_needs_u_in_F_kk(monkeypatch):
-    """A rank-3 unitary declared as rank 2 has a depth-2 rule and passes the
-    check at n = 1, but fails at n = 2: the proof's hypothesis u in F_{k,k}
-    is what rejects it."""
+def test_ef_verdict_is_the_conjugate_verdict_on_c2():
+    """(1 3) has entropy log 2 on C_2, but on C_{E,F} it acts as (3 4) acts
+    on C_2, where the join counts stop growing: its E/F verdict is zero."""
+    for label, conjugate in (("(1 3)", "(3 4)"), ("(1 2)", "(2 4)")):
+        ef = ProductMasaDynamics(EndomorphismSpec.from_label(label))
+        c2 = CantorDynamics(EndomorphismSpec.from_label(conjugate))
+        assert ([r.counts for r in ef.entropy(4, 16)]
+                == [r.counts for r in c2.entropy(4, 16)])
+    ef13 = ProductMasaDynamics(EndomorphismSpec.from_label("(1 3)"))
+    assert JoinDynamics.summarize(ef13.entropy(4, 16)).verdict == "zero"
+
+
+def _expansion_failures(specs, depth):
+    return [spec.label() for spec in specs
+            if not ef_expansion_holds(ProductMasaDynamics(spec), depth)]
+
+
+def test_direct_expansion_oracle():
+    """rho(P_q) is the sum of the P_x that the E/F table sends to q, built
+    from ef_projection and apply alone, for all 24 rank-2 sigma and one
+    affine rank-3 sigma."""
+    assert _expansion_failures(all_rank2_specs(), 3) == []
     rank3 = EndomorphismSpec.from_label("(1 6 5 4 7 8)(2 3)", k=3)
-    spec = EndomorphismSpec(rank3.u, rank=2, check=False)
-    assert not spec.u.in_F(2, 2)
-    assert _rule_only(monkeypatch, spec).rule
-    assert _shift_commutes(spec, 1) == [True, True]
-    assert _shift_commutes(spec, 2) == [False, False]
-    with pytest.raises(MasaNotInvariantError, match="F_"):
-        ProductMasaDynamics(spec)
+    assert _expansion_failures([rank3], 3) == []
+
+
+def test_direct_expansion_oracle_catches_a_wrong_basis(monkeypatch):
+    one, zero = GaussianRational.of(1), GaussianRational.of(0)
+    # V = I makes sigma' = sigma: the C_2 tables, wrong on C_{E,F}
+    monkeypatch.setattr(product_masa, "V", ((one, zero), (zero, one)))
+    failures = _expansion_failures(all_rank2_specs(), 3)
+    assert len(failures) == 21
+    assert set(EF_ROWS) <= set(failures)
+    # one sign flipped: V is no longer unitary
+    c = GaussianRational(Fraction(1, 2), Fraction(1, 2))
+    monkeypatch.setattr(product_masa, "V", ((c, c), (c, c)))
+    with pytest.raises(NotUnitaryError):
+        ProductMasaDynamics(EndomorphismSpec.from_label("(1 2)"))
 
 
 def test_shift_acts_as_shift_in_ef_coordinates():
     d = ProductMasaDynamics(EndomorphismSpec.from_label("(2 3)"))
-    assert d.rule == {(1, 1): 1, (2, 1): 1, (1, 2): 2, (2, 2): 2}
+    assert _local_rule(d) == {(1, 1): 1, (2, 1): 1, (1, 2): 2, (2, 2): 2}
     tbl = d.block_map(2)
     for w in itertools.product((1, 2), repeat=3):
         assert tbl.map_word(w) == w[1:]
@@ -156,11 +189,12 @@ def test_shift_acts_as_shift_in_ef_coordinates():
 def test_sliding_tables_match_rule_reading():
     """Every E/F table agrees with reading the local rule off each window
     of k letters, word by word."""
-    for label in ("(1 2)", "(1 3 2 4)", "(3 4)", "(1 4 2 3)"):
+    for label in EF_ROWS:
         d = ProductMasaDynamics(EndomorphismSpec.from_label(label))
         k = d.endo.rank
+        assert _local_rule(d) == TEF_RULE, label
         for p in range(1, 11):
             tbl = d.block_map(p)
             for w in itertools.product((1, 2), repeat=p + k - 1):
-                expected = tuple(d.rule[w[j:j + k]] for j in range(p))
+                expected = tuple(TEF_RULE[w[j:j + k]] for j in range(p))
                 assert tbl.map_word(w) == expected, (label, w)
