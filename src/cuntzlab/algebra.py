@@ -17,7 +17,8 @@ higher level by a Kronecker product with the identity.  Elements the
 kernel made (products, sums, adjoints) build their terms, at the level
 they were made at, only when they are read; until then the sum of two
 of them, and the adjoint and the trace state of one, are read off the
-matrices.
+matrices.  The kernel functions import numpy when routing first reaches
+them, so the sparse path runs without it.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple
-
-import numpy as np
 
 from .errors import AlphabetMismatchError, LevelError
 from .scalars import GaussianRational, _reduce
@@ -464,6 +463,8 @@ def _size(elem: AlgebraElement) -> int:
     terms = _built_terms(elem)
     if terms is not None:
         return len(terms)
+    import numpy as np
+
     _, re, im, _ = _held(elem)
     return int(np.count_nonzero((re != 0) | (im != 0)))
 
@@ -550,6 +551,8 @@ def _dense(elem: AlgebraElement, m: int, den: int):
     """(real, imaginary) numerator matrices of a pure degree-0 element
     leveled to m, over `den`, a multiple of every coefficient's
     denominator."""
+    import numpy as np
+
     n, dim, size = elem.n_gens, elem.n_gens ** m, len(elem._terms)
     if not size:
         return np.zeros((dim, dim), np.int64), np.zeros((dim, dim), np.int64)
@@ -610,6 +613,8 @@ def _degree0_matrix(elem: AlgebraElement, m: int):
 
 def _kron_identity(mat, k: int):
     """kron(mat, I_k), in mat's dtype; as np.kron, without its overhead."""
+    import numpy as np
+
     d = len(mat)
     out = np.zeros((d, k, d, k), mat.dtype)
     t = np.arange(k)
@@ -627,6 +632,8 @@ def _scaled(re, im, factor: int):
 
 
 def _dense_eq(a: AlgebraElement, b: AlgebraElement, m: int) -> bool:
+    import numpy as np
+
     a_re, a_im, den_a = _degree0_matrix(a, m)
     b_re, b_im, den_b = _degree0_matrix(b, m)
     # x / den_a = y / den_b  iff  x (den_b / g) = y (den_a / g)
@@ -637,10 +644,12 @@ def _dense_eq(a: AlgebraElement, b: AlgebraElement, m: int) -> bool:
 
 
 def _max_abs(*mats) -> int:
-    return max(int(np.abs(x).max()) for x in mats)
+    return max(int(abs(x).max()) for x in mats)
 
 
 def _dense_mul(a: AlgebraElement, b: AlgebraElement, m: int) -> AlgebraElement:
+    import numpy as np
+
     n = a.n_gens
     a_re, a_im, den_a = _degree0_matrix(a, m)
     b_re, b_im, den_b = _degree0_matrix(b, m)
@@ -693,6 +702,8 @@ def _dense_trace(elem: AlgebraElement) -> GaussianRational:
 def _lowest_terms(n: int, m: int, re, im, den: int) -> AlgebraElement:
     """The element of the level-m matrix (re + i im) / den, with the
     denominator reduced to the lcm of the entries' reduced denominators."""
+    import numpy as np
+
     if not (re.any() or im.any()):
         return _wrap(n, {})
     g = gcd(den, int(np.gcd.reduce(re.ravel())), int(np.gcd.reduce(im.ravel())))
@@ -729,6 +740,8 @@ def _held(elem: AlgebraElement):
 def _matrix_terms(n: int, m: int, re, im, den: int) -> Dict[Monomial, GaussianRational]:
     """The term dict of a level-m matrix: s_I s_J^* with |I| = |J| = m for
     each nonzero entry.  Equal entries share one scalar."""
+    import numpy as np
+
     flat = np.flatnonzero((re != 0) | (im != 0))
     ws = list(words(n, m))
     dim = len(ws)

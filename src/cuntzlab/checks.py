@@ -2,31 +2,47 @@
 
 Each suite re-derives a family of identities at default depths and returns
 a report dict: {"suite", "passed", "checks": {name: bool}, "details"}.
-Randomized suites embed their seed so failures are reproducible."""
+Randomized suites embed their seed so failures are reproducible.  Each
+suite imports the numpy-backed modules it uses when it runs, so listing
+the suites loads no numpy."""
 
 from __future__ import annotations
 
 import itertools
 import random
 from fractions import Fraction
-from typing import Callable, Dict, List
+from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
 from .algebra import AlgebraElement, words
-from .dynamics import CantorDynamics, JoinDynamics
 from .endomorphism import EndomorphismSpec, Permutation, theta, theta_power
-from .matrices import homogeneous_parts, operator_norm, psi
-from .oracles import case2_oracle_for, oracle_equivalence
 from .parsing import parse_element
-from .product_masa import ProductMasaDynamics, ef_projection
 from .sampling import random_homogeneous
-from .table import TABLE1_EXPECTED
+
+if TYPE_CHECKING:
+    from .product_masa import ProductMasaDynamics
 
 DEFAULT_SEED = 20230517
 
 
 def all_rank2_specs() -> List[EndomorphismSpec]:
+    from .table import TABLE1_EXPECTED
+
     return [EndomorphismSpec.from_permutation(Permutation.from_cycles(c, 2, 2))
             for c, _, _ in TABLE1_EXPECTED]
+
+
+def _word_and_cocycle_paths() -> List[Tuple[str, EndomorphismSpec]]:
+    """(check name, spec): the 24 rank-2 permutations on the word path,
+    then the same unitaries with perm=None, and the canonical shift, on the
+    cocycle path u_{|I|} s_I s_J^* u_{|J|}^*.  Range containment and trace
+    invariance are identities of the word rewriting, but theorems about u
+    on the cocycle path."""
+    specs = all_rank2_specs()
+    named = [(endo.label(), endo) for endo in specs]
+    for endo in specs + [EndomorphismSpec.canonical_shift(2)]:
+        named.append((f"{endo.label()} cocycle path",
+                      EndomorphismSpec(endo.u, rank=endo.rank, check=False)))
+    return named
 
 
 def _report(suite: str, checks: Dict[str, bool], **details) -> dict:
@@ -56,6 +72,8 @@ def check_matrix_norms(samples: int = 100, seed: int = DEFAULT_SEED) -> dict:
     """Matrix-coefficient decomposition at k=3 for random homogeneous
     X in F_{p,l}, p,l <= 3: part norms bounded by ||X|| and exact
     reconstruction of Psi_3(X)."""
+    from .matrices import homogeneous_parts, operator_norm, psi
+
     rng = random.Random(seed)
     k, tol = 3, 1e-9
     max_ratio = 0.0
@@ -79,12 +97,15 @@ def check_matrix_norms(samples: int = 100, seed: int = DEFAULT_SEED) -> dict:
 
 
 def check_range_containment(max_m: int = 3, max_depth: int = 3) -> dict:
-    """For every rank-2 permutation: iterated images of A_{p,p} basis
-    monomials stay inside F_{p+m, p+m}, and images of diagonal cylinder
-    projections are exact 0/1 sums of cylinder projections."""
+    """For every rank-2 permutation, on both paths, and the canonical
+    shift: iterated images of A_{p,p} basis monomials stay inside
+    F_{p+m, p+m}, and images of diagonal cylinder projections are exact 0/1
+    sums of cylinder projections."""
+    from .dynamics import CantorDynamics
+
     checks = {}
-    for endo in all_rank2_specs():
-        checks[endo.label()] = (
+    for name, endo in _word_and_cocycle_paths():
+        checks[name] = (
             all(endo.range_containment(p, p, max_m)
                 for p in range(1, max_depth + 1))
             and CantorDynamics(endo).diagonal_invariant(max_depth))
@@ -152,14 +173,15 @@ def check_psi_formulas() -> dict:
 
 
 def check_trace_invariance(max_len: int = 3) -> dict:
-    """trace_state(rho(a)) = trace_state(a) for all 24 permutative specs
-    on every monomial with |I|, |J| <= max_len, exactly."""
+    """trace_state(rho(a)) = trace_state(a) for all 24 permutative specs,
+    on both paths, and the canonical shift, on every monomial with
+    |I|, |J| <= max_len, exactly."""
     monomials = [AlgebraElement.monomial(2, left, right)
                  for p in range(max_len + 1) for l in range(max_len + 1)
                  for left in words(2, p) for right in words(2, l)]
     checks = {}
-    for endo in all_rank2_specs():
-        checks[endo.label()] = all(
+    for name, endo in _word_and_cocycle_paths():
+        checks[name] = all(
             endo.apply(a).trace_state() == a.trace_state() for a in monomials)
     return _report("trace-invariance", checks)
 
@@ -176,6 +198,9 @@ CASE2_PERMS = ["(1 4)", "(1 3 2)", "(1 2 4)", "(1 4 3)", "(2 3 4)",
 
 def check_oracles(depth: int = 12) -> dict:
     """All 17 closed-form pairings against engine block maps."""
+    from .dynamics import CantorDynamics
+    from .oracles import case2_oracle_for, oracle_equivalence
+
     checks = {}
     for label, oracle in ORACLE_PAIRINGS:
         dyn = CantorDynamics(EndomorphismSpec.from_label(label))
@@ -196,6 +221,8 @@ def ef_expansion_holds(dyn: ProductMasaDynamics, max_depth: int) -> bool:
     """Direct-expansion oracle for the E/F tables, from ef_projection and
     apply alone (not V): for every E/F word q of depth m <= max_depth,
     rho(P_q) is the sum of the P_x over the x that block_map(m) sends to q."""
+    from .product_masa import ef_projection
+
     for m in range(1, max_depth + 1):
         tbl = dyn.block_map(m)
         sums = {q: AlgebraElement.zero(2) for q in words(2, m)}
@@ -214,6 +241,10 @@ def check_ef(table_depth: int = 10, proj_depth: int = 5,
     expansion of rho(P_q) for all 24 rank-2 permutations, the tEF table
     match for sigma_12 and sigma_1324, and log-2 verdicts for all four
     rows that need the C_{E,F} lower bound."""
+    from .dynamics import JoinDynamics
+    from .oracles import oracle_equivalence
+    from .product_masa import ProductMasaDynamics, ef_projection
+
     checks = {}
     one = AlgebraElement.one(2)
     for m in range(1, proj_depth + 1):

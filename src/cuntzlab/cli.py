@@ -5,6 +5,8 @@ also be supplied through an environment variable with the CUNTZLAB_ prefix
 (e.g. CUNTZLAB_DEPTH=6); explicit flags win.  Exit codes: 0 success,
 1 verification mismatch, 2 usage or parse error, 3 domain error (masa not
 invariant, non-unitary, non-homogeneous), 4 enumeration budget exceeded.
+The numpy-backed modules are imported by the handlers that use them, so
+`--help` and `apply` run without numpy.
 """
 
 from __future__ import annotations
@@ -19,15 +21,11 @@ from typing import List, Optional
 
 from .algebra import AlgebraElement
 from .checks import SUITES
-from .dynamics import CantorDynamics, JoinDynamics, DEFAULT_BUDGET
 from .endomorphism import EndomorphismSpec, Permutation
-from .errors import (BudgetExceededError, CuntzError, CylinderError,
-                     DimensionCapError, MasaNotInvariantError,
+from .errors import (DEFAULT_BUDGET, BudgetExceededError, CuntzError,
+                     CylinderError, DimensionCapError, MasaNotInvariantError,
                      NotHomogeneousError, NotUnitaryError, ParseError)
-from .matrices import homogeneous_parts, operator_norm, psi
 from .parsing import format_element, parse_element
-from .product_masa import ProductMasaDynamics
-from .table import compute_table1
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -123,6 +121,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _endomorphism_from_args(args) -> EndomorphismSpec:
+    if args.rank < 1:
+        raise ValueError(f"--rank must be at least 1, got {args.rank}")
+    # a permutation lists all N^k image words; for N >= 2 a rank past the
+    # budget's bit length is over the budget, so the exponent is capped
+    # there and a huge N^k is never formed
+    budget = getattr(args, "budget", DEFAULT_BUDGET)
+    size = args.n_gens ** min(args.rank, budget.bit_length() + 1)
+    if size > budget:
+        raise BudgetExceededError(
+            f"a permutation of rank {args.rank} needs {args.n_gens}^"
+            f"{args.rank} words, budget {budget}")
     if getattr(args, "perm_word", None):
         line = [int(c) for c in args.perm_word.strip()]
         perm = Permutation.from_one_line(line, args.rank, args.n_gens)
@@ -148,6 +157,9 @@ def cmd_apply(args) -> int:
 
 
 def cmd_entropy(args) -> int:
+    from .dynamics import CantorDynamics, JoinDynamics
+    from .product_masa import ProductMasaDynamics
+
     endo = _endomorphism_from_args(args)
     if args.masa == "ef":
         dyn = ProductMasaDynamics(endo, budget=args.budget)
@@ -173,6 +185,8 @@ CSV_COLUMNS = ["perm", "rho_s1", "rho_s2", "hte_expected", "hte_computed",
 
 
 def cmd_table1(args) -> int:
+    from .table import compute_table1
+
     rows = compute_table1(args.depth, args.steps, args.budget)
     fmt = "json" if args.json and args.format == "text" else args.format
     if fmt == "json":
@@ -219,6 +233,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_norm(args) -> int:
+    from .matrices import operator_norm
+
     value = operator_norm(_require_element(args))
     print(json.dumps({"norm": value}) if args.json else f"{value:.12g}")
     return EXIT_OK
@@ -229,6 +245,8 @@ def _matrix_json(mat) -> list:
 
 
 def cmd_psi(args) -> int:
+    from .matrices import homogeneous_parts
+
     x = _require_element(args)
     dec = homogeneous_parts(x, args.depth)
     payload = {

@@ -19,10 +19,8 @@ import numpy as np
 
 from .algebra import AlgebraElement, Word, pack_word, unpack_word, words
 from .endomorphism import EndomorphismSpec
-from .errors import (BudgetExceededError, DiagonalNotPreservedError,
-                     PartitionError)
-
-DEFAULT_BUDGET = 2 ** 22
+from .errors import (DEFAULT_BUDGET, BudgetExceededError,
+                     DiagonalNotPreservedError, PartitionError)
 
 
 @dataclass(frozen=True)

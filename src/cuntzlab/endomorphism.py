@@ -61,6 +61,11 @@ class Permutation:
     @classmethod
     def from_one_line(cls, line: Iterable[int], k: int, n_gens: int) -> "Permutation":
         """Images of 1..N^k in order, as 1-based lexicographic indices."""
+        size = n_gens ** k
+        line = tuple(line)
+        for i in line:
+            if not 1 <= i <= size:
+                raise ValueError(f"one-line entry {i} outside 1..{size}")
         imgs = tuple(unpack_word(i - 1, k, n_gens) for i in line)
         return cls(k, n_gens, imgs)
 

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the default word
+budget whose excess raises BudgetExceededError."""
+
+DEFAULT_BUDGET = 2 ** 22
 
 
 class CuntzError(Exception):

@@ -4,7 +4,7 @@ CLI."""
 
 import pytest
 
-from cuntzlab import checks
+from cuntzlab import AlgebraElement, EndomorphismSpec, checks
 from cuntzlab.cli import main
 
 
@@ -38,3 +38,25 @@ def test_inapplicable_case2_oracle_fails(monkeypatch, capsys):
         ["(1 2) ~ case2"]
     assert main(["verify", "oracles"]) == 1
     assert "failed: (1 2) ~ case2" in capsys.readouterr().out
+
+
+def test_cocycle_path_mutant_fails_containment_and_trace(monkeypatch):
+    # u_2 with one term dropped: only the cocycle path reads the cocycles
+    cocycle = EndomorphismSpec.cocycle
+
+    def dropped(self, k):
+        u_k = cocycle(self, k)
+        if k != 2:
+            return u_k
+        terms = dict(u_k.terms)
+        del terms[min(terms)]
+        return AlgebraElement(self.n_gens, terms)
+
+    monkeypatch.setattr(EndomorphismSpec, "cocycle", dropped)
+    for report in (checks.check_range_containment(max_m=1, max_depth=2),
+                   checks.check_trace_invariance(max_len=2)):
+        failed = {name for name, ok in report["checks"].items() if not ok}
+        # the 24 permutations and the shift on the cocycle path
+        assert len(failed) == 25, report["suite"]
+        assert all(name.endswith(" cocycle path") for name in failed)
+        assert not report["passed"]

@@ -82,6 +82,20 @@ def test_exit_codes(capsys):
     assert run(capsys, "apply", "--perm", "(1 2", "--element", "s[1]")[0] == 2
     assert run(capsys, "apply", "--perm", "id", "--element", "s[1] ++")[0] == 2
     assert run(capsys, "apply", "--element", "s[1]")[0] == 2
+    # one-line entries past N^k = 4 are not read modulo 4
+    for word in ("5234", "5634"):
+        code, _, err = run(capsys, "apply", "--perm-word", word,
+                           "--element", "s[1]")
+        assert code == 2 and "outside 1..4" in err, word
+    for rank in ("0", "-1"):
+        assert run(capsys, "apply", "--rank", rank, "--perm", "(1 2)",
+                   "--element", "s[1]")[0] == 2, rank
+    # N^k words past the budget are refused before any is listed
+    code, _, err = run(capsys, "apply", "--rank", "30", "--perm", "id",
+                       "--element", "s[1]")
+    assert code == 4 and "2^30" in err
+    assert run(capsys, "entropy", "--rank", "6", "--perm", "id",
+               "--budget", "32")[0] == 4
     assert run(capsys, "entropy", "--perm", "(1 3)", "--masa", "ef")[0] == 0
     code, _, err = run(capsys, "entropy", "--rank", "3",
                        "--perm", "(1 7 2 8 6 4 5)", "--masa", "ef")

@@ -48,6 +48,14 @@ def test_permutation_parsing():
         Permutation.parse("(1 9)")
 
 
+def test_one_line_entries_outside_the_words_rejected():
+    # 5 and 6 would wrap round to the words 11 and 12 of a 4-entry line
+    for line in ((5, 2, 3, 4), (5, 6, 3, 4), (0, 2, 3, 4)):
+        with pytest.raises(ValueError, match="outside 1..4"):
+            Permutation.from_one_line(line, 2, 2)
+    assert Permutation.from_one_line((1, 2, 3, 4), 2, 2) == Permutation.parse("id")
+
+
 def test_cycle_notation_roundtrip():
     for perm in all_line_perms():
         assert Permutation.parse(perm.cycle_notation()) == perm
