@@ -48,11 +48,6 @@ def _env(name: str, default=None):
     return os.environ.get(f"CUNTZLAB_{name}", default)
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = _env(name)
-    return int(raw) if raw is not None else default
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cuntzlab",
                      description="Exact Cuntz-algebra endomorphisms and the "
@@ -64,14 +59,14 @@ def build_parser() -> argparse.ArgumentParser:
         size for a permutation or element text, the rank for a
         permutation, the enumeration budget where words are enumerated."""
         if perm or element:
-            p.add_argument("--n-gens", type=int, default=_env_int("N_GENS", 2),
+            p.add_argument("--n-gens", type=int, default=_env("N_GENS", 2),
                            help="alphabet size N (default 2)")
         if perm:
-            p.add_argument("--rank", type=int, default=_env_int("RANK", 2),
+            p.add_argument("--rank", type=int, default=_env("RANK", 2),
                            help="permutation rank k (default 2)")
         if budget:
             p.add_argument("--budget", type=int,
-                           default=_env_int("BUDGET", DEFAULT_BUDGET),
+                           default=_env("BUDGET", DEFAULT_BUDGET),
                            help="enumeration budget in words (default "
                                 "2^22); also the largest key range that join "
                                 "refinement marks instead of sorting")
@@ -94,15 +89,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_entropy, perm=True, budget=True)
     p_entropy.add_argument("--masa", choices=["standard", "ef"],
                            default=_env("MASA", "standard"))
-    p_entropy.add_argument("--depth", type=int, default=_env_int("DEPTH", 4),
+    p_entropy.add_argument("--depth", type=int, default=_env("DEPTH", 4),
                            help="maximum partition depth p (default 4)")
-    p_entropy.add_argument("--steps", type=int, default=_env_int("STEPS", 16),
+    p_entropy.add_argument("--steps", type=int, default=_env("STEPS", 16),
                            help="maximum join steps n (default 16)")
 
     p_table = sub.add_parser("table1", help="full 24-row entropy regression")
     common(p_table, budget=True)
-    p_table.add_argument("--depth", type=int, default=_env_int("DEPTH", 4))
-    p_table.add_argument("--steps", type=int, default=_env_int("STEPS", 16))
+    p_table.add_argument("--depth", type=int, default=_env("DEPTH", 4))
+    p_table.add_argument("--steps", type=int, default=_env("STEPS", 16))
     p_table.add_argument("--format", choices=["text", "json", "csv"],
                          default=_env("FORMAT", "text"))
 
@@ -115,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_psi = sub.add_parser("psi", help="matrix-coefficient decomposition")
     common(p_psi, element=True)
-    p_psi.add_argument("--depth", type=int, default=_env_int("DEPTH", 2),
+    p_psi.add_argument("--depth", type=int, default=_env("DEPTH", 2),
                        help="embedding depth k (default 2)")
     return parser
 
@@ -247,6 +242,8 @@ def _matrix_json(mat) -> list:
 def cmd_psi(args) -> int:
     from .matrices import homogeneous_parts
 
+    if args.depth < 0:
+        raise ValueError(f"--depth must be at least 0, got {args.depth}")
     x = _require_element(args)
     dec = homogeneous_parts(x, args.depth)
     payload = {

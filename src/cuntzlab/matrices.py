@@ -147,6 +147,17 @@ class HomogeneousDecomposition:
         return {j: float(np.sqrt(max(largest_eigenvalue(m.conj().T @ m), 0.0)))
                 for j, m in self.numeric().items()}
 
+    def gram(self) -> AlgebraElement:
+        """sum_J T_J^* T_J (degree >= 0) or sum_J T_J T_J^* (degree < 0),
+        with T_J the degree-0 element sum (T_J)_{K,M} s_K s_M^*.  It equals
+        X^* X, resp. X X^*, and every summand is positive, so the identity
+        bounds each ||T_J|| by ||X||."""
+        total = AlgebraElement.zero(self.n_gens)
+        for coeffs in self.parts.values():
+            t = AlgebraElement(self.n_gens, coeffs)
+            total = total + (t.adjoint() * t if self.degree >= 0 else t * t.adjoint())
+        return total
+
     def reconstruct_psi(self) -> OperatorMatrix:
         """Rebuild sum_J T_J (x) s_J as an OperatorMatrix for comparison
         against psi(X, k)."""
@@ -169,41 +180,29 @@ class HomogeneousDecomposition:
 
 
 def homogeneous_parts(x: AlgebraElement, k: int) -> HomogeneousDecomposition:
-    """Extract the matrix coefficients T_J of Psi_k(X) for homogeneous X of
-    degree d = p - l with k >= max(p, l): entry (K, M) of Psi_k(X) equals
-    sum_J (T_J)_{K,M} s_J with |J| = |d|."""
+    """The matrix coefficients T_J of Psi_k(X) = sum_J T_J (x) s_J for
+    homogeneous X of degree d >= 0, read off X's terms: leveled to right
+    length k, a term c s_A s_B^* has |A| = k + d and sits at
+    (T_{A[k:]})_{A[:k], B} = c.  For d < 0 the parts are those of X^*,
+    conjugate-transposed, as coefficients of s_J^*.  Requires the canonical
+    right words of X (of X^* when d < 0) to have length <= k."""
     degs = x.degrees()
     if len(degs) > 1:
         raise NotHomogeneousError("decomposition requires a homogeneous element")
     d = next(iter(degs), 0)
     n = x.n_gens
-    mat = psi(x, k)
-    absd = abs(d)
+    # N >= 2, so past the cap's bit length N^k is over the cap
+    if k > DIM_CAP.bit_length() or n ** k > DIM_CAP:
+        raise DimensionCapError(f"matrix dimension {n}^{k} exceeds cap {DIM_CAP}")
+    canon = (x if d >= 0 else x.adjoint()).canonical()
+    longest = canon.max_right_length(abs(d))
+    if longest > k:
+        raise NotHomogeneousError(
+            f"k={k} too small: the canonical form needs k >= {longest}")
     parts: Dict[Word, Dict[Tuple[Word, Word], GaussianRational]] = {}
-    basis = list(words(n, k))
-    for i, kw in enumerate(basis):
-        for j, mw in enumerate(basis):
-            entry = mat.entries[i][j]
-            if entry.is_zero():
-                continue
-            # entry = sum_J c_J s_J (d>0) / c_J s_J^* (d<0) / c * 1 (d=0);
-            # read coefficients off the canonical contraction
-            canon = entry.canonical()
-            for mono, c in canon.terms.items():
-                if d > 0:
-                    if len(mono.left) != absd or mono.right:
-                        raise NotHomogeneousError(
-                            f"k={k} too small: residual monomial {mono} in entry")
-                    j_word = mono.left
-                elif d < 0:
-                    if len(mono.right) != absd or mono.left:
-                        raise NotHomogeneousError(
-                            f"k={k} too small: residual monomial {mono} in entry")
-                    j_word = mono.right
-                else:
-                    if mono.left or mono.right:
-                        raise NotHomogeneousError(
-                            f"k={k} too small: residual monomial {mono} in entry")
-                    j_word = ()
-                parts.setdefault(j_word, {})[(kw, mw)] = c
+    for (a, b), c in canon.level({abs(d): k}).terms.items():
+        if d >= 0:
+            parts.setdefault(a[k:], {})[(a[:k], b)] = c
+        else:
+            parts.setdefault(a[k:], {})[(b, a[:k])] = c.conjugate()
     return HomogeneousDecomposition(n, k, d, parts)

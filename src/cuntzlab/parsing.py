@@ -106,17 +106,14 @@ class _Parser:
         save = self.i
         tok = self.peek()
         if tok is not None and tok[0] == "op" and tok[1] in "+-":
-            sign = 1 if tok[1] == "+" else -1
             self.next()
             nxt = self.peek()
             if nxt is not None and nxt[0] == "number":
-                self.next()
+                im = self._rational()
                 after = self.peek()
                 if after is not None and after[0] == "imag":
                     self.next()
-                    im = Fraction(int(nxt[1].split("/")[0]),
-                                  int(nxt[1].split("/")[1]) if "/" in nxt[1] else 1)
-                    return GaussianRational(re_part, sign * im)
+                    return GaussianRational(re_part, im if tok[1] == "+" else -im)
             self.i = save
         return GaussianRational(re_part, Fraction(0))
 

@@ -60,3 +60,42 @@ def test_cocycle_path_mutant_fails_containment_and_trace(monkeypatch):
         assert len(failed) == 25, report["suite"]
         assert all(name.endswith(" cocycle path") for name in failed)
         assert not report["passed"]
+
+
+def test_matrix_norms_mutants_fail(monkeypatch):
+    """Reading J off the front of the row word permutes the T_J's rows,
+    which keeps the Gram identity: only the psi oracle catches it.
+    Dropping one coefficient breaks the Gram identity."""
+    from cuntzlab import matrices
+
+    real = matrices.homogeneous_parts
+
+    def j_first(x, k):
+        dec = real(x, k)
+        d = abs(dec.degree)
+        parts = {}
+        for j, coeffs in dec.parts.items():
+            for (row, col), c in coeffs.items():
+                if dec.degree < 0:
+                    row, col = col, row
+                word = row + j
+                key = (word[d:], col) if dec.degree >= 0 else (col, word[d:])
+                parts.setdefault(word[:d], {})[key] = c
+        return matrices.HomogeneousDecomposition(dec.n_gens, k, dec.degree,
+                                                 parts)
+
+    def dropped(x, k):
+        dec = real(x, k)
+        j = min(dec.parts)
+        coeffs = dict(dec.parts[j])
+        del coeffs[min(coeffs)]
+        return matrices.HomogeneousDecomposition(
+            dec.n_gens, k, dec.degree, {**dec.parts, j: coeffs})
+
+    monkeypatch.setattr(matrices, "homogeneous_parts", j_first)
+    report = checks.check_matrix_norms(samples=20)
+    assert report["checks"] == {"part norms bounded": True,
+                                "exact reconstruction": False}
+    monkeypatch.setattr(matrices, "homogeneous_parts", dropped)
+    report = checks.check_matrix_norms(samples=20)
+    assert not report["checks"]["part norms bounded"]

@@ -109,6 +109,14 @@ def test_exit_codes(capsys):
                  ("table1", "--steps", "0")):
         assert run(capsys, *argv)[0] == 2, argv
     assert run(capsys, "norm", "--element", "s[1] + s[1] t[1]")[0] == 3
+    code, _, err = run(capsys, "apply", "--perm", "(1 3)",
+                       "--element", "1+1/0i * s[1]")
+    assert code == 2 and "zero denominator" in err
+    # Psi_k needs k >= 0, and N^k within the matrix cap before any leveling
+    code, _, err = run(capsys, "psi", "--depth", "-1", "--element", "s[1]")
+    assert code == 2 and "--depth" in err
+    code, _, err = run(capsys, "psi", "--depth", "11", "--element", "s[1]")
+    assert code == 3 and "2^11" in err
     # the text grammar has single-digit letters: N >= 10 is a usage error
     assert run(capsys, "norm", "--n-gens", "12", "--element", "s[11] t[11]")[0] == 2
     assert run(capsys, "apply", "--perm", "id", "--n-gens", "12",
@@ -158,6 +166,16 @@ def test_env_overrides(capsys, monkeypatch):
     payload = json.loads(out)
     assert len(payload["reports"]) == 2
     assert len(payload["reports"][0]["counts"]) == 6
+
+
+def test_malformed_env_integer(capsys, monkeypatch):
+    monkeypatch.setenv("CUNTZLAB_DEPTH", "x")
+    # read only by the subcommands with --depth, and an explicit flag wins
+    assert run(capsys, "apply", "--perm", "(1 3)", "--element", "s[1]")[0] == 0
+    code, _, err = run(capsys, "psi", "--element", "s[1]")
+    assert code == 2 and "invalid int value: 'x'" in err
+    assert run(capsys, "psi", "--element", "s[1]", "--depth", "1")[0] == 0
+    assert run(capsys, "--help")[0] == 0
 
 
 def test_table1_csv(capsys):

@@ -7,8 +7,8 @@ import random
 import numpy as np
 import pytest
 
-from cuntzlab import (AlgebraElement, EndomorphismSpec, NotHomogeneousError,
-                      Permutation, embed_degree0, homogeneous_parts,
+from cuntzlab import (AlgebraElement, DimensionCapError, EndomorphismSpec,
+                      NotHomogeneousError, Permutation, embed_degree0, homogeneous_parts,
                       norm_bounds, operator_norm, parse_element, perm_unitary,
                       psi)
 from cuntzlab.sampling import random_element, random_homogeneous
@@ -106,6 +106,39 @@ def test_reconstruction_and_norm_bound(rng):
         nx = operator_norm(x)
         for val in dec.part_norms().values():
             assert val <= nx + tol
+
+
+def test_gram_identity_exact(rng):
+    """sum_J T_J^* T_J = X^* X for degree >= 0, sum_J T_J T_J^* = X X^*
+    for degree < 0: equal as algebra elements, with no tolerance."""
+    for p, l in ((1, 3), (0, 2), (2, 2), (3, 3), (0, 0), (3, 1), (2, 0)):
+        for _ in range(4):
+            x = random_homogeneous(rng, 2, p, l)
+            dec = homogeneous_parts(x, 3)
+            assert dec.degree == p - l
+            square = x.adjoint() * x if p >= l else x * x.adjoint()
+            assert dec.gram() == square, (p, l, str(x))
+
+
+def test_contractible_element_at_depth_zero():
+    # s_11 s_1^* + s_12 s_2^* = s_1, whose canonical form has no right word
+    dec = homogeneous_parts(parse_element("s[11] t[1] + s[12] t[2]", 2), 0)
+    assert dec.parts == {(1,): {((), ()): 1}}
+
+
+def test_depth_below_canonical_words():
+    with pytest.raises(NotHomogeneousError, match="too small"):
+        homogeneous_parts(parse_element("s[111] t[11]", 2), 1)
+    with pytest.raises(NotHomogeneousError, match="too small"):
+        homogeneous_parts(parse_element("s[11] t[111]", 2), 1)
+
+
+def test_depth_past_dimension_cap(s1):
+    with pytest.raises(DimensionCapError):
+        homogeneous_parts(s1, 11)
+    with pytest.raises(DimensionCapError):
+        homogeneous_parts(s1, 10 ** 9)
+    assert homogeneous_parts(s1, 10).k == 10
 
 
 def test_embed_multiplicative_isometric(rng):

@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
-from cuntzlab import AlgebraElement, ParseError, format_element, parse_element
+from cuntzlab import (AlgebraElement, GaussianRational, ParseError,
+                      format_element, parse_element)
 from cuntzlab.sampling import random_element
 
 
@@ -46,6 +49,15 @@ def test_errors_carry_positions():
         parse_element("1/2 *", 2)
     with pytest.raises(ParseError):
         parse_element("s[1] +", 2)
+
+
+def test_zero_denominator_in_imaginary_part():
+    for text in ("1+1/0i * s[1]", "1-3/0i"):
+        with pytest.raises(ParseError, match="zero denominator") as exc:
+            parse_element(text, 2)
+        assert exc.value.position == 2
+    assert parse_element("1-3/2i", 2) == \
+        AlgebraElement.one(2).scaled(GaussianRational(1, Fraction(-3, 2)))
 
 
 def test_large_alphabets_rejected():
