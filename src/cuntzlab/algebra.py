@@ -10,13 +10,16 @@ coefficient dictionaries.  All values are immutable.
 Degree-0 elements at level m are N^m x N^m matrices (F_N^m = M_{N^m}).
 Products and equality of pure degree-0 elements go to an exact dense
 kernel when its work, priced at a fixed number of multiply-adds per
-sparse term pair, is no larger than the sparse work it replaces;
-everything else takes the sparse monomial path.  An element keeps the
-exact matrix the kernel made of it, and a lower-level matrix serves a
-higher level by a Kronecker product with the identity.  Elements the
-kernel made (products, sums, adjoints) build their terms, at the level
-they were made at, only when they are read; until then the sum of two
-of them, and the adjoint and the trace state of one, are read off the
+sparse term pair, is no larger than the sparse work it replaces, and,
+within a storage bound, whenever an operand is a kernel element whose
+terms are not built; everything else takes the sparse monomial path.  An
+element keeps the exact matrix the kernel made of it, with its nonzero
+count, largest numerator and realness read once, and a lower-level
+matrix serves a higher level by a Kronecker product with the identity.
+Elements the kernel made (products, sums, adjoints, theta images) build
+their terms, at the level they were made at, only when they are read;
+until then the sum of two of them, and the adjoint, the trace state and
+the theta image (`endomorphism.theta`) of one, are read off the
 matrices.  The kernel functions import numpy when routing first reaches
 them, so the sparse path runs without it.
 """
@@ -24,7 +27,6 @@ them, so the sparse path runs without it.
 from __future__ import annotations
 
 import itertools
-import operator
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
@@ -85,8 +87,8 @@ def _check_word(word: Word, n_gens: int) -> Word:
 class AlgebraElement:
     """Finite linear combination of monomials s_I s_J^* (no zero terms stored)."""
 
-    # _matrix: memo (m, real, imaginary, denominator) of the kernel's exact
-    # matrix at level m; _shape_set: memo of _shapes.  Constructors leave
+    # _matrix: memo (a _Matrix) of the kernel's exact matrix at the highest
+    # level asked of it; _shape_set: memo of _shapes.  Constructors leave
     # both unset (read them with getattr(..., None)), so building an
     # element costs no more for them.
     __slots__ = ("n_gens", "_terms", "_matrix", "_shape_set")
@@ -266,7 +268,8 @@ class AlgebraElement:
         targets = self._common_targets(other)
         m = targets.get(0, 0)
         if len(targets) == 1 and m and _dense_fits(
-                self.n_gens ** m, _size(self), _size(other), product=False):
+                self.n_gens ** m, _size(self), _size(other), product=False,
+                held=_unbuilt(self) or _unbuilt(other)):
             return _dense_eq(self, other, m)
         return self.level(targets)._terms == other.level(targets)._terms
 
@@ -431,10 +434,10 @@ def _wrap(n_gens: int, terms: Dict[Monomial, GaussianRational]) -> AlgebraElemen
 
 
 class _KernelElement(AlgebraElement):
-    """An element made by the dense kernel (a product, sum or adjoint): it
-    holds its exact matrix and builds its terms the first time they are
-    read.  (A hook for a missing attribute on AlgebraElement itself would
-    slow every attribute read.)"""
+    """An element made by the dense kernel (a product, sum, adjoint or
+    theta image): it holds its exact matrix and builds its terms the first
+    time they are read.  (A hook for a missing attribute on AlgebraElement
+    itself would slow every attribute read.)"""
 
     __slots__ = ()
 
@@ -442,7 +445,7 @@ class _KernelElement(AlgebraElement):
         # reached only while the _terms slot is unassigned
         if name != "_terms":
             raise AttributeError(f"'AlgebraElement' object has no attribute {name!r}")
-        self._terms = _matrix_terms(self.n_gens, *_held(self))
+        self._terms = _matrix_terms(self.n_gens, _held(self))
         return self._terms
 
 
@@ -459,14 +462,15 @@ def _built_terms(elem: AlgebraElement) -> Optional[Dict[Monomial, GaussianRation
 
 def _size(elem: AlgebraElement) -> int:
     """The number of terms, which for a kernel element is the number of
-    nonzero entries of its matrix; read without building terms."""
+    nonzero entries of its matrix at the level it was made at; read
+    without building terms."""
     terms = _built_terms(elem)
     if terms is not None:
         return len(terms)
-    import numpy as np
-
-    _, re, im, _ = _held(elem)
-    return int(np.count_nonzero((re != 0) | (im != 0)))
+    memo = elem._matrix
+    (m, _), = elem._shape_set
+    # the memo may be re-leveled past m: kron(M, I_k) has k times M's entries
+    return memo.nnz // elem.n_gens ** (memo.m - m)
 
 
 def _shapes(elem: AlgebraElement) -> set:
@@ -484,46 +488,68 @@ def _shapes(elem: AlgebraElement) -> set:
 # N^(m-r)-square block at rows pack(I) N^(m-r) + t, columns
 # pack(J) N^(m-r) + t.  A matrix is a pair of integer numerator matrices
 # (real, imaginary) over one common denominator, int64 when a bound on its
-# entries fits and Python ints otherwise.  Each element keeps the matrix
-# at the highest level asked of it, read-only, so an operand used twice is
-# densified once: a matrix at level m0 gives the one at m > m0 as
-# kron(M, I_(N^(m-m0))), since one leveling step is x -> x (x) I_N, and the
-# one at m < m0 as its entries at the rows and columns N^(m0-m) divides.
-# A product, a sum of two kernel elements and the adjoint of a kernel
-# element are kernel elements: each keeps the matrix it computed, in
-# lowest terms, and builds its terms from it only when they are read, at
-# the level it was made at; the trace state of one with no terms is its
-# normalized matrix trace.
+# entries fits and Python ints otherwise, kept as a _Matrix with the facts
+# routing and the kernel read: its nonzero count, its largest |numerator|
+# and whether it is real, each taken once when the matrix is made.  Each
+# element keeps the matrix at the highest level asked of it, read-only, so
+# an operand used twice is densified once: a matrix at level m0 gives the
+# one at m > m0 as kron(M, I_(N^(m-m0))), since one leveling step is
+# x -> x (x) I_N, and the one at m < m0 as its entries at the rows and
+# columns N^(m0-m) divides.  A product, a sum of two kernel elements, the
+# adjoint of a kernel element and theta of one are kernel elements, as is
+# an element _hold hands to the kernel: each keeps its matrix (a computed
+# one in lowest terms) and builds its terms from it only when they are
+# read, at the level it was made at; the trace state of one with no terms
+# is its normalized matrix trace.  theta(s_I s_J^*) = sum_i s_{iI} s_{iJ}^*
+# puts M on each diagonal block one level up, so theta of a level-m kernel
+# element is kron(I_N, M) at level m + 1.
 #
-# Routing compares work, so it needs no tuning.  With both operands pure
-# degree 0 at level m, a product goes dense when its N^(3m) multiply-adds
-# (MACs) are at most _DENSE_MACS_PER_PAIR per term pair |a| |b| the sparse
-# rule may visit, and a comparison when the N^(2m) entries are at most
-# _DENSE_ENTRIES_PER_TERM per operand term, which also bounds what any
-# dense call allocates.  Both also need enough sparse work to pay for a
-# kernel call, whose numpy overhead costs about as much as
+# Routing compares work, so it needs no tuning.  No kernel matrix has more
+# than _DENSE_ENTRIES_PER_TERM entries per term of the operands it is made
+# from, which bounds what any dense call allocates.  A product or a
+# comparison with an operand that holds a matrix and no terms, and theta
+# of such an element, stay on the kernel whenever that bound holds: the
+# sparse path would first build the operand's terms.  Building the terms
+# of a held E/F projection word took 8, 46 and 730 us at levels 1, 3 and
+# 5, against 13-24 us for a kernel product at those levels, so past level
+# 1 the kernel call is 4 to 30 times cheaper.  Otherwise, with both
+# operands pure degree 0 at level m, a product goes dense when its N^(3m)
+# multiply-adds (MACs) are at most _DENSE_MACS_PER_PAIR per term pair
+# |a| |b| the sparse rule may visit, and a comparison when the N^(2m)
+# entries fit the bound.  Both then also need enough sparse work to pay
+# for a kernel call, whose numpy overhead costs about as much as
 # _DENSE_CALL_COST sparse term operations.
 #
 # _DENSE_MACS_PER_PAIR = 4 is the smallest round ratio that puts the
-# level-3 product of the E/F chain P_q = q_1 theta(q_2)... on the kernel
-# (2^9 MACs against 12 x 12 pairs needs 3.6).  Measured on 2 cores with
-# Python 3.11 and numpy 2.4: an int64 MAC costs 1.0-4.8 ns (64 x 64 down
-# to 8 x 8 matmuls), an object-dtype MAC 35-45 ns and 115-132 ns for
-# 2^70-sized numerators, a sparse term pair 0.1-1.2 us.  At the bound
-# (levels 3-5, N = 2), a complex int64 kernel product from held matrices
-# took 0.2-0.9 times the time of the sparse product it replaces, but with
-# 2^70-sized numerators the object-dtype one took 1.6-3.8 times; no
-# benchmark workload forms object-dtype products in that window.
+# level-3 product of 12-term operands (2^9 MACs against 12 x 12 pairs
+# needs 3.6) on the kernel.  Measured on 2 cores with Python 3.11 and
+# numpy 2.4: an int64 MAC costs 1.0-4.8 ns (64 x 64 down to 8 x 8
+# matmuls), an object-dtype MAC 35-45 ns and 115-132 ns for 2^70-sized
+# numerators, a sparse term pair 0.1-1.2 us.  At the bound (levels 3-5,
+# N = 2), a complex int64 kernel product from held matrices took 0.2-0.9
+# times the time of the sparse product it replaces, but with 2^70-sized
+# numerators the object-dtype one took 1.6-3.8 times; no benchmark
+# workload forms object-dtype products in that window.  A product whose
+# every partial sum stays below 2^53 is exact in float64 and multiplies
+# through BLAS: a 32 x 32 matmul took 3.5-9.5 us there against 35-43 us
+# in int64.
 
 _INT64_MAX = 2 ** 63 - 1
+_FLOAT_EXACT = 2 ** 53  # float64 holds every integer below it
 _DENSE_ENTRIES_PER_TERM = 4
 _DENSE_CALL_COST = 128
 _DENSE_MACS_PER_PAIR = 4
 
 
-def _dense_fits(dim: int, size_a: int, size_b: int, product: bool) -> bool:
+def _dense_fits(dim: int, size_a: int, size_b: int, product: bool,
+                held: bool) -> bool:
+    """Whether an operation on operands of size_a and size_b terms goes to
+    the kernel at dimension dim; `held` when an operand is a kernel element
+    whose terms are not built."""
     if dim * dim > _DENSE_ENTRIES_PER_TERM * (size_a + size_b):
         return False
+    if held:
+        return True
     if product:
         pairs = size_a * size_b
         return dim ** 3 <= _DENSE_MACS_PER_PAIR * pairs and _DENSE_CALL_COST <= pairs
@@ -534,216 +560,296 @@ def _dense_mul_level(a: AlgebraElement, b: AlgebraElement) -> Optional[int]:
     """The level at which the kernel multiplies a and b, or None for the
     sparse rule."""
     n, size_a, size_b = a.n_gens, _size(a), _size(b)
-    if not _dense_fits(n, size_a, size_b, product=True):
+    held = _unbuilt(a) or _unbuilt(b)
+    if not _dense_fits(n, size_a, size_b, product=True, held=held):
         return None  # not even at level 1
     shapes = _shapes(a) | _shapes(b)
     if any(p != l for p, l in shapes):
         return None
     m = max(l for _, l in shapes)
-    return m if m and _dense_fits(n ** m, size_a, size_b, product=True) else None
+    return m if m and _dense_fits(n ** m, size_a, size_b, product=True,
+                                  held=held) else None
 
 
-# the (a + b i)/d triple of a GaussianRational
-_get_a, _get_b, _get_d = (operator.attrgetter(f"_{x}") for x in "abd")
+class _Matrix(NamedTuple):
+    """The exact level-m matrix (re + i im) / den, read-only, with nnz its
+    number of nonzero entries, top the largest |numerator| and real
+    whether im is zero."""
+
+    m: int
+    re: object
+    im: object
+    den: int
+    nnz: int
+    top: int
+    real: bool
 
 
-def _dense(elem: AlgebraElement, m: int, den: int):
-    """(real, imaginary) numerator matrices of a pure degree-0 element
-    leveled to m, over `den`, a multiple of every coefficient's
-    denominator."""
-    import numpy as np
-
-    n, dim, size = elem.n_gens, elem.n_gens ** m, len(elem._terms)
-    if not size:
-        return np.zeros((dim, dim), np.int64), np.zeros((dim, dim), np.int64)
-    lefts, rights = zip(*elem._terms)
-    coeffs = elem._terms.values()
-    res, ims = list(map(_get_a, coeffs)), list(map(_get_b, coeffs))
-    dens = list(map(_get_d, coeffs))
-    if dens.count(den) != size:
-        scale = list(map(operator.floordiv, itertools.repeat(den, size), dens))
-        res = list(map(operator.mul, res, scale))
-        ims = list(map(operator.mul, ims, scale))
-    # an entry sums the numerators of distinct terms
-    bound = sum(map(abs, res)) + sum(map(abs, ims))
-    dtype = np.int64 if bound <= _INT64_MAX else object
-    codes: Dict[Word, int] = {}  # pack_word of every word up to length m
-    for r in range(m + 1):
-        codes.update(zip(words(n, r), range(n ** r)))
-    block = n ** (m - np.fromiter(map(len, lefts), np.int64, size))
-    rows = np.fromiter(map(codes.__getitem__, lefts), np.int64, size) * block
-    cols = np.fromiter(map(codes.__getitem__, rights), np.int64, size) * block
-    # the diagonal of each term's block: (rows + t, cols + t), t < block
-    t = np.arange(block.sum()) - np.repeat(np.cumsum(block) - block, block)
-    flat = np.repeat(rows * dim + cols, block) + t * (dim + 1)
-    out = []
-    for nums in (res, ims):
-        mat = np.zeros(dim * dim, dtype=dtype)
-        # blocks of terms of different lengths may overlap
-        np.add.at(mat, flat, np.repeat(np.array(nums, dtype=dtype), block))
-        out.append(mat.reshape(dim, dim))
-    return out[0], out[1]
-
-
-def _degree0_matrix(elem: AlgebraElement, m: int):
-    """(real, imaginary, denominator) of a pure degree-0 element at level m
-    >= its longest word, exact; the denominator is a multiple of the
-    coefficients' denominators (their lcm when made from the terms).  The
-    element keeps the matrix at the highest level asked of it, and reads a
-    lower level off it as a strided view."""
-    memo = getattr(elem, "_matrix", None)
-    if memo is not None and memo[0] >= m:
-        m0, re, im, den = memo
-        if m0 == m:
-            return re, im, den
-        # kron(M, I_k) has M's entries at the rows and columns that k divides
-        k = elem.n_gens ** (m0 - m)
-        return re[::k, ::k], im[::k, ::k], den
-    if memo is not None:
-        m0, re, im, den = memo
-        k = elem.n_gens ** (m - m0)
-        re, im = _kron_identity(re, k), _kron_identity(im, k)
-    else:
-        den = lcm(*{c._d for c in elem._terms.values()})
-        re, im = _dense(elem, m, den)
+def _matrix(m: int, re, im, den: int, real: bool,
+            nnz: Optional[int] = None) -> _Matrix:
+    """The _Matrix of (re + i im) / den at level m, its facts read once
+    (nnz given when the caller has counted it)."""
+    if nnz is None:
+        nnz = _nonzeros(re, im, real)
+    top = int(abs(re).max()) if real else _max_abs(re, im)
     re.flags.writeable = im.flags.writeable = False
-    elem._matrix = (m, re, im, den)
-    return re, im, den
+    return _Matrix(m, re, im, den, nnz, top, real)
 
 
-def _kron_identity(mat, k: int):
-    """kron(mat, I_k), in mat's dtype; as np.kron, without its overhead."""
+def _nonzeros(re, im, real: bool) -> int:
     import numpy as np
 
-    d = len(mat)
-    out = np.zeros((d, k, d, k), mat.dtype)
-    t = np.arange(k)
-    out[:, t, :, t] = mat  # entry (i k + t, j k + t) is mat[i, j]
-    return out.reshape(d * k, d * k)
-
-
-def _scaled(re, im, factor: int):
-    """Both numerator matrices times `factor`, exact."""
-    if factor == 1:
-        return re, im
-    if max(_max_abs(re, im), 1) * factor > _INT64_MAX:
-        re, im = re.astype(object), im.astype(object)
-    return re * factor, im * factor
-
-
-def _dense_eq(a: AlgebraElement, b: AlgebraElement, m: int) -> bool:
-    import numpy as np
-
-    a_re, a_im, den_a = _degree0_matrix(a, m)
-    b_re, b_im, den_b = _degree0_matrix(b, m)
-    # x / den_a = y / den_b  iff  x (den_b / g) = y (den_a / g)
-    g = gcd(den_a, den_b)
-    a_re, a_im = _scaled(a_re, a_im, den_b // g)
-    b_re, b_im = _scaled(b_re, b_im, den_a // g)
-    return bool(np.array_equal(a_re, b_re) and np.array_equal(a_im, b_im))
+    return int(np.count_nonzero(re if real else (re != 0) | (im != 0)))
 
 
 def _max_abs(*mats) -> int:
     return max(int(abs(x).max()) for x in mats)
 
 
+def _dense(elem: AlgebraElement, m: int) -> _Matrix:
+    """The _Matrix of a pure degree-0 element leveled to m, made from its
+    terms over the lcm of the coefficients' denominators."""
+    import numpy as np
+
+    n, dim = elem.n_gens, elem.n_gens ** m
+    den = lcm(*{c._d for c in elem._terms.values()})
+    codes: Dict[Word, int] = {}  # pack_word of every word up to length m
+    for r in range(m + 1):
+        codes.update(zip(words(n, r), range(n ** r)))
+    res: Dict[int, int] = {}  # flat index -> numerator
+    ims: Dict[int, int] = {}
+    bound = 0  # an entry sums the numerators of distinct terms
+    for (left, right), c in elem._terms.items():
+        scale = den // c._d
+        a, b = c._a * scale, c._b * scale
+        bound += abs(a) + abs(b)
+        # the diagonal of the term's block; blocks of terms of different
+        # lengths may overlap
+        block = n ** (m - len(left))
+        start = (codes[left] * dim + codes[right]) * block
+        for idx in range(start, start + block * (dim + 1), dim + 1):
+            if a:
+                res[idx] = res.get(idx, 0) + a
+            if b:
+                ims[idx] = ims.get(idx, 0) + b
+    dtype = np.int64 if bound <= _INT64_MAX else object
+    re, im = np.zeros(dim * dim, dtype), np.zeros(dim * dim, dtype)
+    re[list(res)] = list(res.values())
+    im[list(ims)] = list(ims.values())
+    return _matrix(m, re.reshape(dim, dim), im.reshape(dim, dim), den,
+                   not any(ims.values()))
+
+
+def _degree0_matrix(elem: AlgebraElement, m: int) -> _Matrix:
+    """The _Matrix of a pure degree-0 element at level m >= its longest
+    word, exact; the denominator is a multiple of the coefficients'
+    denominators (their lcm when made from the terms).  The element keeps
+    the matrix at the highest level asked of it, and reads a lower level
+    off it as a strided view."""
+    memo = getattr(elem, "_matrix", None)
+    if memo is not None and memo.m >= m:
+        if memo.m == m:
+            return memo
+        # kron(M, I_k) has M's entries at the rows and columns that k divides
+        k = elem.n_gens ** (memo.m - m)
+        return _Matrix(m, memo.re[::k, ::k], memo.im[::k, ::k], memo.den,
+                       memo.nnz // k, memo.top, memo.real)
+    if memo is not None:
+        mat = _kron_identity(memo, m, elem.n_gens ** (m - memo.m), inner=True)
+    else:
+        mat = _dense(elem, m)
+    elem._matrix = mat
+    return mat
+
+
+def _kron_identity(mat: _Matrix, m: int, k: int, inner: bool) -> _Matrix:
+    """mat at level m, k-fold bigger: kron(M, I_k) when `inner`, as
+    leveling makes it, else kron(I_k, M), as theta makes it; in M's dtype,
+    as np.kron without its overhead."""
+    import numpy as np
+
+    d, t = len(mat.re), np.arange(k)
+    out = []
+    for part in (mat.re,) if mat.real else (mat.re, mat.im):
+        big = np.zeros((d, k, d, k) if inner else (k, d, k, d), part.dtype)
+        if inner:
+            big[:, t, :, t] = part  # entry (i k + t, j k + t) is M[i, j]
+        else:
+            big[t, :, t, :] = part  # entry (t d + i, t d + j) is M[i, j]
+        out.append(big.reshape(d * k, d * k))
+    if mat.real:
+        out.append(np.zeros((d * k, d * k), mat.re.dtype))
+    out[0].flags.writeable = out[1].flags.writeable = False
+    return _Matrix(m, out[0], out[1], mat.den, mat.nnz * k, mat.top, mat.real)
+
+
+def _scaled(mat: _Matrix, factor: int):
+    """(real, imaginary, largest |numerator|) of mat's numerators times
+    `factor`, exact."""
+    if factor == 1:
+        return mat.re, mat.im, mat.top
+    re, im = mat.re, mat.im
+    if max(mat.top, 1) * factor > _INT64_MAX:
+        re, im = re.astype(object), im.astype(object)
+    return re * factor, im * factor, mat.top * factor
+
+
+def _dense_eq(a: AlgebraElement, b: AlgebraElement, m: int) -> bool:
+    import numpy as np
+
+    x, y = _degree0_matrix(a, m), _degree0_matrix(b, m)
+    if x.nnz != y.nnz or x.real != y.real:
+        return False
+    # x / den_a = y / den_b  iff  x (den_b / g) = y (den_a / g)
+    g = gcd(x.den, y.den)
+    a_re, a_im, _ = _scaled(x, y.den // g)
+    b_re, b_im, _ = _scaled(y, x.den // g)
+    return bool(np.array_equal(a_re, b_re)
+                and (x.real or np.array_equal(a_im, b_im)))
+
+
 def _dense_mul(a: AlgebraElement, b: AlgebraElement, m: int) -> AlgebraElement:
     import numpy as np
 
     n = a.n_gens
-    a_re, a_im, den_a = _degree0_matrix(a, m)
-    b_re, b_im, den_b = _degree0_matrix(b, m)
-    # each entry of the product is a sum of 2 N^m products of entries
-    if _max_abs(a_re, a_im) * _max_abs(b_re, b_im) * 2 * n ** m > _INT64_MAX:
-        a_re, a_im, b_re, b_im = (x.astype(object) for x in (a_re, a_im, b_re, b_im))
+    x, y = _degree0_matrix(a, m), _degree0_matrix(b, m)
     # an imaginary part that is zero drops the matmuls it takes part in
-    a_cx, b_cx = a_im.any(), b_im.any()
-    re = a_re @ b_re
-    im = np.zeros_like(re)  # in the dtype of the products
-    if a_cx and b_cx:
-        re -= a_im @ b_im
-    if b_cx:
-        im += a_re @ b_im
-    if a_cx:
-        im += a_im @ b_re
-    return _lowest_terms(n, m, re, im, den_a * den_b)
+    a_parts = (x.re,) if x.real else (x.re, x.im)
+    b_parts = (y.re,) if y.real else (y.re, y.im)
+    # each entry of the product is a sum of 2 N^m products of entries; below
+    # 2^53 every partial sum is exact in float64, whose matmul is BLAS
+    bound = x.top * y.top * 2 * n ** m
+    dtype = float if bound < _FLOAT_EXACT else object if bound > _INT64_MAX else None
+    if dtype is not None:
+        a_parts = [v.astype(dtype) for v in a_parts]
+        b_parts = [v.astype(dtype) for v in b_parts]
+    re = a_parts[0] @ b_parts[0]
+    im = None
+    if not y.real:
+        im = a_parts[0] @ b_parts[1]
+    if not x.real:
+        im = a_parts[1] @ b_parts[0] if im is None else im + a_parts[1] @ b_parts[0]
+        if not y.real:
+            re -= a_parts[1] @ b_parts[1]
+    if dtype is float:
+        re = re.astype(np.int64)
+        im = None if im is None else im.astype(np.int64)
+    return _lowest_terms(n, m, re, im, x.den * y.den)
 
 
 def _dense_add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """a + b for two kernel elements without terms, at the higher of their
     levels."""
     m = max(l for _, l in _shapes(a) | _shapes(b))
-    a_re, a_im, den_a = _degree0_matrix(a, m)
-    b_re, b_im, den_b = _degree0_matrix(b, m)
+    x, y = _degree0_matrix(a, m), _degree0_matrix(b, m)
     # x / den_a + y / den_b = (x (den_b / g) + y (den_a / g)) / lcm
-    g = gcd(den_a, den_b)
-    a_re, a_im = _scaled(a_re, a_im, den_b // g)
-    b_re, b_im = _scaled(b_re, b_im, den_a // g)
-    if _max_abs(a_re, a_im) + _max_abs(b_re, b_im) > _INT64_MAX:
-        a_re, a_im, b_re, b_im = (x.astype(object) for x in (a_re, a_im, b_re, b_im))
-    return _lowest_terms(a.n_gens, m, a_re + b_re, a_im + b_im, den_a // g * den_b)
+    g = gcd(x.den, y.den)
+    a_re, a_im, a_top = _scaled(x, y.den // g)
+    b_re, b_im, b_top = _scaled(y, x.den // g)
+    if a_top + b_top > _INT64_MAX:
+        a_re, a_im, b_re, b_im = (v.astype(object) for v in (a_re, a_im, b_re, b_im))
+    im = None if x.real and y.real else a_im + b_im
+    return _lowest_terms(a.n_gens, m, a_re + b_re, im, x.den // g * y.den)
 
 
 def _dense_adjoint(elem: AlgebraElement) -> AlgebraElement:
     """The adjoint of an element with no terms: the conjugate transpose."""
-    m, re, im, den = _held(elem)
-    im = -im.T
-    im.flags.writeable = False
-    return _held_element(elem.n_gens, m, re.T, im, den)
+    mat = _held(elem)
+    im = mat.im.T
+    if not mat.real:
+        im = -im
+        im.flags.writeable = False
+    return _held_element(elem.n_gens, _Matrix(mat.m, mat.re.T, im, mat.den,
+                                              mat.nnz, mat.top, mat.real))
 
 
 def _dense_trace(elem: AlgebraElement) -> GaussianRational:
     """The trace state of an element with no terms: tr / (den N^m)."""
-    m, re, im, den = _held(elem)
-    return _reduce(sum(re.diagonal().tolist()), sum(im.diagonal().tolist()),
-                   den * elem.n_gens ** m)
+    mat = _held(elem)
+    return _reduce(sum(mat.re.diagonal().tolist()), sum(mat.im.diagonal().tolist()),
+                   mat.den * elem.n_gens ** mat.m)
+
+
+def _held_theta(elem: AlgebraElement) -> Optional[AlgebraElement]:
+    """theta(elem) as the kernel element kron(I_N, M) at level m + 1, for
+    a level-m kernel element with no terms whose image fits the storage
+    bound (theta has N terms per term of elem); None otherwise, and theta
+    rewrites the words."""
+    if not _unbuilt(elem):
+        return None
+    n, mat = elem.n_gens, _held(elem)
+    if not _dense_fits(n ** (mat.m + 1), n * mat.nnz, 0, product=False, held=True):
+        return None
+    return _held_element(n, _kron_identity(mat, mat.m + 1, n, inner=False))
+
+
+def _hold(elem: AlgebraElement) -> AlgebraElement:
+    """elem as a kernel element that holds its matrix at the level of its
+    longest words and builds its terms only when read, when it is pure
+    degree 0 and that matrix fits the storage bound; otherwise elem."""
+    shapes = _shapes(elem)
+    if _unbuilt(elem) or not shapes or any(p != l for p, l in shapes):
+        return elem
+    m = max(l for _, l in shapes)
+    if not m or not _dense_fits(elem.n_gens ** m, _size(elem), 0, product=False,
+                                held=True):
+        return elem
+    return _held_element(elem.n_gens, _degree0_matrix(elem, m))
 
 
 def _lowest_terms(n: int, m: int, re, im, den: int) -> AlgebraElement:
     """The element of the level-m matrix (re + i im) / den, with the
-    denominator reduced to the lcm of the entries' reduced denominators."""
+    denominator reduced to the lcm of the entries' reduced denominators;
+    im None for a zero imaginary part."""
     import numpy as np
 
-    if not (re.any() or im.any()):
+    real = im is None or not im.any()
+    nnz = _nonzeros(re, im, real)
+    if not nnz:
         return _wrap(n, {})
-    g = gcd(den, int(np.gcd.reduce(re.ravel())), int(np.gcd.reduce(im.ravel())))
+    g = gcd(den, int(np.gcd.reduce(re.ravel())))
+    if real:
+        im = np.zeros(re.shape, re.dtype)
+    else:
+        g = gcd(g, int(np.gcd.reduce(im.ravel())))
     if g != 1:
-        re, im = re // g, im // g
-    re.flags.writeable = im.flags.writeable = False
-    return _held_element(n, m, re, im, den // g)
+        re = re // g
+        im = im if real else im // g
+    return _held_element(n, _matrix(m, re, im, den // g, real, nnz))
 
 
-def _held_element(n: int, m: int, re, im, den: int) -> AlgebraElement:
-    """An element that holds the read-only level-m matrix (re + i im) / den,
-    in lowest terms, and builds its terms when they are read."""
+def _held_element(n: int, mat: _Matrix) -> AlgebraElement:
+    """An element that holds the matrix `mat` and builds its terms when
+    they are read."""
     out = object.__new__(_KernelElement)
     out.n_gens = n
-    out._matrix = (m, re, im, den)
-    out._shape_set = {(m, m)}
+    out._matrix = mat
+    out._shape_set = {(mat.m, mat.m)}
     return out
 
 
 def _unbuilt(elem: AlgebraElement) -> bool:
     """Whether elem is a kernel element that has not built its terms; its
-    sums with another such element, its adjoint and its trace state read
-    its matrix in place of terms."""
+    sums with another such element, its adjoint, its trace state and its
+    theta image read its matrix in place of terms."""
     return _built_terms(elem) is None
 
 
-def _held(elem: AlgebraElement):
-    """(m, real, imaginary, denominator) of a kernel element at the level m
-    of the terms it builds, which the level of its memo may exceed."""
+def _held(elem: AlgebraElement) -> _Matrix:
+    """The matrix of a kernel element at the level m of the terms it
+    builds, which the level of its memo may exceed."""
     (m, _), = elem._shape_set
-    return (m, *_degree0_matrix(elem, m))
+    return _degree0_matrix(elem, m)
 
 
-def _matrix_terms(n: int, m: int, re, im, den: int) -> Dict[Monomial, GaussianRational]:
+def _matrix_terms(n: int, mat: _Matrix) -> Dict[Monomial, GaussianRational]:
     """The term dict of a level-m matrix: s_I s_J^* with |I| = |J| = m for
     each nonzero entry.  Equal entries share one scalar."""
     import numpy as np
 
-    flat = np.flatnonzero((re != 0) | (im != 0))
-    ws = list(words(n, m))
+    re, im = mat.re, mat.im
+    flat = np.flatnonzero(re if mat.real else (re != 0) | (im != 0))
+    ws = list(words(n, mat.m))
     dim = len(ws)
     shared: Dict[Tuple[int, int], GaussianRational] = {}
     out: Dict[Monomial, GaussianRational] = {}
@@ -751,7 +857,7 @@ def _matrix_terms(n: int, m: int, re, im, den: int) -> Dict[Monomial, GaussianRa
                          im.ravel()[flat].tolist()):
         c = shared.get((x, y))
         if c is None:
-            c = shared[x, y] = _reduce(x, y, den)
+            c = shared[x, y] = _reduce(x, y, mat.den)
         row, col = divmod(idx, dim)
         out[Monomial(ws[row], ws[col])] = c
     return out

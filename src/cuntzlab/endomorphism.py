@@ -13,16 +13,21 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .algebra import (AlgebraElement, Monomial, Word, _wrap, pack_word,
-                      unpack_word, words)
+from .algebra import (AlgebraElement, Monomial, Word, _held_theta, _wrap,
+                      pack_word, unpack_word, words)
 from .errors import AlphabetMismatchError, NotUnitaryError, ParseError
 from .scalars import GaussianRational
 
 
 def theta(a: AlgebraElement) -> AlgebraElement:
-    """The canonical shift x -> sum_i s_i x s_i^*, by word rewriting:
+    """The canonical shift x -> sum_i s_i x s_i^*.  A kernel element with
+    no terms maps to the matrix kron(I_N, M) one level up (see
+    `algebra`); anything else by word rewriting:
     theta(s_I s_J^*) = sum_i s_{iI} s_{iJ}^*.  Distinct (i, I, J) give
     distinct monomials, so every coefficient carries over unchanged."""
+    held = _held_theta(a)
+    if held is not None:
+        return held
     n = a.n_gens
     out: Dict[Monomial, GaussianRational] = {}
     for (left, right), coeff in a.terms.items():

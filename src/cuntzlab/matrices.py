@@ -57,9 +57,17 @@ class OperatorMatrix:
         ))
 
 
+def _require_within_cap(n: int, k: int) -> None:
+    # N >= 2, so past the cap's bit length N^k is over the cap
+    if k > DIM_CAP.bit_length() or n ** k > DIM_CAP:
+        raise DimensionCapError(f"matrix dimension {n}^{k} exceeds cap {DIM_CAP}")
+
+
 def psi(x: AlgebraElement, k: int) -> OperatorMatrix:
-    """Psi_k(X): entry (K, M) = s_K^* X s_M."""
+    """Psi_k(X): entry (K, M) = s_K^* X s_M, by 2 N^(2k) symbolic products;
+    N^k is capped at DIM_CAP."""
     n = x.n_gens
+    _require_within_cap(n, k)
     basis = [AlgebraElement.isometry(n, w) for w in words(n, k)]
     rows = tuple(
         tuple(sk.adjoint() * x * sm for sm in basis) for sk in basis
@@ -78,11 +86,11 @@ def embed_degree0(x: AlgebraElement) -> np.ndarray:
     dim = n ** m
     if dim > DIM_CAP:
         raise DimensionCapError(f"matrix dimension {dim} exceeds cap {DIM_CAP}")
-    re, im, den = _degree0_matrix(x, m)
+    mat = _degree0_matrix(x, m)
     out = np.empty((dim, dim), dtype=complex)
     # Python int division rounds each entry once, as complex(c) does
-    out.real = (re.astype(object) / den).astype(float)
-    out.imag = (im.astype(object) / den).astype(float)
+    out.real = (mat.re.astype(object) / mat.den).astype(float)
+    out.imag = (mat.im.astype(object) / mat.den).astype(float)
     return out
 
 
@@ -143,10 +151,6 @@ class HomogeneousDecomposition:
             out[j_word] = mat
         return out
 
-    def part_norms(self) -> Dict[Word, float]:
-        return {j: float(np.sqrt(max(largest_eigenvalue(m.conj().T @ m), 0.0)))
-                for j, m in self.numeric().items()}
-
     def gram(self) -> AlgebraElement:
         """sum_J T_J^* T_J (degree >= 0) or sum_J T_J T_J^* (degree < 0),
         with T_J the degree-0 element sum (T_J)_{K,M} s_K s_M^*.  It equals
@@ -191,9 +195,7 @@ def homogeneous_parts(x: AlgebraElement, k: int) -> HomogeneousDecomposition:
         raise NotHomogeneousError("decomposition requires a homogeneous element")
     d = next(iter(degs), 0)
     n = x.n_gens
-    # N >= 2, so past the cap's bit length N^k is over the cap
-    if k > DIM_CAP.bit_length() or n ** k > DIM_CAP:
-        raise DimensionCapError(f"matrix dimension {n}^{k} exceeds cap {DIM_CAP}")
+    _require_within_cap(n, k)
     canon = (x if d >= 0 else x.adjoint()).canonical()
     longest = canon.max_right_length(abs(d))
     if longest > k:

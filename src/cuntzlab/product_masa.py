@@ -19,9 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .algebra import AlgebraElement, Monomial, words
+from .algebra import AlgebraElement, Monomial, _hold, words
 from .dynamics import DEFAULT_BUDGET, CantorDynamics
-from .endomorphism import EndomorphismSpec, Permutation, theta_power
+from .endomorphism import EndomorphismSpec, Permutation, theta
 from .errors import CylinderError, MasaNotInvariantError
 from .scalars import GaussianRational
 
@@ -44,14 +44,21 @@ def ef_generators(n_gens: int = 2) -> Tuple[AlgebraElement, AlgebraElement]:
 
 
 def ef_projection(word: EFWord, n_gens: int = 2) -> AlgebraElement:
-    """P_q = q_1 theta(q_2) ... theta^{m-1}(q_m) for q over {1=E, 2=F}."""
-    e, f = ef_generators(n_gens)
-    out = AlgebraElement.one(n_gens)
-    for pos, letter in enumerate(word):
+    """P_q = q_1 theta(q_2) ... theta^{m-1}(q_m) for q over {1=E, 2=F},
+    folded from the right as P_q = q_1 theta(P_{q_2 ... q_m}), theta being
+    a homomorphism: m - 1 theta calls and m - 1 products.  E and F enter
+    as kernel elements that hold their level-1 matrices where those fit
+    the kernel's storage bound, so for N = 2 the whole chain stays on the
+    kernel."""
+    for letter in word:
         if letter not in (1, 2):
             raise ValueError(f"E/F letter {letter!r} is not 1 (E) or 2 (F)")
-        q = e if letter == 1 else f
-        out = out * theta_power(pos, q)
+    if not word:
+        return AlgebraElement.one(n_gens)
+    e, f = (_hold(q) for q in ef_generators(n_gens))
+    out = e if word[-1] == 1 else f
+    for letter in reversed(word[:-1]):
+        out = (e if letter == 1 else f) * theta(out)
     return out
 
 

@@ -2,7 +2,6 @@
 form, gauge structure, and agreement of the product with an independent
 small-step word-rewriting oracle."""
 
-import contextlib
 import itertools
 import random
 from fractions import Fraction
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 
 from cuntzlab import (AlgebraElement, AlphabetMismatchError, GaussianRational,
                       LevelError, Monomial, ef_projection, format_element,
-                      words)
+                      theta, words)
 from cuntzlab import algebra
 from cuntzlab.sampling import random_element
 
@@ -375,19 +374,6 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def sparse_reference(monkeypatch):
-    """A context in which every product, comparison, sum, adjoint and trace
-    state takes the sparse monomial path, the reference for the kernel."""
-    @contextlib.contextmanager
-    def context():
-        with monkeypatch.context() as mp:
-            mp.setattr(algebra, "_dense_fits", lambda *args, **kwargs: False)
-            mp.setattr(algebra, "_unbuilt", lambda elem: False)
-            yield
-    return context
-
-
 def _random_degree0(rng, n, m, size, coeff):
     """`size` distinct degree-0 monomials with words of length <= m (one of
     them of length m), each with a nonzero coefficient from `coeff(rng)`."""
@@ -555,8 +541,8 @@ def test_dense_eq_across_denominators(coeff, kernel_calls, sparse_reference):
     x = _random_degree0(rng, 2, 4, 100, coeff)
     y = _same_value_new_denominator(x, 1009)
     assert x.terms != y.terms
-    x_re, _, x_den = algebra._degree0_matrix(x, 4)
-    _, _, y_den = algebra._degree0_matrix(y, 4)
+    x_re, _, x_den = algebra._degree0_matrix(x, 4)[1:4]
+    _, _, y_den = algebra._degree0_matrix(y, 4)[1:4]
     assert y_den == 1009 * x_den
     if coeff is _huge_complex:
         assert x_re.dtype == np.int64 and algebra._max_abs(x_re) * 1009 > 2 ** 63
@@ -608,14 +594,14 @@ def test_held_matrix_releveled_by_kronecker_product(kernel_calls,
     with sparse_reference():
         want_x, want_y = a * b, c * d
     # x's level-3 memo answers at level 5 with no terms built
-    re, im, den = algebra._degree0_matrix(x, 5)
-    want_re, want_im, want_den = algebra._degree0_matrix(want_x, 5)
+    re, im, den = algebra._degree0_matrix(x, 5)[1:4]
+    want_re, want_im, want_den = algebra._degree0_matrix(want_x, 5)[1:4]
     assert den == want_den == x._matrix[3] and x._matrix[0] == 5
     assert np.array_equal(re, want_re) and np.array_equal(im, want_im)
     # and the level-5 memo answers at level 3 and 4, again exactly
     for m in (3, 4):
-        got_re, got_im, _ = algebra._degree0_matrix(x, m)
-        want_re, want_im, _ = algebra._degree0_matrix(want_x.level({0: m}), m)
+        got_re, got_im, _ = algebra._degree0_matrix(x, m)[1:4]
+        want_re, want_im, _ = algebra._degree0_matrix(want_x.level({0: m}), m)[1:4]
         assert np.array_equal(got_re, want_re) and np.array_equal(got_im, want_im)
     # x still reads as made: its size, adjoint and terms are at level 3
     assert algebra._built_terms(x) is None and algebra._shapes(x) == {(3, 3)}
@@ -716,10 +702,46 @@ def test_held_trace_state_reads_the_matrix(kernel_calls, sparse_reference):
     assert y.trace_state() == want_y and kernel_calls["trace"] == 2
 
 
+# (N, level, |a|, |b|, coefficients): theta of the kernel product a b
+THETA_CASES = [(2, 3, 60, 60, _small_complex), (3, 2, 60, 60, _small_complex),
+               (2, 2, 12, 12, _big_complex)]
+
+
+@pytest.mark.parametrize("n, m, size_a, size_b, coeff", THETA_CASES)
+def test_held_theta_matches_theta_of_built_terms(n, m, size_a, size_b, coeff):
+    rng = random.Random(100 * n + m)
+    for _ in range(3):
+        x = _lazy_product(_random_degree0(rng, n, m, size_a, coeff),
+                          _random_degree0(rng, n, m, size_b, coeff))
+        got = theta(x)
+        # kron(I_N, M) one level up, with no terms built on either side
+        assert algebra._built_terms(got) is None and algebra._built_terms(x) is None
+        assert algebra._shapes(got) == {(m + 1, m + 1)}
+        assert algebra._size(got) == n * algebra._size(x)
+        x.terms  # from here on theta rewrites x's words
+        want = theta(x)
+        assert algebra._built_terms(want) is not None
+        assert got.terms == want.terms
+        assert got == want and theta(got) == theta(want)
+    if coeff is _big_complex:
+        assert x._matrix.re.dtype == object and not x._matrix.real
+
+
+def test_theta_past_the_storage_bound_rewrites_words():
+    # one nonzero entry at level 3: its level-4 image would hold 2^8
+    # entries for 2 terms
+    p = AlgebraElement.diagonal(2, (1, 2, 1))
+    x = algebra._held_element(2, algebra._dense(p, 3))
+    got = theta(x)
+    assert algebra._built_terms(got) is not None
+    assert got.terms == theta(p).terms
+
+
 def test_sparse_reference_uses_no_kernel_operation(kernel_calls,
                                                    sparse_reference):
     def run_ops(x, y):
-        return [x * y, x + y, x.adjoint(), x == y, x.trace_state(),
+        # theta first, while x holds no terms
+        return [theta(x), x * y, x + y, x.adjoint(), x == y, x.trace_state(),
                 x.adjoint() * x == x * x.adjoint()]
 
     x, y, _ = _held_pair(9, 3, 4)
@@ -727,6 +749,8 @@ def test_sparse_reference_uses_no_kernel_operation(kernel_calls,
     with sparse_reference():
         want = run_ops(x, y)
     assert kernel_calls == before
+    assert all(algebra._built_terms(r) is not None
+               for r in want if isinstance(r, AlgebraElement))
     x, y, _ = _held_pair(9, 3, 4)
     before = dict(kernel_calls)
     assert run_ops(x, y) == want
@@ -755,8 +779,8 @@ def test_kernel_product_of_int64_and_object_operands(kernel_calls,
                                                   rng.choice((-1, 1)))
                            for mono in picked[:100]})
     b = AlgebraElement(2, {mono: 2 ** 57 - k for k, mono in enumerate(picked[100:])})
-    assert algebra._degree0_matrix(a, 4)[0].dtype == np.int64
-    assert algebra._degree0_matrix(b, 4)[0].dtype == object
+    assert algebra._degree0_matrix(a, 4).re.dtype == np.int64
+    assert algebra._degree0_matrix(b, 4).re.dtype == object
     with sparse_reference():
         want = [a * b, b * a, b.adjoint() * a]
     got = [a * b, b * a, b.adjoint() * a]

@@ -77,6 +77,12 @@ def test_depth4_ef_projection_on_the_kernel_matches_sparse():
         assert calls and max(calls) == 4, calls
         algebra._dense_fits = lambda *args, **kwargs: False
         algebra._unbuilt = lambda elem: False
+        made = []
+        held_element = algebra._held_element
+        algebra._held_element = lambda *args: made.append(args) or held_element(*args)
         for q, p in kernel.items():
-            assert p.terms == cuntzlab.ef_projection(q).level({0: 4}).terms, q
+            sparse = cuntzlab.ef_projection(q)
+            assert algebra._built_terms(sparse) is not None, q
+            assert p.terms == sparse.level({0: 4}).terms, q
+        assert not made, len(made)
         """)

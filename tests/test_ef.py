@@ -3,6 +3,8 @@ sliding-block dynamics that yields the log-2 lower bound where the
 standard masa gives zero."""
 
 import itertools
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +14,7 @@ from cuntzlab import (AlgebraElement, CantorDynamics, EndomorphismSpec,
                       GaussianRational, JoinDynamics, MasaNotInvariantError,
                       NotUnitaryError, Permutation, ProductMasaDynamics,
                       ef_generators, ef_projection, parse_element,
-                      product_masa, theta)
+                      product_masa, theta, theta_power)
 from cuntzlab.checks import all_rank2_specs, ef_expansion_holds
 from cuntzlab.oracles import oracle_equivalence, oracle_map
 
@@ -40,6 +42,54 @@ def test_ef_generators_large_alphabet():
     assert e + f == AlgebraElement.one(10)
     assert x.adjoint() == x and x * x * x == x
     assert ef_projection((1, 2), 10) == e * theta(f)
+
+
+def _left_fold(word, n_gens=2):
+    """The oracle P_q = q_1 theta(q_2) ... theta^{m-1}(q_m), folded from
+    the left: m (m - 1) / 2 theta calls."""
+    e, f = ef_generators(n_gens)
+    out = AlgebraElement.one(n_gens)
+    for pos, letter in enumerate(word):
+        out = out * theta_power(pos, e if letter == 1 else f)
+    return out
+
+
+@pytest.mark.parametrize("n_gens, depth", [(2, 5), (3, 3)])
+def test_right_fold_matches_left_fold_oracle(n_gens, depth, sparse_reference):
+    # all 62 words of depth <= 5 for N = 2
+    qs = [q for m in range(1, depth + 1) for q in itertools.product((1, 2), repeat=m)]
+    for q in qs:
+        kernel = ef_projection(q, n_gens)
+        with sparse_reference():
+            got, want = ef_projection(q, n_gens), _left_fold(q, n_gens)
+        assert got.terms == want.terms, q
+        top = {0: len(q)}
+        assert kernel.level(top).terms == want.level(top).terms, q
+
+
+@pytest.mark.parametrize("depth", range(7))
+def test_depth_m_word_makes_m_minus_1_theta_calls(depth, monkeypatch):
+    calls = []
+    original = product_masa.theta
+    monkeypatch.setattr(product_masa, "theta",
+                        lambda a: calls.append(a) or original(a))
+    ef_projection(((1, 2, 2) * 3)[:depth])
+    assert len(calls) == max(depth - 1, 0)
+
+
+def test_large_alphabet_projection_keeps_to_the_storage_bound():
+    # at N = 10 no E/F matrix fits the kernel's storage bound, so the word
+    # takes the sparse path; a held level-4 matrix would take about 1.6 GB
+    ef_projection((1, 2), 10)
+    tracemalloc.start()
+    start = time.perf_counter()
+    p = ef_projection((1, 2, 1, 2), 10)
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert len(p.terms) == 5184
+    assert peak < 16 * 2 ** 20, peak  # about 3 MB
+    assert elapsed < 3.0, elapsed  # about 0.2 s
 
 
 @pytest.mark.parametrize("word", [(1, 3), (0,), (2, 1, -1), (1.5,)])

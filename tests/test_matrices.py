@@ -96,16 +96,16 @@ def test_decomposition_requires_homogeneity(s1):
 
 
 def test_reconstruction_and_norm_bound(rng):
-    k, tol = 3, 1e-9
+    # the exact identity sum_J T_J^* T_J = X^* X (X X^* for degree < 0),
+    # a sum of positive terms, bounds every ||T_J|| by ||X||
+    k = 3
     for _ in range(40):
         p = rng.randint(0, 3)
         l = rng.randint(0, 3)
         x = random_homogeneous(rng, 2, p, l)
         dec = homogeneous_parts(x, k)
         assert dec.reconstruct_psi() == psi(x, k)
-        nx = operator_norm(x)
-        for val in dec.part_norms().values():
-            assert val <= nx + tol
+        assert dec.gram() == (x.adjoint() * x if p >= l else x * x.adjoint())
 
 
 def test_gram_identity_exact(rng):
@@ -139,6 +139,18 @@ def test_depth_past_dimension_cap(s1):
     with pytest.raises(DimensionCapError):
         homogeneous_parts(s1, 10 ** 9)
     assert homogeneous_parts(s1, 10).k == 10
+
+
+def test_psi_past_dimension_cap(s1, monkeypatch):
+    def no_product(*args):
+        raise AssertionError("symbolic product started")
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", no_product)
+    for k in (11, 10 ** 9):
+        with pytest.raises(DimensionCapError):
+            psi(s1, k)
+    with pytest.raises(DimensionCapError):
+        psi(AlgebraElement.one(3), 7)  # 3^7 = 2187
 
 
 def test_embed_multiplicative_isometric(rng):
