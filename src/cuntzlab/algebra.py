@@ -8,20 +8,19 @@ sides live at a common bidegree per gauge degree, then comparing
 coefficient dictionaries.  All values are immutable.
 
 Degree-0 elements at level m are N^m x N^m matrices (F_N^m = M_{N^m}).
-Products and equality of pure degree-0 elements go to an exact dense
-kernel when its work, priced at a fixed number of multiply-adds per
-sparse term pair, is no larger than the sparse work it replaces, and,
-within a storage bound, whenever an operand is a kernel element whose
-terms are not built; everything else takes the sparse monomial path.  An
-element keeps the exact matrix the kernel made of it, with its nonzero
-count, largest numerator and realness read once, and a lower-level
-matrix serves a higher level by a Kronecker product with the identity.
-Elements the kernel made (products, sums, adjoints, theta images) build
-their terms, at the level they were made at, only when they are read;
-until then the sum of two of them, and the adjoint, the trace state and
-the theta image (`endomorphism.theta`) of one, are read off the
-matrices.  The kernel functions import numpy when routing first reaches
-them, so the sparse path runs without it.
+An exact dense kernel handles them through held matrices: `_hold` hands a
+pure degree-0 element to it, and the kernel's own results (products, sums,
+adjoints, theta images) hold their matrices too.  A product or comparison
+with an operand that holds a matrix and no terms goes to the kernel within
+a storage bound; every element with terms takes the sparse monomial path.
+An element keeps the exact matrix the kernel made of it, with its nonzero
+count, largest numerator and realness read once, and a lower-level matrix
+serves a higher level by a Kronecker product with the identity.  Kernel
+elements build their terms, at the level they were made at, only when
+they are read; until then the sum of two of them, and the adjoint, the
+trace state and the theta image (`endomorphism.theta`) of one, are read
+off the matrices.  The kernel functions import numpy when a held matrix
+first reaches them, so the sparse path runs without it.
 """
 
 from __future__ import annotations
@@ -266,10 +265,9 @@ class AlgebraElement:
         if terms is not None and terms == _built_terms(other):
             return True
         targets = self._common_targets(other)
-        m = targets.get(0, 0)
-        if len(targets) == 1 and m and _dense_fits(
-                self.n_gens ** m, _size(self), _size(other), product=False,
-                held=_unbuilt(self) or _unbuilt(other)):
+        m = targets.get(0, 0)  # a held operand is pure degree 0, level >= 1
+        if (len(targets) == 1 and (_unbuilt(self) or _unbuilt(other))
+                and _dense_fits(self.n_gens ** m, _size(self), _size(other))):
             return _dense_eq(self, other, m)
         return self.level(targets)._terms == other.level(targets)._terms
 
@@ -504,32 +502,15 @@ def _shapes(elem: AlgebraElement) -> set:
 # puts M on each diagonal block one level up, so theta of a level-m kernel
 # element is kron(I_N, M) at level m + 1.
 #
-# Routing compares work, so it needs no tuning.  No kernel matrix has more
-# than _DENSE_ENTRIES_PER_TERM entries per term of the operands it is made
-# from, which bounds what any dense call allocates.  A product or a
-# comparison with an operand that holds a matrix and no terms, and theta
-# of such an element, stay on the kernel whenever that bound holds: the
-# sparse path would first build the operand's terms.  Building the terms
-# of a held E/F projection word took 8, 46 and 730 us at levels 1, 3 and
-# 5, against 13-24 us for a kernel product at those levels, so past level
-# 1 the kernel call is 4 to 30 times cheaper.  Otherwise, with both
-# operands pure degree 0 at level m, a product goes dense when its N^(3m)
-# multiply-adds (MACs) are at most _DENSE_MACS_PER_PAIR per term pair
-# |a| |b| the sparse rule may visit, and a comparison when the N^(2m)
-# entries fit the bound.  Both then also need enough sparse work to pay
-# for a kernel call, whose numpy overhead costs about as much as
-# _DENSE_CALL_COST sparse term operations.
-#
-# _DENSE_MACS_PER_PAIR = 4 is the smallest round ratio that puts the
-# level-3 product of 12-term operands (2^9 MACs against 12 x 12 pairs
-# needs 3.6) on the kernel.  Measured on 2 cores with Python 3.11 and
-# numpy 2.4: an int64 MAC costs 1.0-4.8 ns (64 x 64 down to 8 x 8
-# matmuls), an object-dtype MAC 35-45 ns and 115-132 ns for 2^70-sized
-# numerators, a sparse term pair 0.1-1.2 us.  At the bound (levels 3-5,
-# N = 2), a complex int64 kernel product from held matrices took 0.2-0.9
-# times the time of the sparse product it replaces, but with 2^70-sized
-# numerators the object-dtype one took 1.6-3.8 times; no benchmark
-# workload forms object-dtype products in that window.  A product whose
+# Holding a matrix is the only way into the kernel.  A product or a
+# comparison with an operand that holds a matrix and no terms, and theta of
+# such an element, stay on the kernel, where the sparse path would first
+# build the operand's terms: building those of a held E/F projection word
+# took 8, 46 and 730 us at levels 1, 3 and 5, against 13-24 us for a
+# kernel product at those levels.  They stay there while no kernel matrix
+# has more than _DENSE_ENTRIES_PER_TERM entries per term of the operands it
+# is made from, which bounds what any dense call allocates.  Two operands
+# with terms take the sparse rule, whatever their sizes.  A product whose
 # every partial sum stays below 2^53 is exact in float64 and multiplies
 # through BLAS: a 32 x 32 matmul took 3.5-9.5 us there against 35-43 us
 # in int64.
@@ -537,38 +518,24 @@ def _shapes(elem: AlgebraElement) -> set:
 _INT64_MAX = 2 ** 63 - 1
 _FLOAT_EXACT = 2 ** 53  # float64 holds every integer below it
 _DENSE_ENTRIES_PER_TERM = 4
-_DENSE_CALL_COST = 128
-_DENSE_MACS_PER_PAIR = 4
 
 
-def _dense_fits(dim: int, size_a: int, size_b: int, product: bool,
-                held: bool) -> bool:
-    """Whether an operation on operands of size_a and size_b terms goes to
-    the kernel at dimension dim; `held` when an operand is a kernel element
-    whose terms are not built."""
-    if dim * dim > _DENSE_ENTRIES_PER_TERM * (size_a + size_b):
-        return False
-    if held:
-        return True
-    if product:
-        pairs = size_a * size_b
-        return dim ** 3 <= _DENSE_MACS_PER_PAIR * pairs and _DENSE_CALL_COST <= pairs
-    return _DENSE_CALL_COST <= size_a + size_b
+def _dense_fits(dim: int, size_a: int, size_b: int) -> bool:
+    """Whether a dim x dim kernel matrix keeps the storage bound for
+    operands of size_a and size_b terms."""
+    return dim * dim <= _DENSE_ENTRIES_PER_TERM * (size_a + size_b)
 
 
 def _dense_mul_level(a: AlgebraElement, b: AlgebraElement) -> Optional[int]:
     """The level at which the kernel multiplies a and b, or None for the
     sparse rule."""
-    n, size_a, size_b = a.n_gens, _size(a), _size(b)
-    held = _unbuilt(a) or _unbuilt(b)
-    if not _dense_fits(n, size_a, size_b, product=True, held=held):
-        return None  # not even at level 1
+    if not (_unbuilt(a) or _unbuilt(b)):
+        return None
     shapes = _shapes(a) | _shapes(b)
     if any(p != l for p, l in shapes):
         return None
     m = max(l for _, l in shapes)
-    return m if m and _dense_fits(n ** m, size_a, size_b, product=True,
-                                  held=held) else None
+    return m if _dense_fits(a.n_gens ** m, _size(a), _size(b)) else None
 
 
 class _Matrix(NamedTuple):
@@ -778,7 +745,7 @@ def _held_theta(elem: AlgebraElement) -> Optional[AlgebraElement]:
     if not _unbuilt(elem):
         return None
     n, mat = elem.n_gens, _held(elem)
-    if not _dense_fits(n ** (mat.m + 1), n * mat.nnz, 0, product=False, held=True):
+    if not _dense_fits(n ** (mat.m + 1), n * mat.nnz, 0):
         return None
     return _held_element(n, _kron_identity(mat, mat.m + 1, n, inner=False))
 
@@ -791,8 +758,7 @@ def _hold(elem: AlgebraElement) -> AlgebraElement:
     if _unbuilt(elem) or not shapes or any(p != l for p, l in shapes):
         return elem
     m = max(l for _, l in shapes)
-    if not m or not _dense_fits(elem.n_gens ** m, _size(elem), 0, product=False,
-                                held=True):
+    if not m or not _dense_fits(elem.n_gens ** m, _size(elem), 0):
         return elem
     return _held_element(elem.n_gens, _degree0_matrix(elem, m))
 
@@ -829,9 +795,11 @@ def _held_element(n: int, mat: _Matrix) -> AlgebraElement:
 
 
 def _unbuilt(elem: AlgebraElement) -> bool:
-    """Whether elem is a kernel element that has not built its terms; its
-    sums with another such element, its adjoint, its trace state and its
-    theta image read its matrix in place of terms."""
+    """Whether elem is a kernel element that has not built its terms: the
+    only way into the kernel.  Its products and comparisons go dense within
+    the storage bound, and its sums with another such element, its
+    adjoint, its trace state and its theta image read its matrix in place
+    of terms."""
     return _built_terms(elem) is None
 
 

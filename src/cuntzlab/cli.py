@@ -246,18 +246,18 @@ def cmd_psi(args) -> int:
         raise ValueError(f"--depth must be at least 0, got {args.depth}")
     x = _require_element(args)
     dec = homogeneous_parts(x, args.depth)
-    payload = {
-        "k": args.depth,
-        "degree": dec.degree,
-        "direction": dec.direction,
-        "parts": {"".join(map(str, j)): _matrix_json(m.tolist())
-                  for j, m in sorted(dec.numeric().items())},
-    }
+    parts = sorted(dec.numeric().items())
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({
+            "k": args.depth,
+            "degree": dec.degree,
+            "direction": dec.direction,
+            "parts": {"".join(map(str, j)): _matrix_json(m.tolist())
+                      for j, m in parts},
+        }, indent=2))
     else:
         print(f"degree {dec.degree} ({dec.direction}), k={args.depth}")
-        for j, mat in sorted(dec.numeric().items()):
+        for j, mat in parts:
             label = "".join(map(str, j)) if j else "1"
             print(f"T_{label} = {json.dumps(_matrix_json(mat.tolist()))}")
     return EXIT_OK
@@ -280,6 +280,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        if getattr(args, "budget", 1) < 1:
+            raise ValueError(f"--budget must be at least 1, got {args.budget}")
         return COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

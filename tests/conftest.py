@@ -42,7 +42,7 @@ def sparse_reference(monkeypatch):
     @contextlib.contextmanager
     def context():
         with monkeypatch.context() as mp:
-            mp.setattr(algebra, "_dense_fits", lambda *args, **kwargs: False)
+            mp.setattr(algebra, "_dense_fits", lambda *args: False)
             mp.setattr(algebra, "_unbuilt", lambda elem: False)
             mp.setattr(algebra, "_held_element", no_kernel_element)
             yield

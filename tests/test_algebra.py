@@ -415,11 +415,12 @@ def _check_against_reference(a, b, m, rng, sparse_reference):
     assert format_element(got) == sparse_text
 
 
-# (N, level, |a|, |b|, product on the kernel?, comparisons on the kernel?)
-# (2, 3, 12, 12) is the level-3 product of the E/F projection chain: 2^9
-# MACs against 144 term pairs; (2, 4, 30, 34) is just under the work bound,
-# 2^12 > 4 * 1020, with the storage and call-cost bounds met (its products
-# have enough terms for the comparisons to go dense).
+# (N, level, |a|, |b|, hold a?, hold b?): a * b with the marked operands
+# handed to the kernel by _hold, which keeps an operand as it is when its
+# level-m matrix would hold more than _DENSE_ENTRIES_PER_TERM entries per
+# term: the 12-term level-3 a of (2, 3, 12, 12) and the 34-term level-4 b
+# of (2, 4, 30, 34) stay term elements.  Two operands with terms take the
+# sparse rule whatever their sizes.
 KERNEL_CASES = [
     (2, 2, 12, 12, True, False), (2, 4, 100, 120, True, True),
     (3, 2, 60, 60, True, True), (2, 3, 12, 12, True, False),
@@ -428,20 +429,26 @@ KERNEL_CASES = [
 ]
 
 
-@pytest.mark.parametrize("n, m, size_a, size_b, dense, dense_eq", KERNEL_CASES)
-def test_dense_kernel_matches_sparse_reference(n, m, size_a, size_b, dense,
-                                               dense_eq, kernel_calls,
+@pytest.mark.parametrize("n, m, size_a, size_b, hold_a, hold_b", KERNEL_CASES)
+def test_dense_kernel_matches_sparse_reference(n, m, size_a, size_b, hold_a,
+                                               hold_b, kernel_calls,
                                                sparse_reference):
     rng = random.Random(1000 * n + 10 * m + size_a)
+    held = any(hold and n ** (2 * m) <= algebra._DENSE_ENTRIES_PER_TERM * size
+               for size, hold in ((size_a, hold_a), (size_b, hold_b)))
     for _ in range(4):
         a = _random_degree0(rng, n, m, size_a, _small_complex)
         b = _random_degree0(rng, n, m, size_b, _small_complex)
-        assert (algebra._dense_mul_level(a, b) is not None) == dense
-        _check_against_reference(a, b, m, rng, sparse_reference)
+        assert algebra._dense_mul_level(a, b) is None
+        a = algebra._hold(a) if hold_a else a
+        b = algebra._hold(b) if hold_b else b
+        assert (algebra._unbuilt(a) or algebra._unbuilt(b)) == held
+        assert (algebra._dense_mul_level(a, b) is not None) == held
         # a mixed-degree operand always takes the sparse rule
-        assert algebra._dense_mul_level(a + AlgebraElement.generator(n, 1), b) is None
-    assert (kernel_calls["mul"] > 0) == dense
-    assert (kernel_calls["eq"] > 0) == dense_eq
+        assert algebra._dense_mul_level(a, AlgebraElement.generator(n, 1)) is None
+        assert algebra._dense_mul_level(AlgebraElement.generator(n, 1), b) is None
+        _check_against_reference(a, b, m, rng, sparse_reference)
+    assert (kernel_calls["mul"] > 0) == held
 
 
 def _big_complex(rng):
@@ -454,13 +461,13 @@ def test_dense_kernel_python_int_fallback(kernel_calls, sparse_reference):
     # numerators near 2^40: every product entry overflows int64
     a = _random_degree0(rng, 2, 2, 12, _big_complex)
     b = _random_degree0(rng, 2, 2, 12, _big_complex)
-    _check_against_reference(a, b, 2, rng, sparse_reference)
+    _check_against_reference(algebra._hold(a), b, 2, rng, sparse_reference)
     # every level-3 entry near 2^30.6: a product of two entries fits in
     # int64, a sum of 2^3 of them does not
     a, b = (AlgebraElement(2, {Monomial(i, j): 3 * 2 ** 29 + rng.randint(0, 99)
                                for i in words(2, 3) for j in words(2, 3)})
             for _ in range(2))
-    _check_against_reference(a, b, 3, rng, sparse_reference)
+    _check_against_reference(algebra._hold(a), b, 3, rng, sparse_reference)
     assert kernel_calls["mul"] == 2
 
 
@@ -480,11 +487,41 @@ def test_sparse_high_level_product_stays_sparse(monkeypatch):
     assert q * q == q.level({0: 21})
 
 
+def test_term_operands_stay_sparse_and_held_ones_stay_dense(monkeypatch,
+                                                            kernel_calls):
+    rng = random.Random(44)
+    a = _random_degree0(rng, 2, 4, 100, _small_complex)
+    b = _random_degree0(rng, 2, 4, 120, _small_complex)
+    c = _random_degree0(rng, 2, 4, 30, _small_complex)
+    d = _random_degree0(rng, 2, 4, 34, _small_complex)
+
+    def no_matrix(*args):
+        raise AssertionError("dense matrix allocated")
+
+    # operands with terms, big enough for the dense matrix to be the cheaper
+    # path, stay sparse: the level-4 product a b (2^12 multiply-adds against
+    # 12,000 term pairs), and the comparisons of the 74-term c d with its
+    # leveled and its bumped copies
+    with monkeypatch.context() as mp:
+        mp.setattr(algebra, "_dense", no_matrix)
+        product = a * b
+        assert algebra._built_terms(product) is not None
+        cd = c * d
+        bumped = cd + AlgebraElement.monomial(2, (1,) * 4, (2,) * 4, Fraction(1, 7))
+        assert cd == cd.level({0: 4}) and cd.level({0: 4}) == cd
+        assert not (cd == bumped) and not (bumped == cd)
+    assert kernel_calls == dict.fromkeys(kernel_calls, 0)
+    # a held operand times a term operand stays on the kernel
+    got = algebra._hold(a) * b
+    assert kernel_calls["mul"] == 1 and algebra._unbuilt(got)
+    assert got.terms == product.level({0: 4}).terms
+
+
 # --------------------------------------------- kernel memo and lazy terms
 
 def _lazy_product(a, b):
-    """a * b through the kernel, with its terms not yet built."""
-    out = a * b
+    """_hold(a) * b through the kernel, with its terms not yet built."""
+    out = algebra._hold(a) * b
     assert algebra._built_terms(out) is None
     assert algebra._shapes(out) == {(out._matrix[0],) * 2}
     return out
@@ -547,10 +584,10 @@ def test_dense_eq_across_denominators(coeff, kernel_calls, sparse_reference):
     if coeff is _huge_complex:
         assert x_re.dtype == np.int64 and algebra._max_abs(x_re) * 1009 > 2 ** 63
     bumped = y + AlgebraElement.monomial(2, (2,) * 4, (1,) * 4, Fraction(1, 1009))
-    calls = kernel_calls["eq"]
-    assert x == y and y == x
-    assert not (x == bumped) and not (bumped == x)
-    assert kernel_calls["eq"] == calls + 4
+    held_x, held_y = algebra._hold(x), algebra._hold(y)
+    assert held_x == y and held_y == x
+    assert not (held_x == bumped) and not (bumped == held_x)
+    assert kernel_calls["eq"] == 4
     with sparse_reference():
         assert x == y and not (x == bumped)
 
@@ -562,15 +599,16 @@ def test_memo_at_one_level_answers_at_a_higher_level(kernel_calls,
     b = _random_degree0(rng, 2, 3, 60, _small_complex)
     with sparse_reference():
         want = (a * b).level({0: 4})
-    got = _lazy_product(a, b)  # memos of a, b and got at level 3
-    assert got._matrix[0] == 3 and a._matrix[0] == 3
+    held = algebra._hold(a)
+    got = _lazy_product(held, b)  # memos of held, b and got at level 3
+    assert got._matrix[0] == 3 and held._matrix[0] == 3
     calls = kernel_calls["eq"]
     # equal at level 4, and unequal after one level-4 entry changes
     bumped = want + AlgebraElement.monomial(2, (1, 2, 1, 2), (2, 1, 2, 1), 1)
     assert got == want and not (got == bumped)
-    assert a == a.level({0: 4}) and not (a == a.level({0: 4}) + bumped - want)
+    assert held == a.level({0: 4}) and not (held == a.level({0: 4}) + bumped - want)
     assert kernel_calls["eq"] == calls + 4
-    assert got._matrix[0] == 4 and a._matrix[0] == 4
+    assert got._matrix[0] == 4 and held._matrix[0] == 4
 
 
 # ------------------------------------------ operations on held matrices
@@ -580,7 +618,8 @@ def _held_pair(seed, m_a=3, m_b=3):
     complex coefficients over different denominators, and their sparse
     references."""
     rng = random.Random(seed)
-    ops = [_random_degree0(rng, 2, m, 60, _small_complex)
+    # enough terms for _hold to keep each operand's level-m matrix
+    ops = [_random_degree0(rng, 2, m, max(60, 4 ** m // 4), _small_complex)
            for m in (m_a, m_a, m_b, m_b)]
     ops[2] = ops[2].scaled(Fraction(1, 11))
     x, y = _lazy_product(*ops[:2]), _lazy_product(*ops[2:])
@@ -783,7 +822,8 @@ def test_kernel_product_of_int64_and_object_operands(kernel_calls,
     assert algebra._degree0_matrix(b, 4).re.dtype == object
     with sparse_reference():
         want = [a * b, b * a, b.adjoint() * a]
-    got = [a * b, b * a, b.adjoint() * a]
+    held = algebra._hold(a)
+    got = [held * b, b * held, b.adjoint() * held]
     assert kernel_calls["mul"] == 3
     for x, y in zip(got, want):
         assert x.terms == y.level({0: 4}).terms

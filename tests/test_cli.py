@@ -101,6 +101,11 @@ def test_exit_codes(capsys):
                        "--perm", "(1 7 2 8 6 4 5)", "--masa", "ef")
     assert code == 3 and "witness E/F cylinder" in err
     assert run(capsys, "entropy", "--perm", "(2 3)", "--budget", "32")[0] == 4
+    # a budget below one word is a usage error, not an exceeded budget
+    for argv in (("entropy", "--perm", "(1 2)", "--budget", "-1"),
+                 ("table1", "--budget", "0")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "--budget" in err, argv
     # the join over fewer than one step or depth is not a count
     for argv in (("entropy", "--perm", "(2 3)", "--steps", "0"),
                  ("entropy", "--perm", "(2 3)", "--steps", "-3"),
@@ -149,6 +154,21 @@ def test_psi_json(capsys):
     assert payload["direction"] == "creation"
     assert payload["parts"]["1"] == [[[1.0, 0.0], [0.0, 0.0]],
                                      [[0.0, 0.0], [0.0, 0.0]]]
+
+
+def test_psi_text(capsys):
+    code, out, _ = run(capsys, "psi", "--element", "s[1]", "--depth", "2")
+    assert code == 0
+    zero, one = "[0.0, 0.0]", "[1.0, 0.0]"
+
+    def row(*ones):
+        return "[" + ", ".join(one if c in ones else zero for c in range(4)) + "]"
+
+    blank = row()
+    assert out == (
+        "degree 1 (creation), k=2\n"
+        f"T_1 = [{row(0)}, {row(2)}, {blank}, {blank}]\n"
+        f"T_2 = [{row(1)}, {row(3)}, {blank}, {blank}]\n")
 
 
 def test_verify_suite(capsys):

@@ -75,7 +75,7 @@ def test_depth4_ef_projection_on_the_kernel_matches_sparse():
             kernel[q] = cuntzlab.ef_projection(q)
             assert algebra._built_terms(kernel[q]) is None, q
         assert calls and max(calls) == 4, calls
-        algebra._dense_fits = lambda *args, **kwargs: False
+        algebra._dense_fits = lambda *args: False
         algebra._unbuilt = lambda elem: False
         made = []
         held_element = algebra._held_element
