@@ -169,7 +169,9 @@ def cmd_entropy(args) -> int:
         for r in reports:
             counts = " ".join(f"{n}:{c}" for n, c in r.counts)
             print(f"p={r.p} verdict={r.verdict} "
-                  f"estimate={r.estimate_nats:.6f} counts {counts}")
+                  f"estimate={r.estimate_nats:.6f} "
+                  f"refined_steps={r.counts.refined_steps} "
+                  f"tail={r.counts.tail or 'none'} counts {counts}")
         print(f"summary: perm={summary.perm} masa={summary.masa} "
               f"verdict={summary.verdict} estimate={summary.estimate_nats:.6f}")
     return EXIT_OK

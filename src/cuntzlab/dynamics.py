@@ -10,10 +10,10 @@ the depth-p cylinder partition under T.
 
 from __future__ import annotations
 
+import collections.abc
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,15 +63,66 @@ class BlockMapTable:
         return BlockMapTable(n, p, self.window - drop, sub.copy())
 
 
-@dataclass
+class JoinCounts(collections.abc.Sequence):
+    """The join-count series N(n, p), n = 1..n_max, as (n, N(n, p)) pairs.
+
+    Stored as the counts that refinement computed (the head) and the rule
+    that gives every later count exactly (the tail):
+
+    * "stable": the partition stopped refining, so every later count is
+      the last head count;
+    * "discrete": every partition is discrete, so each step multiplies the
+      count by N;
+    * None: the head runs to n_max.
+
+    Immutable, and equal to the list of pairs it stands for."""
+
+    __slots__ = ("head", "n_max", "tail", "n_gens")
+
+    def __init__(self, head: Tuple[int, ...], n_max: int,
+                 tail: Optional[str], n_gens: int):
+        self.head = head
+        self.n_max = n_max
+        self.tail = tail
+        self.n_gens = n_gens
+
+    @property
+    def refined_steps(self) -> int:
+        return len(self.head)
+
+    def __len__(self) -> int:
+        return self.n_max
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        yield from enumerate(self.head, start=1)
+        count = self.head[-1]
+        factor = self.n_gens if self.tail == "discrete" else 1
+        for n in range(len(self.head) + 1, self.n_max + 1):
+            count *= factor
+            yield n, count
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+    def __eq__(self, other):
+        if isinstance(other, (JoinCounts, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (f"JoinCounts({list(self)!r}, refined_steps="
+                f"{self.refined_steps}, tail={self.tail!r})")
+
+
+@dataclass(slots=True)
 class EntropyReport:
     """Join-count series N(n, p) with exact integer counts and a verdict."""
 
     perm: str
     masa: str
     p: int
-    counts: List[Tuple[int, int]]
-    increments: List[object]  # Fraction bits when exact powers of two, else float
+    counts: JoinCounts
+    increments: List[Union[int, float]]  # int bits for exact powers of two
     verdict: str  # "log2" | "zero" | "inconclusive"
     estimate_nats: float
 
@@ -81,6 +132,8 @@ class EntropyReport:
             "masa": self.masa,
             "p": self.p,
             "counts": [[n, str(c)] for n, c in self.counts],
+            "refined_steps": self.counts.refined_steps,
+            "tail": self.counts.tail,
             "increments": [
                 float(x) if isinstance(x, float) else str(x) for x in self.increments
             ],
@@ -93,10 +146,10 @@ def _verdict(counts: Sequence[Tuple[int, int]]):
     """Exact verdict: log2 if the last four ratios are exactly 2, zero if
     the last four counts are equal, else inconclusive with an LSQ slope."""
     values = [c for _, c in counts]
-    increments: List[object] = []
+    increments: List[Union[int, float]] = []
     for prev, cur in zip(values, values[1:]):
         if cur % prev == 0 and (q := cur // prev) & (q - 1) == 0:
-            increments.append(Fraction(q.bit_length() - 1))
+            increments.append(q.bit_length() - 1)
         else:
             increments.append(math.log2(cur / prev))
     tail = increments[-4:]
@@ -177,15 +230,26 @@ class JoinDynamics:
         (T^{n-1}w)|_p), exact."""
         return self._join_counts(p, n_steps)[-1][1]
 
-    def _join_counts(self, p: int, n_max: int) -> List[Tuple[int, int]]:
+    def _join_counts(self, p: int, n_max: int) -> JoinCounts:
         """Incremental itinerary-class refinement: the class of w after n
         steps is the pair (w|_p, class of Tw after n-1 steps).
 
-        Each partition refines the one before it, so N(n+1, p) = N(n, p)
-        means the two partitions are equal; then the class after n+2 steps
-        is (w|_p, class of Tw after n+1 steps) = the class after n+1 steps,
-        and every later count is the same.  Refinement stops there and the
-        remaining counts are filled in exactly.
+        Two exact tails end refinement early.
+
+        Stable: each partition refines the one before it, so N(n+1, p) =
+        N(n, p) means the two partitions are equal; then the class after
+        n+2 steps is (w|_p, class of Tw after n+1 steps) = the class after
+        n+1 steps, and every later count is the same.
+
+        Discrete: when `_separating()` holds, every partition is discrete
+        and N(n, p) = N^(p+n-1), so no table past depth 1 is read.  The
+        tables come from `_prepend_letter` with step 1, so for a window w
+        of m+1 letters table_m[w] = first(w_0 w_1) N^(m-1) +
+        table_(m-1)[rest(w_0 w_1) w_2 ... w_m].  Depth-1 separation says
+        that w_0 and first(w_0 w_1) give w_1, hence the letter rest(w_0 w_1),
+        and by induction on m the rest of the output gives w_2 ... w_m.  So
+        w|_p and (Tw)|_(length-1) determine w: a partition discrete at step
+        n-1 is discrete at step n, and at n = 1 it is discrete.
 
         The pair is the key h * n_classes + class(Tw) in [0, N^p *
         n_classes).  While that range fits the budget, the keys are marked
@@ -200,7 +264,9 @@ class JoinDynamics:
             raise ValueError(f"join steps n must be at least 1, got {n_max}")
         n = self.n_gens
         self._check_budget(p + (n_max - 1) * self.step)
-        counts: List[Tuple[int, int]] = [(1, n ** p)]
+        if self._separating():
+            return JoinCounts((n ** p,), n_max, "discrete", n)
+        head = [n ** p]
         # None: the partition is discrete and each word is its own class
         cls: Optional[np.ndarray] = None
         n_classes = n ** p
@@ -228,31 +294,38 @@ class JoinDynamics:
             else:
                 _, cls = np.unique(keys, return_inverse=True)
                 refined = int(cls.max()) + 1
+            head.append(refined)
             if refined == n_classes:
-                counts.extend((s, n_classes) for s in range(steps, n_max + 1))
-                break
+                return JoinCounts(tuple(head), n_max, "stable", n)
             n_classes = refined
-            counts.append((steps, n_classes))
-        return counts
+        return JoinCounts(tuple(head), n_max, None, n)
+
+    def _separating(self) -> bool:
+        """Whether the discrete tail of `_join_counts` applies: the tables
+        come from `_prepend_letter` with step 1 and pass
+        `separation_check(1)`.  Tables built any other way are refined."""
+        return False
 
     def entropy(self, p_max: int = 4, n_max: int = 16) -> List[EntropyReport]:
         """One EntropyReport per depth p = 1..p_max."""
         if p_max < 1:
             raise ValueError(
                 f"maximum partition depth must be at least 1, got {p_max}")
+        label, masa = self.label(), self.masa_name()
         reports = []
         for p in range(1, p_max + 1):
             counts = self._join_counts(p, n_max)
             increments, verdict, est = _verdict(counts)
-            reports.append(EntropyReport(self.label(), self.masa_name(), p,
-                                         counts, increments, verdict, est))
+            reports.append(EntropyReport(label, masa, p, counts, increments,
+                                         verdict, est))
         return reports
 
     @staticmethod
     def summarize(reports: Sequence[EntropyReport]) -> EntropyReport:
-        """Supremum over depths: log2 dominates, then inconclusive, then zero."""
+        """Supremum over depths: the largest estimate, and on equal
+        estimates log2 before inconclusive before zero."""
         rank = {"zero": 0, "inconclusive": 1, "log2": 2}
-        return max(reports, key=lambda r: (rank[r.verdict], r.estimate_nats))
+        return max(reports, key=lambda r: (r.estimate_nats, rank[r.verdict]))
 
     # -- separation certificate --------------------------------------------
 
@@ -309,6 +382,10 @@ class CantorDynamics(JoinDynamics):
         if self._perm_inverse is not None:
             return self._permutative_table(p)
         return self._symbolic_table(p)
+
+    def _separating(self) -> bool:
+        return (self._perm_inverse is not None and self.step == 1
+                and self.separation_check(1))
 
     def _permutative_table(self, p: int) -> BlockMapTable:
         """Word-level construction for rho_sigma, one depth at a time.  On a

@@ -52,11 +52,28 @@ def test_entropy_json_schema(capsys):
     summary = payload["summary"]
     assert summary["verdict"] == "log2"
     for report in payload["reports"]:
-        assert set(report) == {"perm", "masa", "p", "counts", "increments",
+        assert set(report) == {"perm", "masa", "p", "counts",
+                               "refined_steps", "tail", "increments",
                                "verdict", "estimate_nats"}
+        assert (report["refined_steps"], report["tail"]) == (1, "discrete")
         assert report["masa"] == "standard"
         for n, c in report["counts"]:
             assert isinstance(n, int) and isinstance(c, str)
+
+
+def test_entropy_text_provenance_and_summary(capsys):
+    code, out, _ = run(capsys, "entropy", "--perm", "(2 3 5)(4 7 6)",
+                       "--rank", "3", "--depth", "3", "--steps", "9")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1].startswith("p=2 verdict=inconclusive estimate=1.386294 "
+                               "refined_steps=9 tail=none counts 1:4 2:16 ")
+    assert lines[-1].endswith("verdict=inconclusive estimate=1.386294")
+    code, out, _ = run(capsys, "entropy", "--perm", "id",
+                       "--depth", "1", "--steps", "4")
+    assert out.splitlines()[0] == ("p=1 verdict=zero estimate=0.000000 "
+                                   "refined_steps=2 tail=stable "
+                                   "counts 1:2 2:2 3:2 4:2")
 
 
 def test_entropy_ef(capsys):

@@ -11,7 +11,7 @@ from cuntzlab import (AlgebraElement, BudgetExceededError, CantorDynamics,
                       EndomorphismSpec, EntropyReport, GaussianRational,
                       JoinDynamics, Permutation, ProductMasaDynamics,
                       perm_unitary)
-from cuntzlab.dynamics import _verdict, pack_word, unpack_word
+from cuntzlab.dynamics import JoinCounts, _verdict, pack_word, unpack_word
 
 
 def dyn(label, **kw):
@@ -187,13 +187,129 @@ def full_refinement_reports(d, p_max, n_max):
     return reports
 
 
+def ef_dynamics():
+    return [ProductMasaDynamics(EndomorphismSpec.from_label(label))
+            for label in ("(1 2)", "(1 3 2 4)", "(3 4)", "(1 4 2 3)")]
+
+
+def first_letter_separates(perm):
+    """Depth-1 separation read off sigma^{-1} directly: for each letter
+    x0, the first letter of sigma^{-1}(x0 x1) determines x1."""
+    inv = perm.inverse()
+    letters = range(1, perm.n_gens + 1)
+    return all(len({inv((x0, x1))[0] for x1 in letters}) == perm.n_gens
+               for x0 in letters)
+
+
 def test_early_exit_matches_full_refinement():
     dynamics = [CantorDynamics(EndomorphismSpec.from_permutation(perm))
                 for perm in all_rank2_perms()]
-    dynamics += [ProductMasaDynamics(EndomorphismSpec.from_label(label))
-                 for label in ("(1 2)", "(1 3 2 4)", "(3 4)", "(1 4 2 3)")]
-    for d in dynamics:
-        assert d.entropy(4, 16) == full_refinement_reports(d, 4, 16), d.label()
+    for d in dynamics + ef_dynamics():
+        reports = d.entropy(4, 16)
+        assert reports == full_refinement_reports(d, 4, 16), d.label()
+        # the separating rows close by proof, with a one-count head
+        assert all(r.counts.tail == "discrete" for r in reports) == \
+            (reports[0].verdict == "log2"), d.label()
+    # 16 C_2 rows and the 4 E/F rows are separating
+    assert sum(d.separation_check(1) for d in dynamics) == 16
+
+
+def o3_rank2_sample(n_each=20):
+    """Seeded rank-2 permutations of O_3: the first `n_each` separating
+    and the first `n_each` non-separating ones drawn."""
+    rng = random.Random(20261018)
+    picked = {True: [], False: []}
+    while min(len(v) for v in picked.values()) < n_each:
+        line = list(range(1, 10))
+        rng.shuffle(line)
+        perm = Permutation.from_one_line(line, 2, 3)
+        group = picked[first_letter_separates(perm)]
+        if len(group) < n_each:
+            group.append(perm)
+    return picked[True] + picked[False]
+
+
+def test_discrete_tail_matches_full_refinement_on_o3():
+    for perm in o3_rank2_sample():
+        d = CantorDynamics(EndomorphismSpec.from_permutation(perm))
+        reports = d.entropy(3, 8)
+        assert reports == full_refinement_reports(d, 3, 8), perm.one_line()
+        closed = first_letter_separates(perm)
+        assert d.separation_check(1) == closed
+        assert all((r.counts.tail == "discrete") == closed
+                   for r in reports), perm.one_line()
+        if closed:
+            assert all(c == 3 ** (r.p + n - 1)
+                       for r in reports for n, c in r.counts)
+
+
+def test_discrete_tail_only_on_separating_word_tables(monkeypatch):
+    """Spy on the block maps each series reads: the discrete tail reads
+    depth 1 only, and symbolic tables, rank-3 sigma and non-separating
+    sigma refine instead."""
+    depths = []
+    block_map = JoinDynamics.block_map
+
+    def spy(self, p):
+        depths.append(p)
+        return block_map(self, p)
+
+    monkeypatch.setattr(JoinDynamics, "block_map", spy)
+    closed = [dyn("(2 3)"), dyn("(1 3 4)"),
+              ProductMasaDynamics(EndomorphismSpec.from_label("(1 2)"))]
+    sigma_23 = Permutation.parse("(2 3)")
+    refined = [
+        CantorDynamics(EndomorphismSpec(perm_unitary(sigma_23), rank=2,
+                                        check=False)),
+        CantorDynamics(EndomorphismSpec.from_permutation(
+            Permutation.parse("(2 3 5)(4 7 6)", 3, 2))),
+        # passes separation_check(1), but the proof needs one letter a step
+        CantorDynamics(EndomorphismSpec.from_permutation(
+            Permutation.parse("(1 8)(2 7 6)", 3, 2))),
+        CantorDynamics(EndomorphismSpec.identity(2)),
+        dyn("id"), dyn("(1 2)")]
+    for d in closed:
+        depths.clear()
+        reports = d.entropy(4, 16)
+        assert set(depths) == {1}, d.label()
+        assert all(r.counts.tail == "discrete" and r.counts.refined_steps == 1
+                   for r in reports)
+    for d in refined:
+        depths.clear()
+        reports = d.entropy(3, 6)
+        assert max(depths) > 1, d.label()
+        assert all(r.counts.tail != "discrete" for r in reports), d.label()
+    # the symbolic tables of (2 3) refine to the same counts the tail gives
+    assert ([r.counts for r in refined[0].entropy(3, 6)]
+            == [r.counts for r in dyn("(2 3)").entropy(3, 6)])
+
+
+def test_forced_discrete_tail_is_caught(monkeypatch):
+    # (1 2) is not separating: its partitions stop refining, so a discrete
+    # tail forced onto it overstates every count after n = 1
+    monkeypatch.setattr(CantorDynamics, "_separating", lambda self: True)
+    d = dyn("(1 2)")
+    assert d.entropy(4, 16) != full_refinement_reports(d, 4, 16)
+    assert JoinDynamics.summarize(d.entropy(4, 16)).verdict == "log2"
+
+
+def test_join_counts_sequence():
+    stable = JoinCounts((4, 6, 6), 5, "stable", 2)
+    discrete = JoinCounts((8,), 4, "discrete", 2)
+    refined = JoinCounts((2, 4, 6), 3, None, 2)
+    assert stable == [(1, 4), (2, 6), (3, 6), (4, 6), (5, 6)]
+    assert [(1, 8), (2, 16), (3, 32), (4, 64)] == discrete
+    assert refined == ((1, 2), (2, 4), (3, 6))
+    assert discrete != [(1, 8), (2, 16), (3, 32)]
+    assert stable != "stable"
+    assert len(stable) == 5 and stable[-1] == (5, 6) and stable[1] == (2, 6)
+    assert discrete[3] == (4, 64) and discrete[1:3] == [(2, 16), (3, 32)]
+    assert [discrete[i] for i in range(-4, 0)] == list(discrete)
+    with pytest.raises(IndexError):
+        discrete[4]
+    with pytest.raises(AttributeError):
+        discrete.extra = 1
+    assert (stable.refined_steps, discrete.refined_steps) == (3, 1)
 
 
 def test_early_exit_skips_deep_tables():
@@ -234,9 +350,9 @@ def test_join_counts_non_discrete_partitions():
 
 
 def test_sorted_keys_past_budget_agree(monkeypatch):
-    # with a 2^12 budget the key range N^4 * n_classes passes the budget
-    # at steps 7 and 8, where the keys are sorted instead of marked; the
-    # default budget marks every step
+    # a rank-3 sigma, which always refines: with a 2^11 budget the key
+    # range N^5 * n_classes passes the budget at steps 3 and 4, where the
+    # keys are sorted instead of marked; the default budget marks every step
     sorted_sizes = []
     unique = np.unique
 
@@ -245,11 +361,14 @@ def test_sorted_keys_past_budget_agree(monkeypatch):
         return unique(*args, **kwargs)
 
     monkeypatch.setattr(np, "unique", spy)
-    counts = dyn("(2 3)", budget=2 ** 12)._join_counts(4, 8)
-    assert sorted_sizes == [2 ** 10, 2 ** 11]
-    assert counts == dyn("(2 3)")._join_counts(4, 8)
-    assert sorted_sizes == [2 ** 10, 2 ** 11]
-    assert counts == [(n, 2 ** (n + 3)) for n in range(1, 9)]
+    fibonacci = EndomorphismSpec.from_permutation(
+        Permutation.from_cycles(((3, 4, 7, 8), (5, 6)), 3, 2))
+    counts = CantorDynamics(fibonacci, budget=2 ** 11)._join_counts(5, 4)
+    assert sorted_sizes == [2 ** 9, 2 ** 11]
+    assert counts == CantorDynamics(fibonacci)._join_counts(5, 4)
+    assert sorted_sizes == [2 ** 9, 2 ** 11]
+    assert counts == [(1, 32), (2, 80), (3, 172), (4, 353)]
+    assert counts.tail is None
 
 
 def test_budget_exceeded():
@@ -264,8 +383,31 @@ def test_entropy_verdicts():
     assert JoinDynamics.summarize(dyn("(1 2)").entropy(4, 16)).verdict == "zero"
     assert JoinDynamics.summarize(dyn("(1 2 3)").entropy(4, 16)).verdict == "log2"
     r = dyn("(2 3)").entropy(4, 16)[3]
-    assert all(x == 1 for x in r.increments)
+    assert all(x == 1 and type(x) is int for x in r.increments)
     assert r.estimate_nats == pytest.approx(0.6931471805599453)
+
+
+def test_summary_ranks_by_estimate():
+    # the square of (2 3) grows exactly x4 per step at p = 2 and p = 3,
+    # so its summary is the 2 log 2 slope, not the log-2 verdict of p = 1
+    square = CantorDynamics(EndomorphismSpec.from_permutation(
+        Permutation.parse("(2 3 5)(4 7 6)", 3, 2)))
+    reports = square.entropy(3, 9)
+    assert [r.verdict for r in reports] == ["log2", "inconclusive",
+                                            "inconclusive"]
+    for r in reports[1:]:
+        assert [c for _, c in r.counts] == [2 ** r.p * 4 ** (n - 1)
+                                            for n in range(1, 10)]
+        assert all(x == 2 for x in r.increments)
+    summary = JoinDynamics.summarize(reports)
+    assert summary.p > 1 and summary.verdict == "inconclusive"
+    assert summary.estimate_nats == pytest.approx(2 * 0.6931471805599453)
+    # on equal estimates the verdict decides
+    zero, log2 = dyn("id").entropy(1, 6)[0], dyn("(2 3)").entropy(1, 6)[0]
+    tied = EntropyReport(zero.perm, zero.masa, 2, zero.counts,
+                         zero.increments, "inconclusive", 0.0)
+    assert JoinDynamics.summarize([tied, zero]) is tied
+    assert JoinDynamics.summarize([log2, tied, zero]) is log2
 
 
 def test_entropy_report_serialization():
@@ -277,6 +419,11 @@ def test_entropy_report_serialization():
     assert d["counts"][0] == [1, "4"]
     assert all(isinstance(c, str) for _, c in d["counts"])
     assert d["verdict"] == "log2"
+    assert (d["refined_steps"], d["tail"]) == (1, "discrete")
+    assert d["increments"] == ["1"] * 5
+    ident = dyn("id").entropy(2, 6)[1].to_dict()
+    assert (ident["refined_steps"], ident["tail"]) == (2, "stable")
+    assert [c for _, c in ident["counts"]] == ["4"] * 6
 
 
 def test_separation_certificate():
