@@ -70,9 +70,10 @@ class Monomial(NamedTuple):
         return len(self.left) - len(self.right)
 
 
-def term_sort_key(m: Monomial):
+def _term_order(item):
     # deterministic iteration: gauge degree, |J|, lex J, lex I
-    return (m.degree, len(m.right), m.right, m.left)
+    (left, right), _ = item
+    return (len(left) - len(right), len(right), right, left)
 
 
 def _check_word(word: Word, n_gens: int) -> Word:
@@ -145,7 +146,7 @@ class AlgebraElement:
         return not self._terms
 
     def sorted_terms(self):
-        return sorted(self._terms.items(), key=lambda kv: term_sort_key(kv[0]))
+        return sorted(self._terms.items(), key=_term_order)
 
     def degrees(self):
         return {m.degree for m in self._terms}
@@ -281,9 +282,22 @@ class AlgebraElement:
         Leveled, the terms of one degree share one right length, so a term
         lies in at most one group and a contracted term never meets a term
         already there; each round rescans only the terms it merged.
-        Idempotent and equality-preserving; used for display."""
-        targets = {d: self.max_right_length(d) for d in self.degrees()}
-        cur = dict(self.level(targets)._terms)
+        One scan of the keys finds each degree's longest right word; the
+        terms are leveled only when some term is shorter than that, and
+        otherwise copied.  Idempotent and equality-preserving; used for
+        display."""
+        terms = self._terms
+        targets: Dict[int, int] = {}
+        uneven = False
+        for left, right in terms:
+            r = len(right)
+            d = len(left) - r
+            t = targets.setdefault(d, r)
+            if t != r:
+                uneven = True
+                if t < r:
+                    targets[d] = r
+        cur = self.level(targets)._terms if uneven else dict(terms)
         n = self.n_gens
         merged = cur
         while merged:

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
 from .algebra import AlgebraElement, words
 from .endomorphism import EndomorphismSpec, Permutation, theta, theta_power
+from .errors import CuntzError
 from .parsing import parse_element
 from .sampling import random_homogeneous
 
@@ -279,3 +280,14 @@ SUITES: Dict[str, Callable[[], dict]] = {
     "oracles": check_oracles,
     "ef": check_ef,
 }
+
+
+def run_suite(name: str) -> dict:
+    """The report of one suite.  A suite that raises a CuntzError (say, a
+    wrong engine that breaks the E/F masa) is a failed suite whose one
+    check names the exception, with its message in the details."""
+    try:
+        return SUITES[name]()
+    except CuntzError as exc:
+        return _report(name, {f"raised {type(exc).__name__}": False},
+                       message=str(exc))

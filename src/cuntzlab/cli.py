@@ -20,7 +20,7 @@ import sys
 from typing import List, Optional
 
 from .algebra import AlgebraElement
-from .checks import SUITES
+from .checks import SUITES, run_suite
 from .endomorphism import EndomorphismSpec, Permutation
 from .errors import (DEFAULT_BUDGET, BudgetExceededError, CuntzError,
                      CylinderError, DimensionCapError, MasaNotInvariantError,
@@ -214,7 +214,7 @@ def cmd_table1(args) -> int:
 
 def cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    reports = [SUITES[name]() for name in names]
+    reports = [run_suite(name) for name in names]
     if args.json:
         print(json.dumps(reports, indent=2, default=str))
     else:

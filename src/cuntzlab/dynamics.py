@@ -356,6 +356,7 @@ class CantorDynamics(JoinDynamics):
     def __init__(self, endo: EndomorphismSpec, budget: int = DEFAULT_BUDGET):
         super().__init__(endo.n_gens, max(endo.rank - 1, 0), budget)
         self.endo = endo
+        self._separates: Optional[bool] = None  # memo of _separating()
         self._perm_inverse: Optional[np.ndarray] = None
         if endo.perm is not None:
             inv = endo.perm.inverse()
@@ -384,8 +385,12 @@ class CantorDynamics(JoinDynamics):
         return self._symbolic_table(p)
 
     def _separating(self) -> bool:
-        return (self._perm_inverse is not None and self.step == 1
-                and self.separation_check(1))
+        # the answer depends on sigma alone, so it is decided once
+        if self._separates is None:
+            self._separates = (self._perm_inverse is not None
+                               and self.step == 1
+                               and self.separation_check(1))
+        return self._separates
 
     def _permutative_table(self, p: int) -> BlockMapTable:
         """Word-level construction for rho_sigma, one depth at a time.  On a

@@ -19,9 +19,9 @@ import re
 from fractions import Fraction
 from typing import List, Tuple
 
-from .algebra import AlgebraElement, Monomial
+from .algebra import AlgebraElement
 from .errors import ParseError
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _ratio_text
 
 MAX_TEXT_GENS = 9
 
@@ -172,47 +172,43 @@ def parse_element(text: str, n_gens: int) -> AlgebraElement:
     return _Parser(text, n_gens).parse()
 
 
-def _format_word(prefix: str, word) -> str:
-    return f"{prefix}[{''.join(str(d) for d in word)}]"
-
-
-def _format_monomial(m: Monomial) -> str:
-    parts = []
-    if m.left:
-        parts.append(_format_word("s", m.left))
-    if m.right:
-        parts.append(_format_word("t", m.right))
-    return " ".join(parts) if parts else "1"
+def _format_monomial(left, right) -> str:
+    if not right:
+        return f"s[{''.join(map(str, left))}]" if left else "1"
+    if not left:
+        return f"t[{''.join(map(str, right))}]"
+    return f"s[{''.join(map(str, left))}] t[{''.join(map(str, right))}]"
 
 
 def format_element(a: AlgebraElement) -> str:
-    """Deterministic canonical text; round-trips through parse_element."""
+    """Deterministic canonical text; round-trips through parse_element.
+    Each coefficient is printed from its normal-form triple (a, b, d),
+    which for a real value (b = 0) has gcd(a, d) = 1, so |a| or |a|/d is
+    the text of its Fraction."""
     _check_text_alphabet(a.n_gens)
     canon = a.canonical()
     if canon.is_zero():
         return "0"
     pieces = []
-    for idx, (mono, coeff) in enumerate(canon.sorted_terms()):
-        factors = _format_monomial(mono)
-        if coeff.is_real():
-            neg = coeff.re < 0
-            mag = abs(coeff.re)
-            if mag == 1 and factors != "1":
+    for (left, right), coeff in canon.sorted_terms():
+        factors = _format_monomial(left, right)
+        num, im, den = coeff._a, coeff._b, coeff._d
+        if not im:
+            neg = num < 0
+            mag = -num if neg else num
+            if mag == den and factors != "1":
                 body = factors
-            elif factors == "1":
-                body = str(mag)
             else:
-                body = f"{mag} * {factors}"
-            joiner = "-" if neg else "+"
+                text = _ratio_text(mag, den)
+                body = text if factors == "1" else f"{text} * {factors}"
         else:
             # negate so the printed real part is nonnegative and the term
             # reparses with an outer '-' sign
-            neg = coeff.re < 0 or (coeff.re == 0 and coeff.im < 0)
+            neg = num < 0 or (not num and im < 0)
             shown = -coeff if neg else coeff
             body = str(shown) if factors == "1" else f"{shown} * {factors}"
-            joiner = "-" if neg else "+"
-        if idx == 0:
-            pieces.append(body if joiner == "+" else f"-{body}")
+        if not pieces:
+            pieces.append(f"-{body}" if neg else body)
         else:
-            pieces.append(f"{joiner} {body}")
+            pieces.append(f"- {body}" if neg else f"+ {body}")
     return " ".join(pieces)

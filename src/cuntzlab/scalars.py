@@ -42,6 +42,11 @@ def _rational(x: RationalLike) -> Tuple[int, int]:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+def _ratio_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for coprime n and d > 0."""
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 def _coerce(x) -> "GaussianRational":
     if isinstance(x, GaussianRational):
         return x
@@ -159,11 +164,14 @@ class GaussianRational:
         return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     def __str__(self) -> str:
-        if not self._b:
-            return str(self.re)
-        im = self.im
-        sign = "+" if im >= 0 else "-"
-        return f"{self.re}{sign}{abs(im)}i"
+        # the text of str(Fraction) for each part, read off the triple
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _ratio_text(a, d)  # gcd(a, d) = 1 in normal form
+        g, h = gcd(a, d), gcd(b, d)
+        re_text = _ratio_text(a // g, d // g)
+        im_text = _ratio_text(abs(b) // h, d // h)
+        return f"{re_text}{'+' if b > 0 else '-'}{im_text}i"
 
 
 # the slot descriptors' setters write past the immutability guard

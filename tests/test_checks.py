@@ -2,9 +2,12 @@
 passes vacuously, and a wrong oracle pairing fails both the suite and the
 CLI."""
 
+import json
+
 import pytest
 
-from cuntzlab import AlgebraElement, EndomorphismSpec, checks
+from cuntzlab import (AlgebraElement, EndomorphismSpec, MasaNotInvariantError,
+                      checks, product_masa)
 from cuntzlab.cli import main
 
 
@@ -99,3 +102,33 @@ def test_matrix_norms_mutants_fail(monkeypatch):
     monkeypatch.setattr(matrices, "homogeneous_parts", dropped)
     report = checks.check_matrix_norms(samples=20)
     assert not report["checks"]["part norms bounded"]
+
+
+def test_raising_suite_is_a_failed_report(monkeypatch, capsys):
+    """A wrong engine that breaks the E/F masa makes `check_ef` raise; the
+    suite fails as a mismatch (exit 1, not the domain-error exit 3) and
+    the suites after it still run."""
+    def broken(self, endo, budget=None):
+        raise MasaNotInvariantError("C_{E,F} is not invariant")
+
+    monkeypatch.setattr(product_masa.ProductMasaDynamics, "__init__", broken)
+    assert main(["verify", "ef"]) == 1
+    out = capsys.readouterr().out
+    assert "ef: FAIL" in out
+    assert "failed: raised MasaNotInvariantError" in out
+    # the other suites are stubbed to passing reports, to keep this quick
+    ran = []
+    for name in checks.SUITES:
+        if name != "ef":
+            monkeypatch.setitem(checks.SUITES, name, lambda name=name: (
+                ran.append(name) or checks._report(name, {"stub": True})))
+    assert main(["verify", "all", "--json"]) == 1
+    reports = json.loads(capsys.readouterr().out)
+    assert [r["suite"] for r in reports] == sorted(checks.SUITES)
+    assert len(reports) == 8
+    assert sorted(ran) == sorted(set(checks.SUITES) - {"ef"})
+    (ef,) = [r for r in reports if r["suite"] == "ef"]
+    assert ef["passed"] is False
+    assert ef["checks"] == {"raised MasaNotInvariantError": False}
+    assert "C_{E,F} is not invariant" in ef["details"]["message"]
+    assert all(r["passed"] for r in reports if r["suite"] != "ef")

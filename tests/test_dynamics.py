@@ -284,6 +284,30 @@ def test_discrete_tail_only_on_separating_word_tables(monkeypatch):
             == [r.counts for r in dyn("(2 3)").entropy(3, 6)])
 
 
+def test_separation_checked_once_per_dynamics(monkeypatch):
+    """The discrete-tail test depends on sigma alone, so every series of
+    one dynamics reuses the first answer."""
+    calls = []
+    check = JoinDynamics.separation_check
+
+    def spy(self, depth):
+        calls.append((self, depth))
+        return check(self, depth)
+
+    monkeypatch.setattr(JoinDynamics, "separation_check", spy)
+    for label, closed in (("(1 3)", True), ("(1 2)", False)):
+        d = dyn(label)
+        calls.clear()
+        reports = d.entropy(4, 16)
+        d.join_count(2, 5)
+        assert calls == [(d, 1)], label
+        assert all((r.counts.tail == "discrete") == closed for r in reports)
+    # a fresh dynamics decides again
+    calls.clear()
+    dyn("(1 3)").entropy(2, 4)
+    assert len(calls) == 1
+
+
 def test_forced_discrete_tail_is_caught(monkeypatch):
     # (1 2) is not separating: its partitions stop refining, so a discrete
     # tail forced onto it overstates every count after n = 1

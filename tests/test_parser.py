@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cuntzlab import (AlgebraElement, GaussianRational, ParseError,
+from cuntzlab import (AlgebraElement, GaussianRational, Monomial, ParseError,
                       format_element, parse_element)
 from cuntzlab.sampling import random_element
 
@@ -88,3 +90,131 @@ def test_printer_deterministic(rng):
 def test_zero_prints():
     assert format_element(AlgebraElement.zero(2)) == "0"
     assert parse_element("0", 2).is_zero()
+
+
+# -- reference printer: the Fraction-based text of the first printer, on
+# an element leveled whatever its shape
+
+def reference_scalar_text(c):
+    if c.is_real():
+        return str(c.re)
+    im = c.im
+    sign = "+" if im >= 0 else "-"
+    return f"{c.re}{sign}{abs(im)}i"
+
+
+def reference_format(a):
+    """Level every degree to its longest right word, contract, and print
+    each coefficient through its Fraction parts."""
+    targets = {d: a.max_right_length(d) for d in a.degrees()}
+    canon = a.level(targets).canonical()
+    if canon.is_zero():
+        return "0"
+    pieces = []
+    order = sorted(canon.terms.items(), key=lambda kv: (
+        kv[0].degree, len(kv[0].right), kv[0].right, kv[0].left))
+    for idx, (mono, coeff) in enumerate(order):
+        parts = []
+        if mono.left:
+            parts.append(f"s[{''.join(str(d) for d in mono.left)}]")
+        if mono.right:
+            parts.append(f"t[{''.join(str(d) for d in mono.right)}]")
+        factors = " ".join(parts) if parts else "1"
+        if coeff.is_real():
+            neg = coeff.re < 0
+            mag = abs(coeff.re)
+            if mag == 1 and factors != "1":
+                body = factors
+            elif factors == "1":
+                body = str(mag)
+            else:
+                body = f"{mag} * {factors}"
+        else:
+            neg = coeff.re < 0 or (coeff.re == 0 and coeff.im < 0)
+            shown = reference_scalar_text(-coeff if neg else coeff)
+            body = shown if factors == "1" else f"{shown} * {factors}"
+        joiner = "-" if neg else "+"
+        if idx == 0:
+            pieces.append(body if joiner == "+" else f"-{body}")
+        else:
+            pieces.append(f"{joiner} {body}")
+    return " ".join(pieces)
+
+
+parts = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+scalars = st.one_of(
+    st.builds(GaussianRational, parts),               # real
+    st.builds(GaussianRational, parts, parts),        # complex
+    st.sampled_from([GaussianRational(1), GaussianRational(-1),
+                     GaussianRational(0, 1), GaussianRational(0, -1)]))
+
+
+@st.composite
+def printable_elements(draw):
+    """Elements over N = 2..9 with mixed gauge degrees and scalar terms,
+    optionally leveled one letter further in one degree so that complete
+    sibling groups with equal coefficients occur."""
+    n = draw(st.integers(2, 9))
+    word = st.lists(st.integers(1, n), max_size=3).map(tuple)
+    terms = draw(st.dictionaries(st.builds(Monomial, word, word), scalars,
+                                 max_size=6))
+    a = AlgebraElement(n, terms)
+    if not a.is_zero() and draw(st.booleans()):
+        d = draw(st.sampled_from(sorted(a.degrees())))
+        a = a.level({d: a.max_right_length(d) + 1})
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalars)
+def test_scalar_text_matches_fraction_text(c):
+    assert str(c) == reference_scalar_text(c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(printable_elements())
+def test_printer_matches_reference(a):
+    before = dict(a.terms)
+    text = format_element(a)
+    assert text == reference_format(a)
+    assert parse_element(text, a.n_gens) == a
+    assert dict(a.terms) == before
+
+
+def test_printer_reference_edge_cases():
+    half = GaussianRational(Fraction(1, 2), Fraction(1, 3))
+    cases = [
+        (AlgebraElement.zero(3), "0"),
+        (AlgebraElement.one(2).scaled(-1), "-1"),
+        (AlgebraElement.one(2).scaled(Fraction(-3, 4)), "-3/4"),
+        (AlgebraElement.one(2).scaled(-half), "-1/2+1/3i"),
+        (AlgebraElement.one(2).scaled(GaussianRational(0, -2)), "-0+2i"),
+        (AlgebraElement.monomial(9, (9,), (), GaussianRational(0, 1)),
+         "0+1i * s[9]"),
+        (parse_element("1/2+1/3i * s[12] t[1] - 3/4 * s[1] + 2", 2),
+         "2 - 3/4 * s[1] + 1/2+1/3i * s[12] t[1]"),
+    ]
+    for a, want in cases:
+        assert format_element(a) == reference_format(a) == want
+
+
+def test_padding_is_printed():
+    # s_1 s_2^* = s_11 s_21^* + s_12 s_22^*: the shorter term must be
+    # leveled before the coefficients add
+    a = parse_element("s[1] t[2] + s[12] t[22]", 2)
+    assert format_element(a) == "s[11] t[21] + 2 * s[12] t[22]"
+    assert format_element(a) == reference_format(a)
+
+
+def test_canonical_copies_its_input():
+    """canonical() neither changes its input's terms nor shares them with
+    its result, whether it levels or only copies."""
+    even = AlgebraElement.one(2).level({0: 3})  # contracts to 1, unleveled
+    uneven = parse_element("s[1] t[2] + s[12] t[22] + s[11] t[21]", 2)
+    for a in (even, uneven):
+        before = dict(a.terms)
+        canon = a.canonical()
+        assert dict(a.terms) == before
+        assert canon._terms is not a._terms
+    assert even.canonical().terms == {Monomial((), ()): GaussianRational(1)}
+    assert len(even.terms) == 8
