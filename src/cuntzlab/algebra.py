@@ -229,9 +229,19 @@ class AlgebraElement:
     def level(self, targets: Mapping[int, int]) -> "AlgebraElement":
         """Insert sum_i s_i s_i^* = 1 on the right until every term of gauge
         degree d has right-length targets[d].  Degrees absent from targets
-        are left untouched."""
+        are left untouched.  One scan of the keys finds whether any term is
+        off its target; when none is, the element is returned as it is
+        (elements are immutable, so sharing the term dict is safe).  A
+        target below a term's right length raises LevelError."""
+        terms = self._terms
+        for left, right in terms:
+            r = len(right)
+            if targets.get(len(left) - r, r) != r:
+                break
+        else:
+            return self
         out: Dict[Monomial, GaussianRational] = {}
-        for mono, c in self._terms.items():
+        for mono, c in terms.items():
             t = targets.get(mono.degree, len(mono.right))
             gap = t - len(mono.right)
             if gap < 0:
@@ -283,21 +293,19 @@ class AlgebraElement:
         lies in at most one group and a contracted term never meets a term
         already there; each round rescans only the terms it merged.
         One scan of the keys finds each degree's longest right word; the
-        terms are leveled only when some term is shorter than that, and
-        otherwise copied.  Idempotent and equality-preserving; used for
+        contraction works on a copy only when `level` hands back the
+        element's own terms.  Idempotent and equality-preserving; used for
         display."""
         terms = self._terms
         targets: Dict[int, int] = {}
-        uneven = False
         for left, right in terms:
             r = len(right)
             d = len(left) - r
-            t = targets.setdefault(d, r)
-            if t != r:
-                uneven = True
-                if t < r:
-                    targets[d] = r
-        cur = self.level(targets)._terms if uneven else dict(terms)
+            if targets.get(d, -1) < r:
+                targets[d] = r
+        cur = self.level(targets)._terms
+        if cur is terms:
+            cur = dict(terms)
         n = self.n_gens
         merged = cur
         while merged:

@@ -65,11 +65,12 @@ def ef_projection(word: EFWord, n_gens: int = 2) -> AlgebraElement:
 def _conjugate_unitary(endo: EndomorphismSpec) -> AlgebraElement:
     """u' with rho_{u'} = lambda_V^{-1} rho lambda_V.  By Cuntz's rule
     rho_a rho_b = rho_{rho_a(b) a}, rho lambda_V = rho_{rho(w) u} and
-    u' = lambda_{V^*}(rho(w) u) w^*; for u in F_{k,k} so is u'."""
+    u' = lambda_{V^*}(rho(w) u) w^*.  As rho(w) u = u w and
+    lambda_{V^*}(w) = w^* w w = w, that is u' = lambda_{V^*}(u): one
+    apply on the cocycle path, and for u in F_{k,k} so is u'."""
     w = AlgebraElement(2, {Monomial((a + 1,), (b + 1,)): V[a][b]
                            for a in range(2) for b in range(2)})
-    inverse = EndomorphismSpec(w.adjoint(), rank=1)  # lambda_{V^*}
-    return inverse.apply(endo.apply(w) * endo.u) * w.adjoint()
+    return EndomorphismSpec(w.adjoint(), rank=1).apply(endo.u)  # lambda_{V^*}
 
 
 def _phased_permutation(u: AlgebraElement, k: int) -> Optional[Permutation]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .algebra import AlgebraElement, words
+from .algebra import AlgebraElement, Monomial, words
 from .dynamics import CantorDynamics, JoinDynamics, DEFAULT_BUDGET
 from .endomorphism import EndomorphismSpec, Permutation
 from .errors import MasaNotInvariantError
@@ -94,12 +94,23 @@ def compute_row(cycles: Tuple[Tuple[int, ...], ...],
     upper bound hte <= log 2.  On a zero verdict, an endomorphism that
     leaves every F_{p,l} invariant is one of the entropy-zero
     automorphisms; otherwise the product masa C_{E,F} supplies the log-2
-    lower bound."""
+    lower bound.  The status is "match" only when both columns match and
+    the word-path images rho(s_i) equal u s_i, read off u's terms."""
     perm = Permutation.from_cycles(cycles, 2, 2)
     endo = EndomorphismSpec.from_permutation(perm)
     label = perm.cycle_notation()
     s1 = endo.apply(AlgebraElement.generator(2, 1))
     s2 = endo.apply(AlgebraElement.generator(2, 2))
+    # every right word of u has k >= 1 letters, so by the monomial rule
+    # u s_i is the sum of c s_I s_{J'}^* over u's terms c s_I s_{iJ'}^*.
+    # Leveled to one right length, an element of one gauge degree has one
+    # term dict, so the dicts are compared: a word-path image with a right
+    # word of any other length reads as a mismatch.
+    u = endo.u.terms
+    images_hold = all(
+        img.terms == {Monomial(left, right[1:]): c
+                      for (left, right), c in u.items() if right[0] == i}
+        for i, img in ((1, s1), (2, s2)))
 
     dyn = CantorDynamics(endo, budget=budget)
     c2 = JoinDynamics.summarize(dyn.entropy(p_max, n_max)).verdict
@@ -118,8 +129,8 @@ def compute_row(cycles: Tuple[Tuple[int, ...], ...],
         except MasaNotInvariantError:
             hte, masa = "inconclusive", "none"
 
-    status = ("match" if hte == hte_expected and hte_c2 == hte_c2_expected
-              else "mismatch")
+    status = ("match" if images_hold and hte == hte_expected
+              and hte_c2 == hte_c2_expected else "mismatch")
     return Table1Row(label, format_element(s1), format_element(s2),
                      hte_expected, hte, hte_c2_expected, hte_c2,
                      masa, status)

@@ -4,6 +4,7 @@ small-step word-rewriting oracle."""
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -155,6 +156,88 @@ def test_level_error_and_equality():
            + AlgebraElement.diagonal(2, (2,)))
     assert lhs == AlgebraElement.one(2)
     assert gen(1) * gen(2).adjoint() != gen(2) * gen(1).adjoint()
+
+
+def reference_level(a, targets):
+    """The padding loop on every term, with no scan first: the term dict
+    of `a` leveled to `targets`."""
+    out = {}
+    for mono, c in a.terms.items():
+        t = targets.get(mono.degree, len(mono.right))
+        gap = t - len(mono.right)
+        if gap < 0:
+            raise LevelError(
+                f"target right-length {t} below current {len(mono.right)} "
+                f"in degree {mono.degree}"
+            )
+        for w in words(a.n_gens, gap):
+            key = Monomial(mono.left + w, mono.right + w)
+            s = out.get(key, GaussianRational()) + c
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    return out
+
+
+@st.composite
+def elements_and_targets(draw):
+    """An element over N = 2..4 with mixed degrees and right lengths, and
+    per degree a target from one below its longest right word to two
+    above it, or no target."""
+    n = draw(st.integers(2, 4))
+    word = st.lists(st.integers(1, n), max_size=3).map(tuple)
+    terms = draw(st.dictionaries(st.builds(Monomial, word, word), coeffs,
+                                 max_size=6))
+    a = AlgebraElement(n, terms)
+    targets = {}
+    for d in sorted(a.degrees()):
+        offset = draw(st.sampled_from([None, -1, 0, 0, 1, 2]))
+        if offset is not None:
+            targets[d] = max(0, a.max_right_length(d) + offset)
+    return a, targets
+
+
+@settings(max_examples=150, deadline=None)
+@given(elements_and_targets())
+def test_level_matches_reference_and_returns_level_input(case):
+    a, targets = case
+    try:
+        want = reference_level(a, targets)
+    except LevelError as exc:
+        with pytest.raises(LevelError, match=re.escape(str(exc))):
+            a.level(targets)
+        return
+    got = a.level(targets)
+    assert got.terms == want
+    level = all(targets.get(m.degree, len(m.right)) == len(m.right)
+                for m in a.terms)
+    assert (got is a) == level
+
+
+def test_level_error_below_one_term_among_level_ones():
+    # the first two terms already sit at the targets; the third is longer
+    a = sum_of(2, [((1,), (1,), 1), ((2,), (), 3), ((1, 2), (2, 1), 2)])
+    with pytest.raises(LevelError, match="below current 2 in degree 0"):
+        a.level({0: 1, 1: 0})
+    with pytest.raises(LevelError, match="below current 0 in degree 1"):
+        sum_of(2, [((2,), (), 3)]).level({1: -1})
+    assert a.level({0: 2}).terms == reference_level(a, {0: 2})
+
+
+def test_readers_leave_a_level_element_alone():
+    """canonical, in_F and == on an element already level share its term
+    dict through `level` and leave it as it was."""
+    x = AlgebraElement.one(3).level({0: 2}) + sum_of(
+        3, [((1, 2), (3, 1), Fraction(1, 2)), ((2, 2), (2, 2), 1)])
+    before = dict(x.terms)
+    assert x.level({0: 2}) is x
+    canon = x.canonical()
+    assert canon.terms != before and canon == x
+    assert not x.in_F(1, 1) and x.in_F(2, 2)
+    assert x == x.level({0: 3}) and x.level({0: 3}) == x
+    assert x != AlgebraElement.one(3)
+    assert dict(x.terms) == before
 
 
 def test_canonical_contraction():

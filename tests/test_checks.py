@@ -7,7 +7,7 @@ import json
 import pytest
 
 from cuntzlab import (AlgebraElement, EndomorphismSpec, MasaNotInvariantError,
-                      checks, product_masa)
+                      Permutation, checks, product_masa)
 from cuntzlab.cli import main
 
 
@@ -132,3 +132,29 @@ def test_raising_suite_is_a_failed_report(monkeypatch, capsys):
     assert ef["checks"] == {"raised MasaNotInvariantError": False}
     assert "C_{E,F} is not invariant" in ef["details"]["message"]
     assert all(r["passed"] for r in reports if r["suite"] != "ef")
+
+
+def test_inverse_rewrite_mutant_fails_table1_rows(monkeypatch):
+    """sigma^{-1} in place of sigma in the word rewriting: Table 1's
+    block maps do not use it, so its entropy columns still match, but the
+    generator images rho(s_i) differ from u s_i on exactly the rows whose
+    sigma is not an involution."""
+    from cuntzlab import table
+    from cuntzlab.algebra import pack_word
+
+    def inverse_rewrite(self, word):
+        inverse = self.perm.inverse()
+        k, n = inverse.k, inverse.n_gens
+        out = list(word)
+        for pos in range(len(out) - k, -1, -1):
+            out[pos:pos + k] = inverse.images[pack_word(out[pos:pos + k], n)]
+        return tuple(out)
+
+    monkeypatch.setattr(EndomorphismSpec, "_rewrite", inverse_rewrite)
+    rows = table.compute_table1()
+    failed = [row.perm for row in rows if row.status != "match"]
+    perms = [Permutation.parse(row.perm) for row in rows]
+    assert failed == [p.cycle_notation() for p in perms if p.inverse() != p]
+    assert len(failed) == 14
+    assert all(row.hte_computed == row.hte_expected
+               and row.hte_c2_computed == row.hte_c2_expected for row in rows)

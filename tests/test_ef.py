@@ -3,6 +3,7 @@ sliding-block dynamics that yields the log-2 lower bound where the
 standard masa gives zero."""
 
 import itertools
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -12,9 +13,9 @@ import pytest
 
 from cuntzlab import (AlgebraElement, CantorDynamics, EndomorphismSpec,
                       GaussianRational, JoinDynamics, MasaNotInvariantError,
-                      NotUnitaryError, Permutation, ProductMasaDynamics,
-                      ef_generators, ef_projection, parse_element,
-                      product_masa, theta, theta_power)
+                      Monomial, NotUnitaryError, Permutation,
+                      ProductMasaDynamics, ef_generators, ef_projection,
+                      parse_element, product_masa, theta, theta_power, words)
 from cuntzlab.checks import all_rank2_specs, ef_expansion_holds
 from cuntzlab.oracles import oracle_equivalence, oracle_map
 
@@ -186,6 +187,26 @@ def test_conjugate_is_a_permutation(label, k, conjugate):
     d = ProductMasaDynamics(EndomorphismSpec.from_label(label, k=k))
     assert d.endo.perm == Permutation.parse(conjugate, k, 2)
     assert d.label() == EndomorphismSpec.from_label(label, k=k).label()
+
+
+def test_conjugate_unitary_matches_the_conjugation_formula():
+    """u' = lambda_{V^*}(u) equals u' = lambda_{V^*}(rho(w) u) w^*, read
+    off rho lambda_V = rho_{rho(w) u}, for the 24 rows, 20 seeded rank-3
+    sigma and the canonical shift."""
+    w = AlgebraElement(2, {Monomial((a + 1,), (b + 1,)): product_masa.V[a][b]
+                           for a in range(2) for b in range(2)})
+    inverse = EndomorphismSpec(w.adjoint(), rank=1)
+    rng = random.Random(20)
+    rank3 = []
+    for _ in range(20):
+        images = list(words(2, 3))
+        rng.shuffle(images)
+        rank3.append(EndomorphismSpec.from_permutation(
+            Permutation(3, 2, tuple(images))))
+    specs = [*all_rank2_specs(), *rank3, EndomorphismSpec.canonical_shift(2)]
+    for spec in specs:
+        want = inverse.apply(spec.apply(w) * spec.u) * w.adjoint()
+        assert product_masa._conjugate_unitary(spec) == want, spec.label()
 
 
 def test_ef_verdict_is_the_conjugate_verdict_on_c2():
