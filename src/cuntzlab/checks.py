@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
 from .algebra import AlgebraElement, words
 from .endomorphism import EndomorphismSpec, Permutation, theta, theta_power
-from .errors import CuntzError
+from .errors import CuntzError, DiagonalNotPreservedError, MasaNotInvariantError
 from .parsing import parse_element
 from .sampling import random_homogeneous
 
@@ -238,7 +238,12 @@ def check_ef(table_depth: int = 10, proj_depth: int = 5,
     """Product-masa pipeline: projection-word partitions, the direct
     expansion of rho(P_q) for all 24 rank-2 permutations, the tEF table
     match for sigma_12 and sigma_1324, and log-2 verdicts for all four
-    rows that need the C_{E,F} lower bound."""
+    rows that need the C_{E,F} lower bound.  A sigma whose E/F dynamics
+    raises MasaNotInvariantError or DiagonalNotPreservedError fails its
+    expansion check, with the exception under "raised" in the details,
+    and the other sigma still run; the four rows' table and verdict
+    checks need their dynamics, so a raise there fails the whole suite
+    (`run_suite`)."""
     from .dynamics import JoinDynamics
     from .oracles import oracle_equivalence
     from .product_masa import ProductMasaDynamics, ef_projection
@@ -255,10 +260,16 @@ def check_ef(table_depth: int = 10, proj_depth: int = 5,
                    and p * p == p and p.adjoint() == p)
             total = total + p
         checks[f"depth-{m} projection words partition 1"] = ok and total == one
+    raised = {}  # check name -> the exception that failed it
     for endo in all_rank2_specs():
-        checks[f"{endo.label()} rho(P_q) expands on the EF table to depth "
-               f"{expansion_depth}"] = ef_expansion_holds(
-                   ProductMasaDynamics(endo), expansion_depth)
+        name = (f"{endo.label()} rho(P_q) expands on the EF table to depth "
+                f"{expansion_depth}")
+        try:
+            checks[name] = ef_expansion_holds(ProductMasaDynamics(endo),
+                                              expansion_depth)
+        except (MasaNotInvariantError, DiagonalNotPreservedError) as exc:
+            checks[name] = False
+            raised[name] = f"{type(exc).__name__}: {exc}"
     for label in ("(1 2)", "(1 3 2 4)"):
         dyn = ProductMasaDynamics(EndomorphismSpec.from_label(label))
         checks[f"{label} EF table = tEF to depth {table_depth}"] = (
@@ -267,7 +278,7 @@ def check_ef(table_depth: int = 10, proj_depth: int = 5,
         dyn = ProductMasaDynamics(EndomorphismSpec.from_label(label))
         verdict = JoinDynamics.summarize(dyn.entropy(4, 16)).verdict
         checks[f"{label} EF verdict log2"] = verdict == "log2"
-    return _report("ef", checks)
+    return _report("ef", checks, **({"raised": raised} if raised else {}))
 
 
 SUITES: Dict[str, Callable[[], dict]] = {

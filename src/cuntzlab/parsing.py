@@ -3,14 +3,18 @@
     element := term (('+'|'-') term)*
     term    := coeff | [coeff '*'] factor+
     factor  := 's[' digits ']' | 't[' digits ']'     (t[J] means s_J^*)
-    coeff   := rational | rational ('+'|'-') rational 'i'
+    coeff   := rational [complex] | '(' ['+'|'-'] rational [complex] ')'
+    complex := ('+'|'-') rational 'i'
     rational := integer ['/' positive-integer]
 
 Digits are single letters 1..N concatenated, so the grammar holds only
 N <= 9: with N >= 10, s_11 and s_1 s_1 would print alike.  Both
 ``parse_element`` and ``format_element`` raise ``ParseError`` for N > 9.
 Whitespace is insignificant.  ``format_element`` prints the canonical form
-and round-trips through ``parse_element``.
+and round-trips through ``parse_element``; it prints a complex coefficient
+in parentheses with its own signs, as ``(-1/2+1/3i) * s[1]``.  A complex
+coefficient without parentheses after a '-' is rejected: ``-1/2+1/3i``
+could be read as -1/2 + i/3 or as -(1/2 + i/3).
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ _TOKEN = re.compile(
       | (?P<number>\d+(?:/\d+)?)
       | (?P<imag>i)
       | (?P<op>[+\-*])
+      | (?P<paren>[()])
     )""",
     re.VERBOSE,
 )
@@ -47,7 +52,7 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
                 break
             at = len(text) - len(stripped)
             raise ParseError(f"unexpected character {text[at]!r}", at)
-        for kind in ("factor", "number", "imag", "op"):
+        for kind in ("factor", "number", "imag", "op", "paren"):
             val = m.group(kind)
             if val is not None:
                 tokens.append((kind, val, m.start(kind)))
@@ -100,9 +105,9 @@ class _Parser:
             return Fraction(int(num), int(den))
         return Fraction(int(val))
 
-    def _coeff(self) -> GaussianRational:
-        """rational, optionally followed by ('+'|'-') rational 'i'."""
-        re_part = self._rational()
+    def _imaginary(self, re_part: Fraction):
+        """re_part plus a following ('+'|'-') rational 'i', or None, with
+        nothing consumed, when no such part follows."""
         save = self.i
         tok = self.peek()
         if tok is not None and tok[0] == "op" and tok[1] in "+-":
@@ -115,7 +120,33 @@ class _Parser:
                     self.next()
                     return GaussianRational(re_part, im if tok[1] == "+" else -im)
             self.i = save
-        return GaussianRational(re_part, Fraction(0))
+        return None
+
+    def _coeff(self, after_minus: bool) -> GaussianRational:
+        """A rational, optionally followed by its imaginary part, either
+        bare or in parentheses with an optional leading sign; a bare
+        complex coefficient after a '-' is ambiguous and rejected."""
+        _, val, pos = self.peek()
+        paren = val == "("
+        negate = False
+        if paren:
+            self.next()
+            tok = self.peek()
+            if tok is not None and tok[0] == "op" and tok[1] in "+-":
+                self.next()
+                negate = tok[1] == "-"
+        re_part = self._rational()
+        if negate:
+            re_part = -re_part
+        z = self._imaginary(re_part)
+        if paren:
+            _, val, at = self.next()
+            if val != ")":
+                raise ParseError(f"expected ')', got {val!r}", at)
+        elif z is not None and after_minus:
+            raise ParseError("a complex coefficient after '-' needs "
+                             "parentheses, as in (-1/2+1/3i)", pos)
+        return GaussianRational(re_part) if z is None else z
 
     def _word(self, token: str, pos: int) -> Tuple[int, ...]:
         digits = token[2:-1]
@@ -130,8 +161,8 @@ class _Parser:
         if tok is None:
             raise ParseError("expected a term", len(self.text))
         coeff = GaussianRational.of(sign)
-        if tok[0] == "number":
-            coeff = coeff * self._coeff()
+        if tok[0] == "number" or tok[1] == "(":
+            coeff = coeff * self._coeff(after_minus=sign < 0)
             nxt = self.peek()
             if nxt is not None and nxt[0] == "op" and nxt[1] == "*":
                 self.next()
@@ -202,11 +233,9 @@ def format_element(a: AlgebraElement) -> str:
                 text = _ratio_text(mag, den)
                 body = text if factors == "1" else f"{text} * {factors}"
         else:
-            # negate so the printed real part is nonnegative and the term
-            # reparses with an outer '-' sign
-            neg = num < 0 or (not num and im < 0)
-            shown = -coeff if neg else coeff
-            body = str(shown) if factors == "1" else f"{shown} * {factors}"
+            # both signs inside the parentheses, none outside
+            neg = False
+            body = f"({coeff})" if factors == "1" else f"({coeff}) * {factors}"
         if not pieces:
             pieces.append(f"-{body}" if neg else body)
         else:

@@ -17,12 +17,13 @@ two induced Cantor maps are the same map."""
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Tuple
 
 from .algebra import AlgebraElement, Monomial, _hold, words
 from .dynamics import DEFAULT_BUDGET, CantorDynamics
 from .endomorphism import EndomorphismSpec, Permutation, theta
-from .errors import CylinderError, MasaNotInvariantError
+from .errors import CylinderError, MasaNotInvariantError, NotUnitaryError
 from .scalars import GaussianRational
 
 EFWord = Tuple[int, ...]  # letters 1 (=E) and 2 (=F)
@@ -43,19 +44,39 @@ def ef_generators(n_gens: int = 2) -> Tuple[AlgebraElement, AlgebraElement]:
     return (one + x).scaled(Fraction(1, 2)), (one - x).scaled(Fraction(1, 2))
 
 
+@lru_cache(maxsize=None)
+def _ef_memo(n_gens: int) -> Tuple[AlgebraElement, AlgebraElement]:
+    """E and F of one alphabet, built once and never handed out: `_hold`
+    fills their level-1 matrix memo, read-only, and reuses it for every
+    projection word, whose fresh kernel elements take any higher level in
+    their own memos."""
+    return ef_generators(n_gens)
+
+
+def _ef_pair(n_gens: int) -> Tuple[AlgebraElement, AlgebraElement]:
+    """Fresh E and F for one projection word: kernel elements over the
+    memoized level-1 matrices where the kernel takes them, else newly
+    built sparse elements."""
+    memo = _ef_memo(n_gens)
+    pair = tuple(_hold(q) for q in memo)
+    if any(held is q for held, q in zip(pair, memo)):
+        return ef_generators(n_gens)
+    return pair
+
+
 def ef_projection(word: EFWord, n_gens: int = 2) -> AlgebraElement:
     """P_q = q_1 theta(q_2) ... theta^{m-1}(q_m) for q over {1=E, 2=F},
     folded from the right as P_q = q_1 theta(P_{q_2 ... q_m}), theta being
     a homomorphism: m - 1 theta calls and m - 1 products.  E and F enter
     as kernel elements that hold their level-1 matrices where those fit
     the kernel's storage bound, so for N = 2 the whole chain stays on the
-    kernel."""
+    kernel; those matrices are made once per alphabet."""
     for letter in word:
         if letter not in (1, 2):
             raise ValueError(f"E/F letter {letter!r} is not 1 (E) or 2 (F)")
     if not word:
         return AlgebraElement.one(n_gens)
-    e, f = (_hold(q) for q in ef_generators(n_gens))
+    e, f = _ef_pair(n_gens)
     out = e if word[-1] == 1 else f
     for letter in reversed(word[:-1]):
         out = (e if letter == 1 else f) * theta(out)
@@ -67,10 +88,16 @@ def _conjugate_unitary(endo: EndomorphismSpec) -> AlgebraElement:
     rho_a rho_b = rho_{rho_a(b) a}, rho lambda_V = rho_{rho(w) u} and
     u' = lambda_{V^*}(rho(w) u) w^*.  As rho(w) u = u w and
     lambda_{V^*}(w) = w^* w w = w, that is u' = lambda_{V^*}(u): one
-    apply on the cocycle path, and for u in F_{k,k} so is u'."""
+    apply on the cocycle path, and for u in F_{k,k} so is u'.  w w^* is
+    sum_{a,c} (V V^*)_{ac} s_a s_c^*, so w is unitary exactly when the
+    2 x 2 scalar matrix V is, which is checked on V."""
+    if any(sum(V[a][c] * V[b][c].conjugate() for c in range(2)) != int(a == b)
+           for a in range(2) for b in range(2)):
+        raise NotUnitaryError("the Bogolubov matrix V is not unitary")
     w = AlgebraElement(2, {Monomial((a + 1,), (b + 1,)): V[a][b]
                            for a in range(2) for b in range(2)})
-    return EndomorphismSpec(w.adjoint(), rank=1).apply(endo.u)  # lambda_{V^*}
+    lambda_v_star = EndomorphismSpec(w.adjoint(), rank=1, check=False)
+    return lambda_v_star.apply(endo.u)
 
 
 def _phased_permutation(u: AlgebraElement, k: int) -> Optional[Permutation]:

@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from cuntzlab import (AlgebraElement, EndomorphismSpec, MasaNotInvariantError,
-                      Permutation, checks, product_masa)
+from cuntzlab import (AlgebraElement, DiagonalNotPreservedError,
+                      EndomorphismSpec, MasaNotInvariantError, Permutation,
+                      checks, product_masa)
 from cuntzlab.cli import main
 
 
@@ -134,23 +135,63 @@ def test_raising_suite_is_a_failed_report(monkeypatch, capsys):
     assert all(r["passed"] for r in reports if r["suite"] != "ef")
 
 
+def _inverse_rewrite(self, word):
+    """EndomorphismSpec._rewrite with sigma^{-1} in place of sigma."""
+    from cuntzlab.algebra import pack_word
+
+    inverse = self.perm.inverse()
+    k, n = inverse.k, inverse.n_gens
+    out = list(word)
+    for pos in range(len(out) - k, -1, -1):
+        out[pos:pos + k] = inverse.images[pack_word(out[pos:pos + k], n)]
+    return tuple(out)
+
+
+def test_inverse_rewrite_mutant_fails_verify_ef(monkeypatch, capsys):
+    """sigma^{-1} in the word rewriting: rho(P_q) no longer expands on
+    the E/F table for exactly the eight 3-cycles, and `verify ef` exits 1
+    (a mismatch), not 3 (a domain error)."""
+    monkeypatch.setattr(EndomorphismSpec, "_rewrite", _inverse_rewrite)
+    assert main(["verify", "ef"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    failed = [line.removeprefix("  failed: ") for line in out
+              if line.startswith("  failed: ")]
+    cycles = ["(1 2 3)", "(1 3 2)", "(1 2 4)", "(1 4 2)", "(1 3 4)",
+              "(1 4 3)", "(2 3 4)", "(2 4 3)"]
+    assert sorted(failed) == sorted(
+        f"{c} rho(P_q) expands on the EF table to depth 2" for c in cycles)
+
+
+def test_raising_sigma_is_a_failed_ef_check(monkeypatch):
+    """A sigma whose E/F dynamics raises fails its own expansion check,
+    named in the details, and the other sigma still run."""
+    build = product_masa.ProductMasaDynamics.__init__
+
+    def broken(self, endo, *args, **kwargs):
+        if endo.label() == "(1 3)":
+            raise DiagonalNotPreservedError("no 0/1 sum", (1, 2))
+        build(self, endo, *args, **kwargs)
+
+    monkeypatch.setattr(product_masa.ProductMasaDynamics, "__init__", broken)
+    report = checks.check_ef(table_depth=2, proj_depth=1, expansion_depth=1)
+    name = "(1 3) rho(P_q) expands on the EF table to depth 1"
+    assert [n for n, ok in report["checks"].items() if not ok] == [name]
+    assert report["details"] == {
+        "raised": {name: "DiagonalNotPreservedError: no 0/1 sum"}}
+    assert not report["passed"]
+    monkeypatch.undo()
+    assert checks.check_ef(table_depth=2, proj_depth=1,
+                           expansion_depth=1)["details"] == {}
+
+
 def test_inverse_rewrite_mutant_fails_table1_rows(monkeypatch):
     """sigma^{-1} in place of sigma in the word rewriting: Table 1's
     block maps do not use it, so its entropy columns still match, but the
     generator images rho(s_i) differ from u s_i on exactly the rows whose
     sigma is not an involution."""
     from cuntzlab import table
-    from cuntzlab.algebra import pack_word
 
-    def inverse_rewrite(self, word):
-        inverse = self.perm.inverse()
-        k, n = inverse.k, inverse.n_gens
-        out = list(word)
-        for pos in range(len(out) - k, -1, -1):
-            out[pos:pos + k] = inverse.images[pack_word(out[pos:pos + k], n)]
-        return tuple(out)
-
-    monkeypatch.setattr(EndomorphismSpec, "_rewrite", inverse_rewrite)
+    monkeypatch.setattr(EndomorphismSpec, "_rewrite", _inverse_rewrite)
     rows = table.compute_table1()
     failed = [row.perm for row in rows if row.status != "match"]
     perms = [Permutation.parse(row.perm) for row in rows]

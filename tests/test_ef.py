@@ -14,8 +14,9 @@ import pytest
 from cuntzlab import (AlgebraElement, CantorDynamics, EndomorphismSpec,
                       GaussianRational, JoinDynamics, MasaNotInvariantError,
                       Monomial, NotUnitaryError, Permutation,
-                      ProductMasaDynamics, ef_generators, ef_projection,
-                      parse_element, product_masa, theta, theta_power, words)
+                      ProductMasaDynamics, algebra, ef_generators,
+                      ef_projection, parse_element, product_masa, theta,
+                      theta_power, words)
 from cuntzlab.checks import all_rank2_specs, ef_expansion_holds
 from cuntzlab.oracles import oracle_equivalence, oracle_map
 
@@ -76,6 +77,31 @@ def test_depth_m_word_makes_m_minus_1_theta_calls(depth, monkeypatch):
                         lambda a: calls.append(a) or original(a))
     ef_projection(((1, 2, 2) * 3)[:depth])
     assert len(calls) == max(depth - 1, 0)
+
+
+def test_ef_memo_keeps_only_level1_read_only_matrices():
+    """E and F are made once per alphabet.  A deep word re-levels only
+    the fresh elements of its own call, so the memo never pins a matrix
+    above level 1 (a held level-12 one would take about 268 MB)."""
+    ef_projection((1, 2, 2, 1, 2, 1, 1))
+    memo = product_masa._ef_memo(2)
+    for q, single in zip(memo, (ef_projection((1,)), ef_projection((2,)))):
+        assert algebra._built_terms(single) is None
+        assert single._matrix is q._matrix  # shared, not copied
+        assert q._matrix.m == 1
+        assert not (q._matrix.re.flags.writeable or q._matrix.im.flags.writeable)
+        assert single == q
+
+
+def test_ef_projection_returns_fresh_elements():
+    for word in ((1,), (2,), (2, 1, 1)):
+        a, b = ef_projection(word), ef_projection(word)
+        assert a is not b and a == b
+        # re-leveling one leaves the other at its own level
+        assert a * theta(theta(theta(a))) == a * theta_power(3, b)
+        assert b._matrix.m == len(word)
+    memo = product_masa._ef_memo(2)
+    assert not any(x is y for x in ef_generators() for y in memo)
 
 
 def test_large_alphabet_projection_keeps_to_the_storage_bound():
@@ -247,6 +273,19 @@ def test_direct_expansion_oracle_catches_a_wrong_basis(monkeypatch):
     monkeypatch.setattr(product_masa, "V", ((c, c), (c, c)))
     with pytest.raises(NotUnitaryError):
         ProductMasaDynamics(EndomorphismSpec.from_label("(1 2)"))
+
+
+def test_bogolubov_matrix_is_checked_as_a_scalar_matrix(monkeypatch):
+    # V is read when u' is computed; w is unitary exactly when V V^* = I
+    one, zero, i = GaussianRational(1), GaussianRational(0), GaussianRational(0, 1)
+    spec = EndomorphismSpec.from_label("(1 2)")
+    monkeypatch.setattr(product_masa, "V", ((zero, i), (one, zero)))
+    u = product_masa._conjugate_unitary(spec)
+    assert u * u.adjoint() == AlgebraElement.one(2) == u.adjoint() * u
+    for v in (((one, zero), (one, zero)), ((one, one), (zero, one))):
+        monkeypatch.setattr(product_masa, "V", v)
+        with pytest.raises(NotUnitaryError, match="V is not unitary"):
+            product_masa._conjugate_unitary(spec)
 
 
 def test_shift_acts_as_shift_in_ef_coordinates():

@@ -92,8 +92,9 @@ def test_zero_prints():
     assert parse_element("0", 2).is_zero()
 
 
-# -- reference printer: the Fraction-based text of the first printer, on
-# an element leveled whatever its shape
+# -- reference printer: the Fraction-based text of the first printer, with
+# complex coefficients in parentheses, on an element leveled whatever its
+# shape
 
 def reference_scalar_text(c):
     if c.is_real():
@@ -130,8 +131,8 @@ def reference_format(a):
             else:
                 body = f"{mag} * {factors}"
         else:
-            neg = coeff.re < 0 or (coeff.re == 0 and coeff.im < 0)
-            shown = reference_scalar_text(-coeff if neg else coeff)
+            neg = False  # both signs inside the parentheses
+            shown = f"({reference_scalar_text(coeff)})"
             body = shown if factors == "1" else f"{shown} * {factors}"
         joiner = "-" if neg else "+"
         if idx == 0:
@@ -187,12 +188,12 @@ def test_printer_reference_edge_cases():
         (AlgebraElement.zero(3), "0"),
         (AlgebraElement.one(2).scaled(-1), "-1"),
         (AlgebraElement.one(2).scaled(Fraction(-3, 4)), "-3/4"),
-        (AlgebraElement.one(2).scaled(-half), "-1/2+1/3i"),
-        (AlgebraElement.one(2).scaled(GaussianRational(0, -2)), "-0+2i"),
+        (AlgebraElement.one(2).scaled(-half), "(-1/2-1/3i)"),
+        (AlgebraElement.one(2).scaled(GaussianRational(0, -2)), "(0-2i)"),
         (AlgebraElement.monomial(9, (9,), (), GaussianRational(0, 1)),
-         "0+1i * s[9]"),
+         "(0+1i) * s[9]"),
         (parse_element("1/2+1/3i * s[12] t[1] - 3/4 * s[1] + 2", 2),
-         "2 - 3/4 * s[1] + 1/2+1/3i * s[12] t[1]"),
+         "2 - 3/4 * s[1] + (1/2+1/3i) * s[12] t[1]"),
     ]
     for a, want in cases:
         assert format_element(a) == reference_format(a) == want
@@ -218,3 +219,52 @@ def test_canonical_copies_its_input():
         assert canon._terms is not a._terms
     assert even.canonical().terms == {Monomial((), ()): GaussianRational(1)}
     assert len(even.terms) == 8
+
+
+def test_parenthesized_complex_coefficients():
+    s1 = AlgebraElement.generator(2, 1)
+    z = GaussianRational(Fraction(-1, 2), Fraction(1, 3))
+    assert parse_element("(-1/2+1/3i) * s[1]", 2) == s1.scaled(z)
+    assert format_element(s1.scaled(z)) == "(-1/2+1/3i) * s[1]"
+    # an outer '-' negates both parts; a bare complex coefficient may
+    # still open the text or follow a '+'
+    assert parse_element("-(1/2-1/3i) * s[1]", 2) == s1.scaled(z)
+    assert parse_element("s[2] + 1/2-1/3i * s[1]", 2) == \
+        AlgebraElement.generator(2, 2) + s1.scaled(-z)
+    assert parse_element("(+3/4)", 2) == parse_element("3/4", 2)
+
+
+@pytest.mark.parametrize("text, position", [
+    ("-1/2+1/3i", 1), ("-1/2+1/3i * s[1]", 1), ("s[1] - 1/2+1/3i * s[2]", 7),
+    ("s[1] -0-1i", 6)])
+def test_bare_complex_coefficient_after_minus_rejected(text, position):
+    # -1/2+1/3i reads as -1/2 + i/3 or as -(1/2 + i/3)
+    with pytest.raises(ParseError, match="parentheses") as exc:
+        parse_element(text, 2)
+    assert exc.value.position == position
+
+
+@pytest.mark.parametrize("text, position", [
+    ("(1/2+1/3i", 9), ("(1/2+1/3i s[1]", 10), ("()", 1), ("(1/2+i)", 4)])
+def test_unclosed_or_empty_parentheses_rejected(text, position):
+    with pytest.raises(ParseError) as exc:
+        parse_element(text, 2)
+    assert exc.value.position == position
+
+
+nonzero_parts = parts.filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts, nonzero_parts, st.sampled_from([(), (1,), (2, 1)]),
+       st.sampled_from([(), (2,)]))
+def test_complex_coefficients_round_trip(re_part, im_part, left, right):
+    c = GaussianRational(re_part, im_part)
+    a = AlgebraElement(2, {Monomial(left, right): c,
+                           Monomial((1, 1), (1,)): GaussianRational(-1)})
+    text = format_element(a)
+    assert f"({c})" in text
+    assert parse_element(text, 2) == a
+    # the same coefficient after an outer '-' takes its negation
+    assert parse_element(f"s[2] - ({c})", 2) == \
+        AlgebraElement.generator(2, 2) - AlgebraElement.one(2).scaled(c)
