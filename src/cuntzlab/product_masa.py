@@ -18,13 +18,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Optional, Tuple
 
-from .algebra import AlgebraElement, Monomial, _hold, words
+from .algebra import AlgebraElement, Monomial, _hold, _wrap, words
 from .dynamics import DEFAULT_BUDGET, CantorDynamics
 from .endomorphism import EndomorphismSpec, Permutation, theta
 from .errors import CylinderError, MasaNotInvariantError, NotUnitaryError
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _reduce
 
 EFWord = Tuple[int, ...]  # letters 1 (=E) and 2 (=F)
 
@@ -85,19 +86,73 @@ def ef_projection(word: EFWord, n_gens: int = 2) -> AlgebraElement:
 
 def _conjugate_unitary(endo: EndomorphismSpec) -> AlgebraElement:
     """u' with rho_{u'} = lambda_V^{-1} rho lambda_V.  By Cuntz's rule
-    rho_a rho_b = rho_{rho_a(b) a}, rho lambda_V = rho_{rho(w) u} and
-    u' = lambda_{V^*}(rho(w) u) w^*.  As rho(w) u = u w and
-    lambda_{V^*}(w) = w^* w w = w, that is u' = lambda_{V^*}(u): one
-    apply on the cocycle path, and for u in F_{k,k} so is u'.  w w^* is
-    sum_{a,c} (V V^*)_{ac} s_a s_c^*, so w is unitary exactly when the
-    2 x 2 scalar matrix V is, which is checked on V."""
-    if any(sum(V[a][c] * V[b][c].conjugate() for c in range(2)) != int(a == b)
+    rho_a rho_b = rho_{rho_a(b) a}, rho lambda_V = rho_{rho(w) u} with
+    w = sum_{a,b} V_ab s_a s_b^*, and u' = lambda_{V^*}(rho(w) u) w^*.  As
+    rho(w) u = u w and lambda_{V^*}(w) = w^* w w = w, that is
+    u' = lambda_{V^*}(u).  w w^* is sum_{a,c} (V V^*)_{ac} s_a s_c^*, so w
+    is unitary exactly when the 2 x 2 scalar matrix V is, which is
+    checked on V.
+
+    lambda_{V^*}(s_i) = sum_a conj(V_ia) s_a, so with
+    c(I, A) = prod_t V[I_t][A_t] (letters as 1-based indices of V),
+    lambda_{V^*}(s_I s_J^*) = sum over |A| = |I|, |B| = |J| of
+    conj(c(I, A)) c(J, B) s_A s_B^*, for every gauge degree.  It is summed
+    term by term over u on Gaussian-integer numerators over one common
+    denominator, and each coefficient is reduced once; for u in F_{k,k}
+    so is u'."""
+    den = lcm(*(z._d for row in V for z in row))
+    # V[i][a] = (re + im i) / den, one (re, im) pair per letter a
+    rows = [[(z._a * (den // z._d), z._b * (den // z._d)) for z in row]
+            for row in V]
+    # V V^* = I, read on the numerators as V V^* = den^2 I
+    if any(sum(x * p + y * q for (x, y), (p, q) in zip(rows[a], rows[b]))
+           != den * den * (a == b)
+           or sum(y * p - x * q for (x, y), (p, q) in zip(rows[a], rows[b]))
            for a in range(2) for b in range(2)):
         raise NotUnitaryError("the Bogolubov matrix V is not unitary")
-    w = AlgebraElement(2, {Monomial((a + 1,), (b + 1,)): V[a][b]
-                           for a in range(2) for b in range(2)})
-    lambda_v_star = EndomorphismSpec(w.adjoint(), rank=1, check=False)
-    return lambda_v_star.apply(endo.u)
+    terms = endo.u.terms
+    common = lcm(*(c._d * den ** (len(m.left) + len(m.right))
+                   for m, c in terms.items()))
+    vectors = {}  # word I -> numerators of c(I, A), A in lexicographic order
+    sums = {}  # (|A|, |B|) -> real and imaginary numerator lists over (A, B)
+
+    def vector(word):
+        vec = vectors.get(word)
+        if vec is None:
+            vec = [(1, 0)]
+            for letter in word:
+                vec = [(x * p - y * q, x * q + y * p)
+                       for x, y in vec for p, q in rows[letter - 1]]
+            vectors[word] = vec
+        return vec
+
+    for (left, right), c in terms.items():
+        scale = common // (c._d * den ** (len(left) + len(right)))
+        cr, ci = c._a * scale, c._b * scale
+        cols = vector(right)
+        shape = (len(left), len(right))
+        acc = sums.get(shape)
+        if acc is None:
+            acc = sums[shape] = ([0] * (2 ** sum(shape)), [0] * (2 ** sum(shape)))
+        re, im = acc
+        at = 0
+        for x, y in vector(left):
+            # c * conj(c(I, A)), then times c(J, B) along the row of A
+            tr, ti = cr * x + ci * y, ci * x - cr * y
+            for p, q in cols:
+                re[at] += tr * p - ti * q
+                im[at] += tr * q + ti * p
+                at += 1
+    out = {}
+    for (la, lb), (re, im) in sums.items():
+        right_words = list(words(2, lb))
+        at = 0
+        for a in words(2, la):
+            for b in right_words:
+                if re[at] or im[at]:
+                    out[Monomial(a, b)] = _reduce(re[at], im[at], common)
+                at += 1
+    return _wrap(2, out)
 
 
 def _phased_permutation(u: AlgebraElement, k: int) -> Optional[Permutation]:

@@ -7,8 +7,9 @@ import json
 import pytest
 
 from cuntzlab import (AlgebraElement, DiagonalNotPreservedError,
-                      EndomorphismSpec, MasaNotInvariantError, Permutation,
-                      checks, product_masa)
+                      EndomorphismSpec, GaussianRational,
+                      MasaNotInvariantError, Permutation, checks,
+                      product_masa)
 from cuntzlab.cli import main
 
 
@@ -160,6 +161,25 @@ def test_inverse_rewrite_mutant_fails_verify_ef(monkeypatch, capsys):
               "(1 4 3)", "(2 3 4)", "(2 4 3)"]
     assert sorted(failed) == sorted(
         f"{c} rho(P_q) expands on the EF table to depth 2" for c in cycles)
+
+
+def test_identity_bogolubov_mutant_fails_verify_ef(monkeypatch, capsys):
+    """V = I passes the unitarity check but makes sigma' = sigma, so the
+    E/F tables are the C_2 tables: `verify ef` exits 1 on 21 expansion
+    checks and the four log-2 verdicts.  So a conjugate that hard-wires
+    the Hadamard matrix instead of reading V fails this test."""
+    one, zero = GaussianRational(1), GaussianRational(0)
+    monkeypatch.setattr(product_masa, "V", ((one, zero), (zero, one)))
+    assert main(["verify", "ef"]) == 1
+    failed = [line.removeprefix("  failed: ")
+              for line in capsys.readouterr().out.splitlines()
+              if line.startswith("  failed: ")]
+    expansion = [name for name in failed
+                 if name.endswith("rho(P_q) expands on the EF table to depth 2")]
+    assert len(expansion) == 21
+    assert {name for name in failed if name.endswith("EF verdict log2")} == {
+        f"{label} EF verdict log2"
+        for label in ("(1 2)", "(1 3 2 4)", "(3 4)", "(1 4 2 3)")}
 
 
 def test_raising_sigma_is_a_failed_ef_check(monkeypatch):

@@ -15,8 +15,8 @@ from cuntzlab import (AlgebraElement, CantorDynamics, EndomorphismSpec,
                       GaussianRational, JoinDynamics, MasaNotInvariantError,
                       Monomial, NotUnitaryError, Permutation,
                       ProductMasaDynamics, algebra, ef_generators,
-                      ef_projection, parse_element, product_masa, theta,
-                      theta_power, words)
+                      ef_projection, endomorphism, parse_element,
+                      product_masa, theta, theta_power, words)
 from cuntzlab.checks import all_rank2_specs, ef_expansion_holds
 from cuntzlab.oracles import oracle_equivalence, oracle_map
 
@@ -233,6 +233,85 @@ def test_conjugate_unitary_matches_the_conjugation_formula():
     for spec in specs:
         want = inverse.apply(spec.apply(w) * spec.u) * w.adjoint()
         assert product_masa._conjugate_unitary(spec) == want, spec.label()
+
+
+def _cocycle_lambda_v_star(x):
+    """lambda_{V^*}(x) on the cocycle path: rho_{w^*} for the rank-1
+    w = sum_{a,b} V_ab s_a s_b^*, with V read at call time."""
+    w = AlgebraElement(2, {Monomial((a + 1,), (b + 1,)): product_masa.V[a][b]
+                           for a in range(2) for b in range(2)})
+    return EndomorphismSpec(w.adjoint(), rank=1).apply(x)
+
+
+def _conjugate_specs():
+    """The 24 rows, 20 seeded rank-3 sigma, the canonical shift and the
+    identity."""
+    rng = random.Random(20)
+    rank3 = []
+    for _ in range(20):
+        images = list(words(2, 3))
+        rng.shuffle(images)
+        rank3.append(EndomorphismSpec.from_permutation(
+            Permutation(3, 2, tuple(images))))
+    return [*all_rank2_specs(), *rank3, EndomorphismSpec.canonical_shift(2),
+            EndomorphismSpec.identity(2)]
+
+
+_I, _ONE, _ZERO = GaussianRational(0, 1), GaussianRational(1), GaussianRational(0)
+BOGOLUBOV = {
+    "hadamard": None,  # product_masa.V itself, a symmetric matrix
+    "non-symmetric": ((_ZERO, _I), (_ONE, _ZERO)),
+    "diagonal phase": ((_I, _ZERO),
+                       (_ZERO, GaussianRational(Fraction(3, 5), Fraction(4, 5)))),
+}
+GRADED = ("(1/2+1/3i) * s[12] t[2]",
+          "2 - 3/4 * s[1] + (1/2+1/3i) * s[12] t[2] + (0-2i) * s[2] t[211]",
+          "s[21] + (-1/7+5/2i) * t[12]")
+
+
+@pytest.mark.parametrize("name", sorted(BOGOLUBOV))
+def test_closed_form_conjugate_matches_cocycle_path(name, monkeypatch):
+    """The closed form of u' = lambda_{V^*}(u) equals the cocycle-path
+    lambda_{V^*} on every spec, and on elements of nonzero gauge degree
+    with complex coefficients.  The non-symmetric V tells c(I, A) from its
+    transpose c(A, I), and the phase V has a denominator other than 2."""
+    if BOGOLUBOV[name] is not None:
+        monkeypatch.setattr(product_masa, "V", BOGOLUBOV[name])
+    for spec in _conjugate_specs():
+        want = _cocycle_lambda_v_star(spec.u)
+        assert product_masa._conjugate_unitary(spec) == want, spec.label()
+    for text in GRADED:
+        x = parse_element(text, 2)
+        got = product_masa._conjugate_unitary(
+            EndomorphismSpec(x, rank=1, check=False))
+        assert got == _cocycle_lambda_v_star(x), text
+
+
+def test_conjugate_unitary_makes_no_products_or_applications(monkeypatch):
+    """u' is read off u's terms: no product, no theta, no apply and no
+    EndomorphismSpec."""
+    specs = [EndomorphismSpec.from_label("(1 3 2 4)"),
+             EndomorphismSpec.from_label("(1 6 5 4 7 8)(2 3)", k=3),
+             EndomorphismSpec.canonical_shift(2), EndomorphismSpec.identity(2)]
+    want = [product_masa._conjugate_unitary(spec) for spec in specs]
+    calls = []
+
+    def spy(owner, attr, name):
+        original = getattr(owner, attr)
+
+        def record(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, record)
+
+    spy(algebra, "mul", "mul")
+    spy(endomorphism, "theta", "theta")
+    spy(product_masa, "theta", "theta")
+    spy(EndomorphismSpec, "apply", "apply")
+    spy(EndomorphismSpec, "__init__", "EndomorphismSpec")
+    got = [product_masa._conjugate_unitary(spec) for spec in specs]
+    assert calls == []
+    assert [g.terms for g in got] == [w.terms for w in want]
 
 
 def test_ef_verdict_is_the_conjugate_verdict_on_c2():
