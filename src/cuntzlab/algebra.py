@@ -13,13 +13,14 @@ pure degree-0 element to it, and the kernel's own results (products, sums,
 adjoints, theta images) hold their matrices too.  A product or comparison
 with an operand that holds a matrix and no terms goes to the kernel within
 a storage bound; every element with terms takes the sparse monomial path.
-An element keeps the exact matrix the kernel made of it, with its nonzero
-count, largest numerator and realness read once, and a lower-level matrix
-serves a higher level by a Kronecker product with the identity.  Kernel
-elements build their terms, at the level they were made at, only when
-they are read; until then the sum of two of them, and the adjoint, the
-trace state and the theta image (`endomorphism.theta`) of one, are read
-off the matrices.  The kernel functions import numpy when a held matrix
+An element keeps the first exact matrix the kernel makes of it, with its
+nonzero count, largest numerator and realness read once, and never
+replaces it: a higher level is a Kronecker product of that matrix with
+the identity, made for the call that asks for it.  Kernel elements build
+their terms, at the level they were made at, only when they are read;
+until then the sum of two of them, and the adjoint, the trace state and
+the theta image (`endomorphism.theta`) of one, are read off the
+matrices.  The kernel functions import numpy when a held matrix
 first reaches them, so the sparse path runs without it.
 """
 
@@ -87,10 +88,10 @@ def _check_word(word: Word, n_gens: int) -> Word:
 class AlgebraElement:
     """Finite linear combination of monomials s_I s_J^* (no zero terms stored)."""
 
-    # _matrix: memo (a _Matrix) of the kernel's exact matrix at the highest
-    # level asked of it; _shape_set: memo of _shapes.  Constructors leave
-    # both unset (read them with getattr(..., None)), so building an
-    # element costs no more for them.
+    # _matrix: memo (a _Matrix) of the kernel's exact matrix at the first
+    # level asked of it, written once; _shape_set: memo of _shapes.
+    # Constructors leave both unset (read them with getattr(..., None)), so
+    # building an element costs no more for them.
     __slots__ = ("n_gens", "_terms", "_matrix", "_shape_set")
 
     def __init__(self, n_gens: int, terms: Mapping[Monomial, object] | None = None):
@@ -465,7 +466,7 @@ class _KernelElement(AlgebraElement):
         # reached only while the _terms slot is unassigned
         if name != "_terms":
             raise AttributeError(f"'AlgebraElement' object has no attribute {name!r}")
-        self._terms = _matrix_terms(self.n_gens, _held(self))
+        self._terms = _matrix_terms(self.n_gens, self._matrix)
         return self._terms
 
 
@@ -482,15 +483,9 @@ def _built_terms(elem: AlgebraElement) -> Optional[Dict[Monomial, GaussianRation
 
 def _size(elem: AlgebraElement) -> int:
     """The number of terms, which for a kernel element is the number of
-    nonzero entries of its matrix at the level it was made at; read
-    without building terms."""
+    nonzero entries of its matrix; read without building terms."""
     terms = _built_terms(elem)
-    if terms is not None:
-        return len(terms)
-    memo = elem._matrix
-    (m, _), = elem._shape_set
-    # the memo may be re-leveled past m: kron(M, I_k) has k times M's entries
-    return memo.nnz // elem.n_gens ** (memo.m - m)
+    return len(terms) if terms is not None else elem._matrix.nnz
 
 
 def _shapes(elem: AlgebraElement) -> set:
@@ -511,18 +506,20 @@ def _shapes(elem: AlgebraElement) -> set:
 # entries fits and Python ints otherwise, kept as a _Matrix with the facts
 # routing and the kernel read: its nonzero count, its largest |numerator|
 # and whether it is real, each taken once when the matrix is made.  Each
-# element keeps the matrix at the highest level asked of it, read-only, so
-# an operand used twice is densified once: a matrix at level m0 gives the
-# one at m > m0 as kron(M, I_(N^(m-m0))), since one leveling step is
-# x -> x (x) I_N, and the one at m < m0 as its entries at the rows and
-# columns N^(m0-m) divides.  A product, a sum of two kernel elements, the
-# adjoint of a kernel element and theta of one are kernel elements, as is
-# an element _hold hands to the kernel: each keeps its matrix (a computed
-# one in lowest terms) and builds its terms from it only when they are
-# read, at the level it was made at; the trace state of one with no terms
-# is its normalized matrix trace.  theta(s_I s_J^*) = sum_i s_{iI} s_{iJ}^*
-# puts M on each diagonal block one level up, so theta of a level-m kernel
-# element is kron(I_N, M) at level m + 1.
+# element keeps the first matrix made of it, read-only and never replaced,
+# so an operand used twice is densified once: a matrix at level m0 gives
+# the one at m > m0 as kron(M, I_(N^(m-m0))), since one leveling step is
+# x -> x (x) I_N, made for that call.  A kernel call asks at the highest
+# level among its operands, so only an element with terms is asked below
+# its memo, and it is densified again from them.  A product, a sum of two
+# kernel elements, the adjoint of a kernel element and theta of one are
+# kernel elements, as is an element _hold hands to the kernel: each keeps
+# its matrix (a computed one in lowest terms) at the level of its terms,
+# and builds those terms from it only when they are read; the trace state
+# of one with no terms is its normalized matrix trace.
+# theta(s_I s_J^*) = sum_i s_{iI} s_{iJ}^* puts M on each diagonal block
+# one level up, so theta of a level-m kernel element is kron(I_N, M) at
+# level m + 1.
 #
 # Holding a matrix is the only way into the kernel.  A product or a
 # comparison with an operand that holds a matrix and no terms, and theta of
@@ -632,23 +629,17 @@ def _dense(elem: AlgebraElement, m: int) -> _Matrix:
 def _degree0_matrix(elem: AlgebraElement, m: int) -> _Matrix:
     """The _Matrix of a pure degree-0 element at level m >= its longest
     word, exact; the denominator is a multiple of the coefficients'
-    denominators (their lcm when made from the terms).  The element keeps
-    the matrix at the highest level asked of it, and reads a lower level
-    off it as a strided view."""
+    denominators (their lcm when made from the terms).  The first matrix
+    made of an element is its memo; a higher level is read off the memo,
+    a lower one off the terms."""
     memo = getattr(elem, "_matrix", None)
-    if memo is not None and memo.m >= m:
-        if memo.m == m:
-            return memo
-        # kron(M, I_k) has M's entries at the rows and columns that k divides
-        k = elem.n_gens ** (memo.m - m)
-        return _Matrix(m, memo.re[::k, ::k], memo.im[::k, ::k], memo.den,
-                       memo.nnz // k, memo.top, memo.real)
-    if memo is not None:
-        mat = _kron_identity(memo, m, elem.n_gens ** (m - memo.m), inner=True)
-    else:
-        mat = _dense(elem, m)
-    elem._matrix = mat
-    return mat
+    if memo is None:
+        elem._matrix = memo = _dense(elem, m)
+    if memo.m == m:
+        return memo
+    if memo.m < m:
+        return _kron_identity(memo, m, elem.n_gens ** (m - memo.m), inner=True)
+    return _dense(elem, m)
 
 
 def _kron_identity(mat: _Matrix, m: int, k: int, inner: bool) -> _Matrix:
@@ -743,7 +734,7 @@ def _dense_add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 def _dense_adjoint(elem: AlgebraElement) -> AlgebraElement:
     """The adjoint of an element with no terms: the conjugate transpose."""
-    mat = _held(elem)
+    mat = elem._matrix
     im = mat.im.T
     if not mat.real:
         im = -im
@@ -754,7 +745,7 @@ def _dense_adjoint(elem: AlgebraElement) -> AlgebraElement:
 
 def _dense_trace(elem: AlgebraElement) -> GaussianRational:
     """The trace state of an element with no terms: tr / (den N^m)."""
-    mat = _held(elem)
+    mat = elem._matrix
     return _reduce(sum(mat.re.diagonal().tolist()), sum(mat.im.diagonal().tolist()),
                    mat.den * elem.n_gens ** mat.m)
 
@@ -766,7 +757,7 @@ def _held_theta(elem: AlgebraElement) -> Optional[AlgebraElement]:
     rewrites the words."""
     if not _unbuilt(elem):
         return None
-    n, mat = elem.n_gens, _held(elem)
+    n, mat = elem.n_gens, elem._matrix
     if not _dense_fits(n ** (mat.m + 1), n * mat.nnz, 0):
         return None
     return _held_element(n, _kron_identity(mat, mat.m + 1, n, inner=False))
@@ -823,13 +814,6 @@ def _unbuilt(elem: AlgebraElement) -> bool:
     adjoint, its trace state and its theta image read its matrix in place
     of terms."""
     return _built_terms(elem) is None
-
-
-def _held(elem: AlgebraElement) -> _Matrix:
-    """The matrix of a kernel element at the level m of the terms it
-    builds, which the level of its memo may exceed."""
-    (m, _), = elem._shape_set
-    return _degree0_matrix(elem, m)
 
 
 def _matrix_terms(n: int, mat: _Matrix) -> Dict[Monomial, GaussianRational]:

@@ -76,13 +76,21 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, cycles: Iterable[Iterable[int]], k: int, n_gens: int) -> "Permutation":
+        """The product of disjoint cycles over 1..N^k; an entry that
+        appears twice, in one cycle or in two, is refused rather than read
+        as a composition."""
         size = n_gens ** k
         line = list(range(1, size + 1))
+        seen = set()
         for cyc in cycles:
             cyc = list(cyc)
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 if not 1 <= a <= size:
                     raise ValueError(f"cycle entry {a} outside 1..{size}")
+                if a in seen:
+                    raise ValueError(f"cycle entry {a} appears twice; "
+                                     "cycles must be disjoint")
+                seen.add(a)
                 line[a - 1] = b
         return cls.from_one_line(line, k, n_gens)
 

@@ -49,8 +49,7 @@ def ef_generators(n_gens: int = 2) -> Tuple[AlgebraElement, AlgebraElement]:
 def _ef_memo(n_gens: int) -> Tuple[AlgebraElement, AlgebraElement]:
     """E and F of one alphabet, built once and never handed out: `_hold`
     fills their level-1 matrix memo, read-only, and reuses it for every
-    projection word, whose fresh kernel elements take any higher level in
-    their own memos."""
+    projection word, whose fresh kernel elements wrap it."""
     return ef_generators(n_gens)
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from cuntzlab import (AlgebraElement, AlphabetMismatchError, GaussianRational,
                       LevelError, Monomial, ef_projection, format_element,
                       theta, words)
-from cuntzlab import algebra
+from cuntzlab import algebra, product_masa
 from cuntzlab.sampling import random_element
 
 
@@ -684,14 +684,17 @@ def test_memo_at_one_level_answers_at_a_higher_level(kernel_calls,
         want = (a * b).level({0: 4})
     held = algebra._hold(a)
     got = _lazy_product(held, b)  # memos of held, b and got at level 3
-    assert got._matrix[0] == 3 and held._matrix[0] == 3
+    memos = [x._matrix for x in (got, held, b)]
+    assert [memo.m for memo in memos] == [3, 3, 3]
     calls = kernel_calls["eq"]
     # equal at level 4, and unequal after one level-4 entry changes
     bumped = want + AlgebraElement.monomial(2, (1, 2, 1, 2), (2, 1, 2, 1), 1)
     assert got == want and not (got == bumped)
     assert held == a.level({0: 4}) and not (held == a.level({0: 4}) + bumped - want)
     assert kernel_calls["eq"] == calls + 4
-    assert got._matrix[0] == 4 and held._matrix[0] == 4
+    # the level-4 matrices were made for those calls; the memos stay
+    assert all(x._matrix is memo for x, memo in zip((got, held, b), memos))
+    assert [memo.m for memo in memos] == [3, 3, 3]
 
 
 # ------------------------------------------ operations on held matrices
@@ -710,21 +713,37 @@ def _held_pair(seed, m_a=3, m_b=3):
     return x, y, ops
 
 
+def _same_value(x, y):
+    """Whether two _Matrix values at one level are the same exact matrix,
+    whatever their denominators."""
+    return x.m == y.m and all(
+        np.array_equal(p.astype(object) * y.den, q.astype(object) * x.den)
+        for p, q in ((x.re, y.re), (x.im, y.im)))
+
+
 def test_held_matrix_releveled_by_kronecker_product(kernel_calls,
                                                     sparse_reference):
     x, y, (a, b, c, d) = _held_pair(5, 3, 4)
     with sparse_reference():
         want_x, want_y = a * b, c * d
-    # x's level-3 memo answers at level 5 with no terms built
+    memo = x._matrix
+    # x's level-3 memo answers at level 5 with no terms built, and stays
+    # x's memo at level 3
     re, im, den = algebra._degree0_matrix(x, 5)[1:4]
     want_re, want_im, want_den = algebra._degree0_matrix(want_x, 5)[1:4]
-    assert den == want_den == x._matrix[3] and x._matrix[0] == 5
+    assert den == want_den == memo.den
     assert np.array_equal(re, want_re) and np.array_equal(im, want_im)
-    # and the level-5 memo answers at level 3 and 4, again exactly
+    assert x._matrix is memo and memo.m == 3
+    # want_x, with terms and first densified at level 5, answers at levels
+    # 3 and 4 from its terms, exactly, and keeps its level-5 memo
+    want_memo = want_x._matrix
+    assert want_memo.m == 5
     for m in (3, 4):
-        got_re, got_im, _ = algebra._degree0_matrix(x, m)[1:4]
-        want_re, want_im, _ = algebra._degree0_matrix(want_x.level({0: m}), m)[1:4]
-        assert np.array_equal(got_re, want_re) and np.array_equal(got_im, want_im)
+        got = algebra._degree0_matrix(want_x, m)
+        fresh = AlgebraElement(2, want_x.level({0: m}).terms)
+        assert _same_value(got, algebra._degree0_matrix(fresh, m))
+        assert _same_value(got, algebra._degree0_matrix(x, m))
+        assert want_x._matrix is want_memo
     # x still reads as made: its size, adjoint and terms are at level 3
     assert algebra._built_terms(x) is None and algebra._shapes(x) == {(3, 3)}
     want_x = want_x.level({0: 3})
@@ -732,17 +751,44 @@ def test_held_matrix_releveled_by_kronecker_product(kernel_calls,
     with sparse_reference():
         want_adjoint = want_x.adjoint()
     assert x.adjoint().terms == want_adjoint.terms
-    assert x.terms == want_x.terms and x._matrix[0] == 5
+    assert x.terms == want_x.terms and x._matrix is memo
     # a level-3 operand times a level-4 one: a level-4 kernel product
     x, y, _ = _held_pair(5, 3, 4)
+    memo = x._matrix
     calls = kernel_calls["mul"]
     got = x * y
     assert kernel_calls["mul"] == calls + 1 and got._matrix[0] == 4
-    assert algebra._built_terms(x) is None and x._matrix[0] == 4
+    assert algebra._built_terms(x) is None
+    assert x._matrix is memo and memo.m == 3
     with sparse_reference():
         want = want_x * want_y
     assert got.terms == want.level({0: 4}).terms
     assert x.terms == want_x.terms and algebra._shapes(x) == {(3, 3)}
+
+
+def test_kernel_calls_never_replace_a_memo(kernel_calls):
+    """A matrix memo is written once: a product, comparison or sum at a
+    higher level leaves every operand's memo the same object, at its own
+    level, for a held operand, a kernel product and an element with
+    terms; and a deep E/F word leaves the shared E and F at level 1."""
+    x, y, (a, _, _, _) = _held_pair(10, 3, 4)
+    held = algebra._hold(a)
+    term = _random_degree0(random.Random(10), 2, 3, 60, _small_complex)
+    algebra._degree0_matrix(term, 3)
+    before_calls = dict(kernel_calls)
+    for op in (lambda p, q: p * q, lambda p, q: p == q, lambda p, q: p + q):
+        for operand in (x, held, term):
+            before = operand._matrix
+            op(operand, y)
+            op(y, operand)
+            assert operand._matrix is before and before.m == 3
+    made = {op: kernel_calls[op] - before_calls[op]
+            for op in ("mul", "eq", "add")}
+    assert made == {"mul": 6, "eq": 6, "add": 4}  # term + y is a sparse sum
+    assert y._matrix.m == 4
+    ef_projection((1, 2, 2, 1, 2, 1, 1))
+    for q in product_masa._ef_memo(2):
+        assert q._matrix.m == 1
 
 
 def test_held_adjoint_is_the_conjugate_transpose(kernel_calls,

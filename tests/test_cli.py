@@ -99,6 +99,11 @@ def test_exit_codes(capsys):
     assert run(capsys, "apply", "--perm", "(1 2", "--element", "s[1]")[0] == 2
     assert run(capsys, "apply", "--perm", "id", "--element", "s[1] ++")[0] == 2
     assert run(capsys, "apply", "--element", "s[1]")[0] == 2
+    # a cycle entry used twice is refused, not composed or overwritten
+    for perm in ("(1 2)(1 2)", "(1 2)(2 1)", "(1 1)", "(1 2)(1 3)"):
+        code, _, err = run(capsys, "apply", "--perm", perm,
+                           "--element", "s[1]")
+        assert code == 2 and "appears twice" in err, perm
     # one-line entries past N^k = 4 are not read modulo 4
     for word in ("5234", "5634"):
         code, _, err = run(capsys, "apply", "--perm-word", word,

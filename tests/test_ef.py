@@ -80,9 +80,9 @@ def test_depth_m_word_makes_m_minus_1_theta_calls(depth, monkeypatch):
 
 
 def test_ef_memo_keeps_only_level1_read_only_matrices():
-    """E and F are made once per alphabet.  A deep word re-levels only
-    the fresh elements of its own call, so the memo never pins a matrix
-    above level 1 (a held level-12 one would take about 268 MB)."""
+    """E and F are made once per alphabet.  A deep word makes its higher
+    levels for each call, so the memo never pins a matrix above level 1
+    (a held level-12 one would take about 268 MB)."""
     ef_projection((1, 2, 2, 1, 2, 1, 1))
     memo = product_masa._ef_memo(2)
     for q, single in zip(memo, (ef_projection((1,)), ef_projection((2,)))):
@@ -97,7 +97,7 @@ def test_ef_projection_returns_fresh_elements():
     for word in ((1,), (2,), (2, 1, 1)):
         a, b = ef_projection(word), ef_projection(word)
         assert a is not b and a == b
-        # re-leveling one leaves the other at its own level
+        # a product at a higher level leaves each at its own level
         assert a * theta(theta(theta(a))) == a * theta_power(3, b)
         assert b._matrix.m == len(word)
     memo = product_masa._ef_memo(2)

@@ -12,7 +12,7 @@ from cuntzlab import (AlgebraElement, AlphabetMismatchError, EndomorphismSpec,
                       parse_element, perm_unitary, theta, theta_power, words)
 from cuntzlab.algebra import pack_word, unpack_word
 from cuntzlab.sampling import random_element
-from cuntzlab.table import f_invariant
+from cuntzlab.table import TABLE1_EXPECTED, f_invariant
 
 
 def all_line_perms():
@@ -46,6 +46,19 @@ def test_permutation_parsing():
         Permutation.parse("nonsense")
     with pytest.raises(ValueError):
         Permutation.parse("(1 9)")
+
+
+def test_repeated_cycle_entries_rejected():
+    # read as a product of cycles, (1 2)(1 2) and (1 2)(2 1) are the
+    # identity and (1 2)(1 3) is a 3-cycle: none is read as disjoint cycles
+    for text, entry in (("(1 2)(1 2)", 1), ("(1 2)(2 1)", 2), ("(1 1)", 1),
+                        ("(1 2)(1 3)", 1)):
+        with pytest.raises(ValueError, match=f"entry {entry} appears twice"):
+            Permutation.parse(text)
+    assert Permutation.parse("(1 2)(3 4)").one_line() == (2, 1, 4, 3)
+    for cycles, _, _ in TABLE1_EXPECTED:
+        text = "".join(f"({' '.join(map(str, c))})" for c in cycles) or "id"
+        assert Permutation.parse(text) == Permutation.from_cycles(cycles, 2, 2)
 
 
 def test_one_line_entries_outside_the_words_rejected():
