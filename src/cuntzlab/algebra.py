@@ -8,20 +8,22 @@ sides live at a common bidegree per gauge degree, then comparing
 coefficient dictionaries.  All values are immutable.
 
 Degree-0 elements at level m are N^m x N^m matrices (F_N^m = M_{N^m}).
-An exact dense kernel handles them through held matrices: `_hold` hands a
-pure degree-0 element to it, and the kernel's own results (products, sums,
-adjoints, theta images) hold their matrices too.  A product or comparison
-with an operand that holds a matrix and no terms goes to the kernel within
-a storage bound; every element with terms takes the sparse monomial path.
-An element keeps the first exact matrix the kernel makes of it, with its
-nonzero count, largest numerator and realness read once, and never
-replaces it: a higher level is a Kronecker product of that matrix with
-the identity, made for the call that asks for it.  Kernel elements build
-their terms, at the level they were made at, only when they are read;
-until then the sum of two of them, and the adjoint, the trace state and
-the theta image (`endomorphism.theta`) of one, are read off the
-matrices.  The kernel functions import numpy when a held matrix
-first reaches them, so the sparse path runs without it.
+An exact dense kernel handles the real ones through held matrices: `_hold`
+hands a real pure degree-0 element to it, and the kernel's own results
+(products, sums, adjoints, theta images) hold their matrices too.  A
+product or comparison with an operand that holds a matrix and no terms
+goes to the kernel within a storage bound when both operands are real;
+every other pair, and so every complex operand, takes the sparse monomial
+path.  An element keeps the first exact matrix the kernel makes of it, one
+integer numerator matrix over a denominator with its nonzero count and
+largest numerator read once, and never replaces it: a higher level is a
+Kronecker product of that matrix with the identity, made for the call
+that asks for it.  Kernel elements build their terms, at the level they
+were made at, only when they are read; until then the sum of two of
+them, and the adjoint, the trace state and the theta image
+(`endomorphism.theta`) of one, are read off the matrices.  The kernel
+functions import numpy when a held matrix first reaches them, so the
+sparse path runs without it.
 """
 
 from __future__ import annotations
@@ -279,6 +281,7 @@ class AlgebraElement:
         targets = self._common_targets(other)
         m = targets.get(0, 0)  # a held operand is pure degree 0, level >= 1
         if (len(targets) == 1 and (_unbuilt(self) or _unbuilt(other))
+                and _real(self) and _real(other)
                 and _dense_fits(self.n_gens ** m, _size(self), _size(other))):
             return _dense_eq(self, other, m)
         return self.level(targets)._terms == other.level(targets)._terms
@@ -501,22 +504,22 @@ def _shapes(elem: AlgebraElement) -> set:
 # At level m, s_I s_J^* with |I| = |J| = r <= m is the block E_(I,J) (x) 1 of
 # the N^m x N^m matrix: its coefficient sits on the diagonal of the
 # N^(m-r)-square block at rows pack(I) N^(m-r) + t, columns
-# pack(J) N^(m-r) + t.  A matrix is a pair of integer numerator matrices
-# (real, imaginary) over one common denominator, int64 when a bound on its
-# entries fits and Python ints otherwise, kept as a _Matrix with the facts
-# routing and the kernel read: its nonzero count, its largest |numerator|
-# and whether it is real, each taken once when the matrix is made.  Each
-# element keeps the first matrix made of it, read-only and never replaced,
-# so an operand used twice is densified once: a matrix at level m0 gives
-# the one at m > m0 as kron(M, I_(N^(m-m0))), since one leveling step is
-# x -> x (x) I_N, made for that call.  A kernel call asks at the highest
-# level among its operands, so only an element with terms is asked below
-# its memo, and it is densified again from them.  A product, a sum of two
-# kernel elements, the adjoint of a kernel element and theta of one are
-# kernel elements, as is an element _hold hands to the kernel: each keeps
-# its matrix (a computed one in lowest terms) at the level of its terms,
-# and builds those terms from it only when they are read; the trace state
-# of one with no terms is its normalized matrix trace.
+# pack(J) N^(m-r) + t.  The kernel is real: a matrix is one integer numerator
+# matrix over a denominator, int64 when a bound on its entries fits and
+# Python ints otherwise, kept as a _Matrix with the facts routing and the
+# kernel read, its nonzero count and its largest |numerator|, each taken
+# once when the matrix is made.  Each element keeps the first matrix made of
+# it, read-only and never replaced, so an operand used twice is densified
+# once: a matrix at level m0 gives the one at m > m0 as
+# kron(M, I_(N^(m-m0))), since one leveling step is x -> x (x) I_N, made
+# for that call.  A kernel call asks at the highest level among its operands, so only
+# an element with terms is asked below its memo, and it is densified again
+# from them.  A product, a sum of two kernel elements, the adjoint of a
+# kernel element and theta of one are kernel elements, as is an element
+# _hold hands to the kernel: each keeps its matrix (a computed one in lowest
+# terms) at the level of its terms, and builds those terms from it only when
+# they are read; the trace state of one with no terms is its normalized
+# matrix trace.
 # theta(s_I s_J^*) = sum_i s_{iI} s_{iJ}^* puts M on each diagonal block
 # one level up, so theta of a level-m kernel element is kron(I_N, M) at
 # level m + 1.
@@ -529,10 +532,11 @@ def _shapes(elem: AlgebraElement) -> set:
 # kernel product at those levels.  They stay there while no kernel matrix
 # has more than _DENSE_ENTRIES_PER_TERM entries per term of the operands it
 # is made from, which bounds what any dense call allocates.  Two operands
-# with terms take the sparse rule, whatever their sizes.  A product whose
-# every partial sum stays below 2^53 is exact in float64 and multiplies
-# through BLAS: a 32 x 32 matmul took 3.5-9.5 us there against 35-43 us
-# in int64.
+# with terms take the sparse rule, whatever their sizes, and so does an
+# operand with a complex coefficient: the E/F projections the kernel is
+# for are real.  A product whose every partial sum stays below 2^53 is
+# exact in float64 and multiplies through BLAS: a 32 x 32 matmul took
+# 3.5-9.5 us there against 35-43 us in int64.
 
 _INT64_MAX = 2 ** 63 - 1
 _FLOAT_EXACT = 2 ** 53  # float64 holds every integer below it
@@ -548,7 +552,7 @@ def _dense_fits(dim: int, size_a: int, size_b: int) -> bool:
 def _dense_mul_level(a: AlgebraElement, b: AlgebraElement) -> Optional[int]:
     """The level at which the kernel multiplies a and b, or None for the
     sparse rule."""
-    if not (_unbuilt(a) or _unbuilt(b)):
+    if not (_unbuilt(a) or _unbuilt(b)) or not (_real(a) and _real(b)):
         return None
     shapes = _shapes(a) | _shapes(b)
     if any(p != l for p, l in shapes):
@@ -558,43 +562,30 @@ def _dense_mul_level(a: AlgebraElement, b: AlgebraElement) -> Optional[int]:
 
 
 class _Matrix(NamedTuple):
-    """The exact level-m matrix (re + i im) / den, read-only, with nnz its
-    number of nonzero entries, top the largest |numerator| and real
-    whether im is zero."""
+    """The exact level-m matrix num / den, read-only, with nnz its number
+    of nonzero entries and top the largest |numerator|."""
 
     m: int
-    re: object
-    im: object
+    num: object
     den: int
     nnz: int
     top: int
-    real: bool
 
 
-def _matrix(m: int, re, im, den: int, real: bool,
-            nnz: Optional[int] = None) -> _Matrix:
-    """The _Matrix of (re + i im) / den at level m, its facts read once
-    (nnz given when the caller has counted it)."""
-    if nnz is None:
-        nnz = _nonzeros(re, im, real)
-    top = int(abs(re).max()) if real else _max_abs(re, im)
-    re.flags.writeable = im.flags.writeable = False
-    return _Matrix(m, re, im, den, nnz, top, real)
-
-
-def _nonzeros(re, im, real: bool) -> int:
+def _matrix(m: int, num, den: int, nnz: Optional[int] = None) -> _Matrix:
+    """The _Matrix of num / den at level m, its facts read once (nnz given
+    when the caller has counted it)."""
     import numpy as np
 
-    return int(np.count_nonzero(re if real else (re != 0) | (im != 0)))
-
-
-def _max_abs(*mats) -> int:
-    return max(int(abs(x).max()) for x in mats)
+    if nnz is None:
+        nnz = int(np.count_nonzero(num))
+    num.flags.writeable = False
+    return _Matrix(m, num, den, nnz, int(abs(num).max()))
 
 
 def _dense(elem: AlgebraElement, m: int) -> _Matrix:
-    """The _Matrix of a pure degree-0 element leveled to m, made from its
-    terms over the lcm of the coefficients' denominators."""
+    """The _Matrix of a real pure degree-0 element leveled to m, made from
+    its terms over the lcm of the coefficients' denominators."""
     import numpy as np
 
     n, dim = elem.n_gens, elem.n_gens ** m
@@ -602,33 +593,25 @@ def _dense(elem: AlgebraElement, m: int) -> _Matrix:
     codes: Dict[Word, int] = {}  # pack_word of every word up to length m
     for r in range(m + 1):
         codes.update(zip(words(n, r), range(n ** r)))
-    res: Dict[int, int] = {}  # flat index -> numerator
-    ims: Dict[int, int] = {}
+    nums: Dict[int, int] = {}  # flat index -> numerator
     bound = 0  # an entry sums the numerators of distinct terms
     for (left, right), c in elem._terms.items():
-        scale = den // c._d
-        a, b = c._a * scale, c._b * scale
-        bound += abs(a) + abs(b)
+        a = c._a * (den // c._d)
+        bound += abs(a)
         # the diagonal of the term's block; blocks of terms of different
         # lengths may overlap
         block = n ** (m - len(left))
         start = (codes[left] * dim + codes[right]) * block
         for idx in range(start, start + block * (dim + 1), dim + 1):
-            if a:
-                res[idx] = res.get(idx, 0) + a
-            if b:
-                ims[idx] = ims.get(idx, 0) + b
-    dtype = np.int64 if bound <= _INT64_MAX else object
-    re, im = np.zeros(dim * dim, dtype), np.zeros(dim * dim, dtype)
-    re[list(res)] = list(res.values())
-    im[list(ims)] = list(ims.values())
-    return _matrix(m, re.reshape(dim, dim), im.reshape(dim, dim), den,
-                   not any(ims.values()))
+            nums[idx] = nums.get(idx, 0) + a
+    num = np.zeros(dim * dim, np.int64 if bound <= _INT64_MAX else object)
+    num[list(nums)] = list(nums.values())
+    return _matrix(m, num.reshape(dim, dim), den)
 
 
 def _degree0_matrix(elem: AlgebraElement, m: int) -> _Matrix:
-    """The _Matrix of a pure degree-0 element at level m >= its longest
-    word, exact; the denominator is a multiple of the coefficients'
+    """The _Matrix of a real pure degree-0 element at level m >= its
+    longest word, exact; the denominator is a multiple of the coefficients'
     denominators (their lcm when made from the terms).  The first matrix
     made of an element is its memo; a higher level is read off the memo,
     a lower one off the terms."""
@@ -648,44 +631,36 @@ def _kron_identity(mat: _Matrix, m: int, k: int, inner: bool) -> _Matrix:
     as np.kron without its overhead."""
     import numpy as np
 
-    d, t = len(mat.re), np.arange(k)
-    out = []
-    for part in (mat.re,) if mat.real else (mat.re, mat.im):
-        big = np.zeros((d, k, d, k) if inner else (k, d, k, d), part.dtype)
-        if inner:
-            big[:, t, :, t] = part  # entry (i k + t, j k + t) is M[i, j]
-        else:
-            big[t, :, t, :] = part  # entry (t d + i, t d + j) is M[i, j]
-        out.append(big.reshape(d * k, d * k))
-    if mat.real:
-        out.append(np.zeros((d * k, d * k), mat.re.dtype))
-    out[0].flags.writeable = out[1].flags.writeable = False
-    return _Matrix(m, out[0], out[1], mat.den, mat.nnz * k, mat.top, mat.real)
+    d, t = len(mat.num), np.arange(k)
+    big = np.zeros((d, k, d, k) if inner else (k, d, k, d), mat.num.dtype)
+    if inner:
+        big[:, t, :, t] = mat.num  # entry (i k + t, j k + t) is M[i, j]
+    else:
+        big[t, :, t, :] = mat.num  # entry (t d + i, t d + j) is M[i, j]
+    num = big.reshape(d * k, d * k)
+    num.flags.writeable = False
+    return _Matrix(m, num, mat.den, mat.nnz * k, mat.top)
 
 
 def _scaled(mat: _Matrix, factor: int):
-    """(real, imaginary, largest |numerator|) of mat's numerators times
-    `factor`, exact."""
+    """(numerators, largest |numerator|) of mat times `factor`, exact."""
     if factor == 1:
-        return mat.re, mat.im, mat.top
-    re, im = mat.re, mat.im
+        return mat.num, mat.top
+    num = mat.num
     if max(mat.top, 1) * factor > _INT64_MAX:
-        re, im = re.astype(object), im.astype(object)
-    return re * factor, im * factor, mat.top * factor
+        num = num.astype(object)
+    return num * factor, mat.top * factor
 
 
 def _dense_eq(a: AlgebraElement, b: AlgebraElement, m: int) -> bool:
     import numpy as np
 
     x, y = _degree0_matrix(a, m), _degree0_matrix(b, m)
-    if x.nnz != y.nnz or x.real != y.real:
+    if x.nnz != y.nnz:
         return False
     # x / den_a = y / den_b  iff  x (den_b / g) = y (den_a / g)
     g = gcd(x.den, y.den)
-    a_re, a_im, _ = _scaled(x, y.den // g)
-    b_re, b_im, _ = _scaled(y, x.den // g)
-    return bool(np.array_equal(a_re, b_re)
-                and (x.real or np.array_equal(a_im, b_im)))
+    return bool(np.array_equal(_scaled(x, y.den // g)[0], _scaled(y, x.den // g)[0]))
 
 
 def _dense_mul(a: AlgebraElement, b: AlgebraElement, m: int) -> AlgebraElement:
@@ -693,28 +668,17 @@ def _dense_mul(a: AlgebraElement, b: AlgebraElement, m: int) -> AlgebraElement:
 
     n = a.n_gens
     x, y = _degree0_matrix(a, m), _degree0_matrix(b, m)
-    # an imaginary part that is zero drops the matmuls it takes part in
-    a_parts = (x.re,) if x.real else (x.re, x.im)
-    b_parts = (y.re,) if y.real else (y.re, y.im)
-    # each entry of the product is a sum of 2 N^m products of entries; below
+    p, q = x.num, y.num
+    # each entry of the product is a sum of N^m products of entries; below
     # 2^53 every partial sum is exact in float64, whose matmul is BLAS
-    bound = x.top * y.top * 2 * n ** m
+    bound = x.top * y.top * n ** m
     dtype = float if bound < _FLOAT_EXACT else object if bound > _INT64_MAX else None
     if dtype is not None:
-        a_parts = [v.astype(dtype) for v in a_parts]
-        b_parts = [v.astype(dtype) for v in b_parts]
-    re = a_parts[0] @ b_parts[0]
-    im = None
-    if not y.real:
-        im = a_parts[0] @ b_parts[1]
-    if not x.real:
-        im = a_parts[1] @ b_parts[0] if im is None else im + a_parts[1] @ b_parts[0]
-        if not y.real:
-            re -= a_parts[1] @ b_parts[1]
+        p, q = p.astype(dtype), q.astype(dtype)
+    num = p @ q
     if dtype is float:
-        re = re.astype(np.int64)
-        im = None if im is None else im.astype(np.int64)
-    return _lowest_terms(n, m, re, im, x.den * y.den)
+        num = num.astype(np.int64)
+    return _lowest_terms(n, m, num, x.den * y.den)
 
 
 def _dense_add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -724,30 +688,23 @@ def _dense_add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     x, y = _degree0_matrix(a, m), _degree0_matrix(b, m)
     # x / den_a + y / den_b = (x (den_b / g) + y (den_a / g)) / lcm
     g = gcd(x.den, y.den)
-    a_re, a_im, a_top = _scaled(x, y.den // g)
-    b_re, b_im, b_top = _scaled(y, x.den // g)
-    if a_top + b_top > _INT64_MAX:
-        a_re, a_im, b_re, b_im = (v.astype(object) for v in (a_re, a_im, b_re, b_im))
-    im = None if x.real and y.real else a_im + b_im
-    return _lowest_terms(a.n_gens, m, a_re + b_re, im, x.den // g * y.den)
+    p, p_top = _scaled(x, y.den // g)
+    q, q_top = _scaled(y, x.den // g)
+    if p_top + q_top > _INT64_MAX:
+        p, q = p.astype(object), q.astype(object)
+    return _lowest_terms(a.n_gens, m, p + q, x.den // g * y.den)
 
 
 def _dense_adjoint(elem: AlgebraElement) -> AlgebraElement:
-    """The adjoint of an element with no terms: the conjugate transpose."""
+    """The adjoint of an element with no terms: the transpose."""
     mat = elem._matrix
-    im = mat.im.T
-    if not mat.real:
-        im = -im
-        im.flags.writeable = False
-    return _held_element(elem.n_gens, _Matrix(mat.m, mat.re.T, im, mat.den,
-                                              mat.nnz, mat.top, mat.real))
+    return _held_element(elem.n_gens, mat._replace(num=mat.num.T))
 
 
 def _dense_trace(elem: AlgebraElement) -> GaussianRational:
     """The trace state of an element with no terms: tr / (den N^m)."""
     mat = elem._matrix
-    return _reduce(sum(mat.re.diagonal().tolist()), sum(mat.im.diagonal().tolist()),
-                   mat.den * elem.n_gens ** mat.m)
+    return _reduce(sum(mat.num.diagonal().tolist()), 0, mat.den * elem.n_gens ** mat.m)
 
 
 def _held_theta(elem: AlgebraElement) -> Optional[AlgebraElement]:
@@ -765,10 +722,11 @@ def _held_theta(elem: AlgebraElement) -> Optional[AlgebraElement]:
 
 def _hold(elem: AlgebraElement) -> AlgebraElement:
     """elem as a kernel element that holds its matrix at the level of its
-    longest words and builds its terms only when read, when it is pure
-    degree 0 and that matrix fits the storage bound; otherwise elem."""
+    longest words and builds its terms only when read, when it is real and
+    pure degree 0 and that matrix fits the storage bound; otherwise elem."""
     shapes = _shapes(elem)
-    if _unbuilt(elem) or not shapes or any(p != l for p, l in shapes):
+    if (_unbuilt(elem) or not shapes or any(p != l for p, l in shapes)
+            or not _real(elem)):
         return elem
     m = max(l for _, l in shapes)
     if not m or not _dense_fits(elem.n_gens ** m, _size(elem), 0):
@@ -776,25 +734,18 @@ def _hold(elem: AlgebraElement) -> AlgebraElement:
     return _held_element(elem.n_gens, _degree0_matrix(elem, m))
 
 
-def _lowest_terms(n: int, m: int, re, im, den: int) -> AlgebraElement:
-    """The element of the level-m matrix (re + i im) / den, with the
-    denominator reduced to the lcm of the entries' reduced denominators;
-    im None for a zero imaginary part."""
+def _lowest_terms(n: int, m: int, num, den: int) -> AlgebraElement:
+    """The element of the level-m matrix num / den, with the denominator
+    reduced to the lcm of the entries' reduced denominators."""
     import numpy as np
 
-    real = im is None or not im.any()
-    nnz = _nonzeros(re, im, real)
+    nnz = int(np.count_nonzero(num))
     if not nnz:
         return _wrap(n, {})
-    g = gcd(den, int(np.gcd.reduce(re.ravel())))
-    if real:
-        im = np.zeros(re.shape, re.dtype)
-    else:
-        g = gcd(g, int(np.gcd.reduce(im.ravel())))
+    g = gcd(den, int(np.gcd.reduce(num.ravel())))
     if g != 1:
-        re = re // g
-        im = im if real else im // g
-    return _held_element(n, _matrix(m, re, im, den // g, real, nnz))
+        num = num // g
+    return _held_element(n, _matrix(m, num, den // g, nnz))
 
 
 def _held_element(n: int, mat: _Matrix) -> AlgebraElement:
@@ -816,22 +767,27 @@ def _unbuilt(elem: AlgebraElement) -> bool:
     return _built_terms(elem) is None
 
 
+def _real(elem: AlgebraElement) -> bool:
+    """Whether every coefficient of elem is real: an element that holds a
+    matrix is real by construction, as only real elements are densified."""
+    return (getattr(elem, "_matrix", None) is not None
+            or not any(c._b for c in elem._terms.values()))
+
+
 def _matrix_terms(n: int, mat: _Matrix) -> Dict[Monomial, GaussianRational]:
     """The term dict of a level-m matrix: s_I s_J^* with |I| = |J| = m for
     each nonzero entry.  Equal entries share one scalar."""
     import numpy as np
 
-    re, im = mat.re, mat.im
-    flat = np.flatnonzero(re if mat.real else (re != 0) | (im != 0))
+    flat = np.flatnonzero(mat.num)
     ws = list(words(n, mat.m))
     dim = len(ws)
-    shared: Dict[Tuple[int, int], GaussianRational] = {}
+    shared: Dict[int, GaussianRational] = {}
     out: Dict[Monomial, GaussianRational] = {}
-    for idx, x, y in zip(flat.tolist(), re.ravel()[flat].tolist(),
-                         im.ravel()[flat].tolist()):
-        c = shared.get((x, y))
+    for idx, x in zip(flat.tolist(), mat.num.ravel()[flat].tolist()):
+        c = shared.get(x)
         if c is None:
-            c = shared[x, y] = _reduce(x, y, mat.den)
+            c = shared[x] = _reduce(x, 0, mat.den)
         row, col = divmod(idx, dim)
         out[Monomial(ws[row], ws[col])] = c
     return out

@@ -110,7 +110,7 @@ def check_range_containment(max_m: int = 3, max_depth: int = 3) -> dict:
     return _report("range-containment", checks)
 
 
-def check_cocycle(seed: int = DEFAULT_SEED) -> dict:
+def check_cocycle() -> dict:
     """Cocycle recursion u_{k+1} = u_k theta^k(u) and the correspondence
     u = sum_i rho(s_i) s_i^*, for every rank-2 permutation."""
     checks = {}
@@ -124,7 +124,7 @@ def check_cocycle(seed: int = DEFAULT_SEED) -> dict:
             total = total + endo.apply(s_i) * s_i.adjoint()
         checks[f"{endo.label()} recursion"] = rec
         checks[f"{endo.label()} correspondence"] = total == endo.u
-    return _report("cocycle", checks, seed=seed)
+    return _report("cocycle", checks)
 
 
 def check_psi_formulas() -> dict:

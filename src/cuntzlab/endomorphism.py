@@ -10,8 +10,7 @@ rho_sigma(s_I s_J^*) = sum over |V| = k-1 of s_{pi(IV)} s_{pi(JV)}^*.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .algebra import (AlgebraElement, Monomial, Word, _held_theta, _wrap,
                       pack_word, unpack_word, words)
@@ -42,22 +41,26 @@ def theta_power(m: int, a: AlgebraElement) -> AlgebraElement:
     return a
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of the N^k words of length k, stored as the image
-    tuple in lexicographic order of the domain."""
-
+class _PermutationFields(NamedTuple):
     k: int
     n_gens: int
     images: Tuple[Word, ...]
 
-    def __post_init__(self):
-        size = self.n_gens ** self.k
-        if len(self.images) != size or len(set(self.images)) != size:
+
+class Permutation(_PermutationFields):
+    """A permutation of the N^k words of length k, stored as the image
+    tuple in lexicographic order of the domain."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, n_gens: int, images: Tuple[Word, ...]):
+        size = n_gens ** k
+        if len(images) != size or len(set(images)) != size:
             raise ValueError("images must be a bijection on length-k words")
-        for w in self.images:
-            if len(w) != self.k or any(not 1 <= c <= self.n_gens for c in w):
+        for w in images:
+            if len(w) != k or any(not 1 <= c <= n_gens for c in w):
                 raise ValueError(f"bad image word {w}")
+        return super().__new__(cls, k, n_gens, images)
 
     @classmethod
     def identity(cls, k: int, n_gens: int) -> "Permutation":

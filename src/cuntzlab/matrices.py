@@ -9,7 +9,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .algebra import AlgebraElement, Word, _degree0_matrix, words
+from .algebra import AlgebraElement, Word, _degree0_matrix, _real, words
 from .errors import DimensionCapError, NotHomogeneousError
 from .scalars import GaussianRational
 
@@ -77,8 +77,8 @@ def psi(x: AlgebraElement, k: int) -> OperatorMatrix:
 
 def embed_degree0(x: AlgebraElement) -> np.ndarray:
     """The complex matrix in M_{N^m} (lexicographic word order) of a
-    degree-0 element with longest word m: the exact kernel's matrix,
-    rounded."""
+    degree-0 element with longest word m: re + i im, each part the exact
+    kernel's matrix of a real element, rounded."""
     if any(d != 0 for d in x.degrees()):
         raise NotHomogeneousError("embed_degree0 requires gauge degree 0")
     n = x.n_gens
@@ -86,12 +86,21 @@ def embed_degree0(x: AlgebraElement) -> np.ndarray:
     dim = n ** m
     if dim > DIM_CAP:
         raise DimensionCapError(f"matrix dimension {dim} exceeds cap {DIM_CAP}")
-    mat = _degree0_matrix(x, m)
-    out = np.empty((dim, dim), dtype=complex)
-    # Python int division rounds each entry once, as complex(c) does
-    out.real = (mat.re.astype(object) / mat.den).astype(float)
-    out.imag = (mat.im.astype(object) / mat.den).astype(float)
+    out = np.zeros((dim, dim), dtype=complex)
+    if _real(x):
+        out.real = _rounded(x, m)
+    else:
+        terms = x.terms.items()
+        out.real = _rounded(AlgebraElement(n, {mono: c.re for mono, c in terms}), m)
+        out.imag = _rounded(AlgebraElement(n, {mono: c.im for mono, c in terms}), m)
     return out
+
+
+def _rounded(x: AlgebraElement, m: int) -> np.ndarray:
+    """The kernel's level-m matrix of a real degree-0 element, each exact
+    entry rounded once to a float, as complex(c) rounds each part of c."""
+    mat = _degree0_matrix(x, m)
+    return (mat.num.astype(object) / mat.den).astype(float)
 
 
 def largest_eigenvalue(mat: np.ndarray) -> float:

@@ -475,10 +475,9 @@ def _random_degree0(rng, n, m, size, coeff):
     return AlgebraElement(n, terms)
 
 
-def _small_complex(rng):
+def _small_rational(rng):
     # non-dyadic denominators, so the common denominator is not a power of 2
-    return GaussianRational(Fraction(rng.randint(-9, 9), rng.choice((1, 3, 5, 7))),
-                            Fraction(rng.randint(-9, 9), rng.choice((1, 3, 7))))
+    return Fraction(rng.randint(-9, 9), rng.choice((1, 3, 5, 7)))
 
 
 def _check_against_reference(a, b, m, rng, sparse_reference):
@@ -520,8 +519,8 @@ def test_dense_kernel_matches_sparse_reference(n, m, size_a, size_b, hold_a,
     held = any(hold and n ** (2 * m) <= algebra._DENSE_ENTRIES_PER_TERM * size
                for size, hold in ((size_a, hold_a), (size_b, hold_b)))
     for _ in range(4):
-        a = _random_degree0(rng, n, m, size_a, _small_complex)
-        b = _random_degree0(rng, n, m, size_b, _small_complex)
+        a = _random_degree0(rng, n, m, size_a, _small_rational)
+        b = _random_degree0(rng, n, m, size_b, _small_rational)
         assert algebra._dense_mul_level(a, b) is None
         a = algebra._hold(a) if hold_a else a
         b = algebra._hold(b) if hold_b else b
@@ -534,16 +533,16 @@ def test_dense_kernel_matches_sparse_reference(n, m, size_a, size_b, hold_a,
     assert (kernel_calls["mul"] > 0) == held
 
 
-def _big_complex(rng):
-    return GaussianRational(Fraction(2 ** 40 + rng.randint(0, 999), 3),
-                            Fraction(-2 ** 40 - rng.randint(0, 999), 7))
+def _big_rational(rng):
+    return Fraction(rng.choice((1, -1)) * (2 ** 40 + rng.randint(0, 999)),
+                    rng.choice((3, 7)))
 
 
 def test_dense_kernel_python_int_fallback(kernel_calls, sparse_reference):
     rng = random.Random(2 ** 40)
     # numerators near 2^40: every product entry overflows int64
-    a = _random_degree0(rng, 2, 2, 12, _big_complex)
-    b = _random_degree0(rng, 2, 2, 12, _big_complex)
+    a = _random_degree0(rng, 2, 2, 12, _big_rational)
+    b = _random_degree0(rng, 2, 2, 12, _big_rational)
     _check_against_reference(algebra._hold(a), b, 2, rng, sparse_reference)
     # every level-3 entry near 2^30.6: a product of two entries fits in
     # int64, a sum of 2^3 of them does not
@@ -573,10 +572,10 @@ def test_sparse_high_level_product_stays_sparse(monkeypatch):
 def test_term_operands_stay_sparse_and_held_ones_stay_dense(monkeypatch,
                                                             kernel_calls):
     rng = random.Random(44)
-    a = _random_degree0(rng, 2, 4, 100, _small_complex)
-    b = _random_degree0(rng, 2, 4, 120, _small_complex)
-    c = _random_degree0(rng, 2, 4, 30, _small_complex)
-    d = _random_degree0(rng, 2, 4, 34, _small_complex)
+    a = _random_degree0(rng, 2, 4, 100, _small_rational)
+    b = _random_degree0(rng, 2, 4, 120, _small_rational)
+    c = _random_degree0(rng, 2, 4, 30, _small_rational)
+    d = _random_degree0(rng, 2, 4, 34, _small_rational)
 
     def no_matrix(*args):
         raise AssertionError("dense matrix allocated")
@@ -600,21 +599,51 @@ def test_term_operands_stay_sparse_and_held_ones_stay_dense(monkeypatch,
     assert got.terms == product.level({0: 4}).terms
 
 
+def test_complex_operands_take_the_sparse_rule(kernel_calls, sparse_reference):
+    """The kernel is real: a held element times a complex element with
+    terms, in either order, and their comparisons take the sparse rule, and
+    _hold keeps a complex element as it is."""
+    rng = random.Random(46)
+    a = _random_degree0(rng, 2, 3, 60, _small_rational)
+    z = _random_degree0(rng, 2, 3, 60, lambda r: GaussianRational(
+        _small_rational(r), _small_rational(r)))
+    # a plus imaginary terms that cancel once leveled: complex, and equal to a
+    c = GaussianRational(0, Fraction(1, 3))
+    same = (a + AlgebraElement.diagonal(2, (1, 2)).scaled(c)
+            - AlgebraElement.diagonal(2, (1, 2, 1)).scaled(c)
+            - AlgebraElement.diagonal(2, (1, 2, 2)).scaled(c))
+    assert algebra._hold(z) is z and algebra._hold(same) is same
+    ops = [lambda x: x * z, lambda x: z * x, lambda x: x == z, lambda x: z == x,
+           lambda x: x == same, lambda x: same == x]
+    got = []
+    for op in ops:
+        held = algebra._hold(a)  # a fresh kernel element with no terms
+        assert algebra._unbuilt(held)
+        assert algebra._dense_mul_level(held, z) is None
+        assert algebra._dense_mul_level(z, held) is None
+        got.append(op(held))
+    assert kernel_calls == dict.fromkeys(kernel_calls, 0)
+    with sparse_reference():
+        want = [op(a) for op in ops]
+    assert got[2:] == want[2:] == [False, False, True, True]
+    assert got[0] == want[0] and got[1] == want[1]
+
+
 # --------------------------------------------- kernel memo and lazy terms
 
 def _lazy_product(a, b):
     """_hold(a) * b through the kernel, with its terms not yet built."""
     out = algebra._hold(a) * b
     assert algebra._built_terms(out) is None
-    assert algebra._shapes(out) == {(out._matrix[0],) * 2}
+    assert algebra._shapes(out) == {(out._matrix.m,) * 2}
     return out
 
 
 def test_lazy_kernel_product_matches_sparse_term_for_term(sparse_reference):
     rng = random.Random(41)
-    a = _random_degree0(rng, 2, 4, 100, _small_complex)
-    b = _random_degree0(rng, 2, 4, 120, _small_complex)
-    extra = _random_degree0(rng, 2, 3, 20, _small_complex)
+    a = _random_degree0(rng, 2, 4, 100, _small_rational)
+    b = _random_degree0(rng, 2, 4, 120, _small_rational)
+    extra = _random_degree0(rng, 2, 3, 20, _small_rational)
     with sparse_reference():
         want = a * b
     want_leveled = want.level({0: 4})
@@ -649,23 +678,21 @@ def _same_value_new_denominator(x, den):
             - AlgebraElement.diagonal(2, w + (2,)).scaled(c))
 
 
-def _huge_complex(rng):
+def _huge_rational(rng):
     # about 2^54: a sum of 100 numerators fits in int64, one times 1009 not
-    return GaussianRational(Fraction(2 ** 54 + rng.randint(0, 999), 3),
-                            Fraction(-2 ** 54 - rng.randint(0, 999), 3))
+    return Fraction(rng.choice((1, -1)) * (2 ** 54 + rng.randint(0, 999)), 3)
 
 
-@pytest.mark.parametrize("coeff", [_small_complex, _huge_complex])
+@pytest.mark.parametrize("coeff", [_small_rational, _huge_rational])
 def test_dense_eq_across_denominators(coeff, kernel_calls, sparse_reference):
     rng = random.Random(1009)
     x = _random_degree0(rng, 2, 4, 100, coeff)
     y = _same_value_new_denominator(x, 1009)
     assert x.terms != y.terms
-    x_re, _, x_den = algebra._degree0_matrix(x, 4)[1:4]
-    _, _, y_den = algebra._degree0_matrix(y, 4)[1:4]
-    assert y_den == 1009 * x_den
-    if coeff is _huge_complex:
-        assert x_re.dtype == np.int64 and algebra._max_abs(x_re) * 1009 > 2 ** 63
+    x_mat, y_mat = algebra._degree0_matrix(x, 4), algebra._degree0_matrix(y, 4)
+    assert y_mat.den == 1009 * x_mat.den
+    if coeff is _huge_rational:
+        assert x_mat.num.dtype == np.int64 and x_mat.top * 1009 > 2 ** 63
     bumped = y + AlgebraElement.monomial(2, (2,) * 4, (1,) * 4, Fraction(1, 1009))
     held_x, held_y = algebra._hold(x), algebra._hold(y)
     assert held_x == y and held_y == x
@@ -678,8 +705,8 @@ def test_dense_eq_across_denominators(coeff, kernel_calls, sparse_reference):
 def test_memo_at_one_level_answers_at_a_higher_level(kernel_calls,
                                                      sparse_reference):
     rng = random.Random(3)
-    a = _random_degree0(rng, 2, 3, 60, _small_complex)
-    b = _random_degree0(rng, 2, 3, 60, _small_complex)
+    a = _random_degree0(rng, 2, 3, 60, _small_rational)
+    b = _random_degree0(rng, 2, 3, 60, _small_rational)
     with sparse_reference():
         want = (a * b).level({0: 4})
     held = algebra._hold(a)
@@ -701,24 +728,23 @@ def test_memo_at_one_level_answers_at_a_higher_level(kernel_calls,
 
 def _held_pair(seed, m_a=3, m_b=3):
     """Kernel products x = a b at level m_a and y = c d at level m_b with
-    complex coefficients over different denominators, and their sparse
+    rational coefficients over different denominators, and their sparse
     references."""
     rng = random.Random(seed)
     # enough terms for _hold to keep each operand's level-m matrix
-    ops = [_random_degree0(rng, 2, m, max(60, 4 ** m // 4), _small_complex)
+    ops = [_random_degree0(rng, 2, m, max(60, 4 ** m // 4), _small_rational)
            for m in (m_a, m_a, m_b, m_b)]
     ops[2] = ops[2].scaled(Fraction(1, 11))
     x, y = _lazy_product(*ops[:2]), _lazy_product(*ops[2:])
-    assert x._matrix[3] != y._matrix[3]
+    assert x._matrix.den != y._matrix.den
     return x, y, ops
 
 
 def _same_value(x, y):
     """Whether two _Matrix values at one level are the same exact matrix,
     whatever their denominators."""
-    return x.m == y.m and all(
-        np.array_equal(p.astype(object) * y.den, q.astype(object) * x.den)
-        for p, q in ((x.re, y.re), (x.im, y.im)))
+    return x.m == y.m and np.array_equal(x.num.astype(object) * y.den,
+                                         y.num.astype(object) * x.den)
 
 
 def test_held_matrix_releveled_by_kronecker_product(kernel_calls,
@@ -729,10 +755,9 @@ def test_held_matrix_releveled_by_kronecker_product(kernel_calls,
     memo = x._matrix
     # x's level-3 memo answers at level 5 with no terms built, and stays
     # x's memo at level 3
-    re, im, den = algebra._degree0_matrix(x, 5)[1:4]
-    want_re, want_im, want_den = algebra._degree0_matrix(want_x, 5)[1:4]
-    assert den == want_den == memo.den
-    assert np.array_equal(re, want_re) and np.array_equal(im, want_im)
+    high, want_high = algebra._degree0_matrix(x, 5), algebra._degree0_matrix(want_x, 5)
+    assert high.den == want_high.den == memo.den
+    assert np.array_equal(high.num, want_high.num)
     assert x._matrix is memo and memo.m == 3
     # want_x, with terms and first densified at level 5, answers at levels
     # 3 and 4 from its terms, exactly, and keeps its level-5 memo
@@ -757,7 +782,7 @@ def test_held_matrix_releveled_by_kronecker_product(kernel_calls,
     memo = x._matrix
     calls = kernel_calls["mul"]
     got = x * y
-    assert kernel_calls["mul"] == calls + 1 and got._matrix[0] == 4
+    assert kernel_calls["mul"] == calls + 1 and got._matrix.m == 4
     assert algebra._built_terms(x) is None
     assert x._matrix is memo and memo.m == 3
     with sparse_reference():
@@ -773,7 +798,7 @@ def test_kernel_calls_never_replace_a_memo(kernel_calls):
     terms; and a deep E/F word leaves the shared E and F at level 1."""
     x, y, (a, _, _, _) = _held_pair(10, 3, 4)
     held = algebra._hold(a)
-    term = _random_degree0(random.Random(10), 2, 3, 60, _small_complex)
+    term = _random_degree0(random.Random(10), 2, 3, 60, _small_rational)
     algebra._degree0_matrix(term, 3)
     before_calls = dict(kernel_calls)
     for op in (lambda p, q: p * q, lambda p, q: p == q, lambda p, q: p + q):
@@ -813,10 +838,10 @@ def test_held_sum_matches_sparse_sum(kernel_calls, sparse_reference):
         want = a * b + c * d
     got = x + y
     assert kernel_calls["add"] == 1 and algebra._built_terms(got) is None
-    assert got._matrix[0] == 4 and algebra._built_terms(x) is None
+    assert got._matrix.m == 4 and algebra._built_terms(x) is None
     assert got.terms == want.level({0: 4}).terms
     # lowest terms: the lcm of the reduced denominators of the entries
-    assert got._matrix[3] == lcm(*{v._d for v in want.terms.values()})
+    assert got._matrix.den == lcm(*{v._d for v in want.terms.values()})
     assert format_element(y + x) == format_element(want)
     # a sum that cancels is the empty element
     neg = _lazy_product(a.scaled(-1), b)
@@ -845,12 +870,12 @@ def test_held_sum_promotes_to_python_ints(kernel_calls, sparse_reference):
     a = AlgebraElement(2, {Monomial(i, j): big for i in ws[:3] for j in ws})
     b = AlgebraElement(2, {Monomial(i, j): 1 for i in ws for j in ws[:3]})
     x = _lazy_product(a, b)
-    assert x._matrix[1].dtype == np.int64
+    assert x._matrix.num.dtype == np.int64
     twice = x + x  # 2^62 + 8 still fits
-    assert twice._matrix[1].dtype == np.int64
+    assert twice._matrix.num.dtype == np.int64
     got = twice + twice  # 2^63 + 16 does not
     assert kernel_calls["add"] == 2 and algebra._built_terms(got) is None
-    assert got._matrix[1].dtype == object
+    assert got._matrix.num.dtype == object
     with sparse_reference():
         want = a * b
         want = want + want + want + want
@@ -863,7 +888,7 @@ def test_held_trace_state_reads_the_matrix(kernel_calls, sparse_reference):
     with sparse_reference():
         want_x, want_y = (a * b).trace_state(), (c * d).trace_state()
     assert x.trace_state() == want_x and (x + y).trace_state() == want_x + want_y
-    assert want_x.im and want_x._d > 8
+    assert want_x.is_real() and want_x and want_x._d > 8
     assert kernel_calls["trace"] == 2 and algebra._built_terms(x) is None
     # with its terms built, an element takes the sparse sum
     y.terms
@@ -871,8 +896,8 @@ def test_held_trace_state_reads_the_matrix(kernel_calls, sparse_reference):
 
 
 # (N, level, |a|, |b|, coefficients): theta of the kernel product a b
-THETA_CASES = [(2, 3, 60, 60, _small_complex), (3, 2, 60, 60, _small_complex),
-               (2, 2, 12, 12, _big_complex)]
+THETA_CASES = [(2, 3, 60, 60, _small_rational), (3, 2, 60, 60, _small_rational),
+               (2, 2, 12, 12, _big_rational)]
 
 
 @pytest.mark.parametrize("n, m, size_a, size_b, coeff", THETA_CASES)
@@ -891,8 +916,8 @@ def test_held_theta_matches_theta_of_built_terms(n, m, size_a, size_b, coeff):
         assert algebra._built_terms(want) is not None
         assert got.terms == want.terms
         assert got == want and theta(got) == theta(want)
-    if coeff is _big_complex:
-        assert x._matrix.re.dtype == object and not x._matrix.real
+    if coeff is _big_rational:
+        assert x._matrix.num.dtype == object
 
 
 def test_theta_past_the_storage_bound_rewrites_words():
@@ -942,13 +967,11 @@ def test_kernel_product_of_int64_and_object_operands(kernel_calls,
     top = [Monomial(i, j) for i in words(2, 4) for j in words(2, 4)]
     picked = rng.sample(top, 220)
     # a's unit numerators stay in int64; b's sum past it, so b is densified
-    # in Python ints, while max|a| max|b| 2 N^4 = 2^62 needs no promotion
-    a = AlgebraElement(2, {mono: GaussianRational(rng.choice((-1, 0, 1)),
-                                                  rng.choice((-1, 1)))
-                           for mono in picked[:100]})
+    # in Python ints, while max|a| max|b| N^4 = 2^61 needs no promotion
+    a = AlgebraElement(2, {mono: rng.choice((-1, 1)) for mono in picked[:100]})
     b = AlgebraElement(2, {mono: 2 ** 57 - k for k, mono in enumerate(picked[100:])})
-    assert algebra._degree0_matrix(a, 4).re.dtype == np.int64
-    assert algebra._degree0_matrix(b, 4).re.dtype == object
+    assert algebra._degree0_matrix(a, 4).num.dtype == np.int64
+    assert algebra._degree0_matrix(b, 4).num.dtype == object
     with sparse_reference():
         want = [a * b, b * a, b.adjoint() * a]
     held = algebra._hold(a)

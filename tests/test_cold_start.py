@@ -1,5 +1,6 @@
 """Cold start: importing the package and the command line, `apply` and
-`--help` load no numpy; the numpy-backed names resolve on first use.  Each
+`--help` load neither numpy nor dataclasses (which pulls in inspect, ast,
+dis and tokenize); the numpy-backed names resolve on first use.  Each
 test runs in a fresh interpreter, since this process has numpy loaded."""
 
 import os
@@ -28,9 +29,11 @@ def test_import_cli_apply_and_help_load_no_numpy():
         import cuntzlab
         import cuntzlab.cli
         assert "numpy" not in sys.modules
+        assert "dataclasses" not in sys.modules
         code = cuntzlab.cli.main(["apply", "--perm", "(1 3)",
                                   "--element", "s[1] t[2] + s[2] t[1]"])
         assert code == 0
+        assert "dataclasses" not in sys.modules
         assert cuntzlab.cli.main(["--help"]) == 0
         assert cuntzlab.cli.main(["apply", "--help"]) == 0
         print("numpy" in sys.modules)

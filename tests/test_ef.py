@@ -89,7 +89,7 @@ def test_ef_memo_keeps_only_level1_read_only_matrices():
         assert algebra._built_terms(single) is None
         assert single._matrix is q._matrix  # shared, not copied
         assert q._matrix.m == 1
-        assert not (q._matrix.re.flags.writeable or q._matrix.im.flags.writeable)
+        assert not q._matrix.num.flags.writeable
         assert single == q
 
 

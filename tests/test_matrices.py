@@ -3,14 +3,15 @@ bound, and operator norms."""
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cuntzlab import (AlgebraElement, DimensionCapError, EndomorphismSpec,
-                      NotHomogeneousError, Permutation, embed_degree0, homogeneous_parts,
-                      norm_bounds, operator_norm, parse_element, perm_unitary,
-                      psi)
+                      GaussianRational, Monomial, NotHomogeneousError, Permutation,
+                      algebra, embed_degree0, homogeneous_parts, norm_bounds,
+                      operator_norm, parse_element, perm_unitary, psi, words)
 from cuntzlab.sampling import random_element, random_homogeneous
 
 
@@ -49,6 +50,38 @@ def test_embed_degree0_examples(one):
     assert np.allclose(embed_degree0(e), np.full((2, 2), 0.5))
     with pytest.raises(NotHomogeneousError):
         embed_degree0(AlgebraElement.generator(2, 1))
+
+
+NONZERO = [k for k in range(-9, 10) if k]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("part", ["real", "imaginary", "mixed"])
+def test_embed_degree0_rounds_each_exact_entry_once(n, part):
+    """Entry for entry, the embedding is complex(c) of the coefficient c
+    of the element leveled to its longest word: overlapping blocks are
+    summed exactly before one rounding, the real and imaginary parts each
+    on their own denominators."""
+    rng = random.Random(31 * n + len(part))
+
+    def coeff():
+        re = Fraction(rng.choice(NONZERO), rng.choice((3, 7, 11)))
+        im = Fraction(rng.choice(NONZERO), rng.choice((3, 5, 13)))
+        return {"real": GaussianRational(re), "imaginary": GaussianRational(0, im),
+                "mixed": GaussianRational(re, im)}[part]
+
+    ws = [w for r in range(3) for w in words(n, r)]
+    terms = {Monomial(i, j): coeff() for i in ws for j in ws
+             if len(i) == len(j) and rng.random() < 0.6}
+    terms[Monomial((1, 2), (2, 1))] = coeff()
+    x = AlgebraElement(n, terms)
+    index = {w: k for k, w in enumerate(words(n, 2))}
+    want = np.zeros((n * n, n * n), dtype=complex)
+    for (left, right), c in x.level({0: 2}).terms.items():
+        want[index[left], index[right]] = complex(c)
+    assert np.array_equal(embed_degree0(x), want)
+    if part == "real":  # a held element embeds off its matrix
+        assert np.array_equal(embed_degree0(algebra._hold(x)), want)
 
 
 def test_operator_norm_examples(s1):
