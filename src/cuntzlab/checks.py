@@ -244,7 +244,7 @@ def check_ef(table_depth: int = 10, proj_depth: int = 5,
     and the other sigma still run; the four rows' table and verdict
     checks need their dynamics, so a raise there fails the whole suite
     (`run_suite`)."""
-    from .dynamics import JoinDynamics
+    from .dynamics import CantorDynamics
     from .oracles import oracle_equivalence
     from .product_masa import ProductMasaDynamics, ef_projection
 
@@ -276,7 +276,7 @@ def check_ef(table_depth: int = 10, proj_depth: int = 5,
             oracle_equivalence(dyn, "tEF", table_depth))
     for label in ("(1 2)", "(1 3 2 4)", "(3 4)", "(1 4 2 3)"):
         dyn = ProductMasaDynamics(EndomorphismSpec.from_label(label))
-        verdict = JoinDynamics.summarize(dyn.entropy(4, 16)).verdict
+        verdict = CantorDynamics.summarize(dyn.entropy(4, 16)).verdict
         checks[f"{label} EF verdict log2"] = verdict == "log2"
     return _report("ef", checks, **({"raised": raised} if raised else {}))
 

@@ -152,7 +152,7 @@ def cmd_apply(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    from .dynamics import CantorDynamics, JoinDynamics
+    from .dynamics import CantorDynamics
     from .product_masa import ProductMasaDynamics
 
     endo = _endomorphism_from_args(args)
@@ -161,7 +161,7 @@ def cmd_entropy(args) -> int:
     else:
         dyn = CantorDynamics(endo, budget=args.budget)
     reports = dyn.entropy(args.depth, args.steps)
-    summary = JoinDynamics.summarize(reports)
+    summary = CantorDynamics.summarize(reports)
     if args.json:
         print(json.dumps({"reports": [r.to_dict() for r in reports],
                           "summary": summary.to_dict()}, indent=2))
@@ -237,10 +237,6 @@ def cmd_norm(args) -> int:
     return EXIT_OK
 
 
-def _matrix_json(mat) -> list:
-    return [[[entry.real, entry.imag] for entry in row] for row in mat]
-
-
 def cmd_psi(args) -> int:
     from .matrices import homogeneous_parts
 
@@ -248,20 +244,25 @@ def cmd_psi(args) -> int:
         raise ValueError(f"--depth must be at least 0, got {args.depth}")
     x = _require_element(args)
     dec = homogeneous_parts(x, args.depth)
-    parts = sorted(dec.numeric().items())
+
+    def text(word):
+        return "".join(map(str, word))
+
+    # each T_J as its nonzero entries [K, M, exact coefficient], sorted
+    parts = {text(j): sorted([text(row), text(col), str(c)]
+                             for (row, col), c in coeffs.items())
+             for j, coeffs in sorted(dec.parts.items())}
     if args.json:
         print(json.dumps({
             "k": args.depth,
             "degree": dec.degree,
             "direction": dec.direction,
-            "parts": {"".join(map(str, j)): _matrix_json(m.tolist())
-                      for j, m in parts},
+            "parts": parts,
         }, indent=2))
     else:
         print(f"degree {dec.degree} ({dec.direction}), k={args.depth}")
-        for j, mat in parts:
-            label = "".join(map(str, j)) if j else "1"
-            print(f"T_{label} = {json.dumps(_matrix_json(mat.tolist()))}")
+        for j, entries in parts.items():
+            print(f"T_{j or '1'} = {json.dumps(entries)}")
     return EXIT_OK
 
 

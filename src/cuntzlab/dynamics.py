@@ -143,8 +143,11 @@ class EntropyReport:
 
 
 def _verdict(counts: Sequence[Tuple[int, int]]):
-    """Exact verdict: log2 if the last four ratios are exactly 2, zero if
-    the last four counts are equal, else inconclusive with an LSQ slope."""
+    """Exact verdict.  A proved tail decides: "stable" counts are constant
+    from some n on, so zero, and "discrete" counts over two letters double
+    every step, so log2.  Otherwise log2 if the last four ratios are
+    exactly 2, zero if the last four counts are equal, else inconclusive
+    with an LSQ slope."""
     values = [c for _, c in counts]
     increments: List[Union[int, float]] = []
     for prev, cur in zip(values, values[1:]):
@@ -152,6 +155,11 @@ def _verdict(counts: Sequence[Tuple[int, int]]):
             increments.append(q.bit_length() - 1)
         else:
             increments.append(math.log2(cur / prev))
+    proved = counts.tail if isinstance(counts, JoinCounts) else None
+    if proved == "stable":
+        return increments, "zero", 0.0
+    if proved == "discrete" and counts.n_gens == 2:
+        return increments, "log2", math.log(2.0)
     tail = increments[-4:]
     if len(tail) == 4 and all(x == 1 for x in tail):
         return increments, "log2", math.log(2.0)
@@ -163,37 +171,55 @@ def _verdict(counts: Sequence[Tuple[int, int]]):
     return increments, "inconclusive", slope
 
 
-class JoinDynamics:
-    """Shared join-count / entropy machinery over block-map tables.
+class CantorDynamics:
+    """Block maps and entropy for one endomorphism on the standard masa.
 
-    Subclasses provide `block_map(p)` plus the window-growth step (window
-    at depth p is p + step) and a report label."""
+    The window at depth p is p + step letters, step = rank - 1.  A
+    permutative rho_sigma is read through sigma^{-1} once: on a head h
+    (the first rank letters of a window) T emits the letter first[h] and
+    continues on the word rest[h], where first[h] and rest[h] are the first
+    letter and the other step letters of sigma^{-1}(h).  Any other rho
+    applies itself to cylinder projections."""
 
-    n_gens: int
-    step: int
-    budget: int
-
-    def __init__(self, n_gens: int, step: int, budget: int = DEFAULT_BUDGET):
-        self.n_gens = n_gens
-        self.step = step
+    def __init__(self, endo: EndomorphismSpec, budget: int = DEFAULT_BUDGET):
+        self.endo = endo
+        self.n_gens = endo.n_gens
+        self.step = max(endo.rank - 1, 0)
         self.budget = budget
         self._tables: Dict[int, BlockMapTable] = {}
+        # (first, rest) of sigma^{-1}, or None for a non-permutative rho
+        self._steps: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        if endo.perm is not None:
+            # one_line() lists sigma(w) + 1 packed, w in lexicographic order
+            images = np.array(endo.perm.one_line(), dtype=np.int64) - 1
+            inverse = np.empty_like(images)
+            inverse[images] = np.arange(images.size, dtype=np.int64)
+            self._steps = np.divmod(inverse, self.n_gens ** self.step)
 
     def label(self) -> str:
-        return "?"
+        return self.endo.label()
 
     def masa_name(self) -> str:
         return "standard"
+
+    def diagonal_invariant(self, depth: int) -> bool:
+        """Whether the symbolic block map builds at every depth <= `depth`:
+        every cylinder projection maps to an exact 0/1 sum of cylinder
+        projections, and these sums partition the input words."""
+        try:
+            for p in range(1, depth + 1):
+                self._symbolic_table(p)
+        except (DiagonalNotPreservedError, PartitionError):
+            return False
+        return True
 
     def block_map(self, p: int) -> BlockMapTable:
         if p <= 0:
             raise ValueError("depth p must be positive")
         if p not in self._tables:
-            self._tables[p] = self._build_table(p)
+            self._tables[p] = (self._symbolic_table(p) if self._steps is None
+                               else self._prepend_letter(p, *self._steps))
         return self._tables[p]
-
-    def _build_table(self, p: int) -> BlockMapTable:
-        raise NotImplementedError
 
     def _prepend_letter(self, p: int, first: np.ndarray,
                         rest: np.ndarray) -> BlockMapTable:
@@ -216,6 +242,35 @@ class JoinDynamics:
                 else np.zeros(n ** self.step, dtype=np.int64))
         table = first[:, None] * low + prev.reshape(-1, low)[rest]
         return BlockMapTable(n, p, window, table.ravel())
+
+    def _symbolic_table(self, p: int) -> BlockMapTable:
+        """Generic construction from rho applied to cylinder projections."""
+        n = self.n_gens
+        window = p + self.step
+        self._check_budget(window)
+        table = np.full(n ** window, -1, dtype=np.int64)
+        for v in words(n, p):
+            img = self.endo.apply(AlgebraElement.diagonal(n, v))
+            if any(d != 0 for d in img.degrees()):
+                raise DiagonalNotPreservedError(
+                    f"image of cylinder {v} has unbalanced terms", v)
+            lev = img.level({0: window})
+            if not lev.is_diagonal_01():
+                raise DiagonalNotPreservedError(
+                    f"image of cylinder {v} is not a 0/1 diagonal sum", v)
+            code_v = pack_word(v, n)
+            for mono in lev.terms:
+                w = pack_word(mono.left, n)
+                if table[w] != -1:
+                    raise PartitionError(
+                        f"input word {mono.left} claimed by two outputs",
+                        mono.left)
+                table[w] = code_v
+        if (table == -1).any():
+            word = unpack_word(int(np.argmin(table)), window, n)
+            raise PartitionError(f"block map is not total: {word} uncovered",
+                                 word)
+        return BlockMapTable(n, p, window, table)
 
     def _check_budget(self, length: int) -> None:
         if self.n_gens ** length > self.budget:
@@ -242,14 +297,15 @@ class JoinDynamics:
         n+1 steps, and every later count is the same.
 
         Discrete: when `_separating()` holds, every partition is discrete
-        and N(n, p) = N^(p+n-1), so no table past depth 1 is read.  The
-        tables come from `_prepend_letter` with step 1, so for a window w
-        of m+1 letters table_m[w] = first(w_0 w_1) N^(m-1) +
-        table_(m-1)[rest(w_0 w_1) w_2 ... w_m].  Depth-1 separation says
-        that w_0 and first(w_0 w_1) give w_1, hence the letter rest(w_0 w_1),
-        and by induction on m the rest of the output gives w_2 ... w_m.  So
-        w|_p and (Tw)|_(length-1) determine w: a partition discrete at step
-        n-1 is discrete at step n, and at n = 1 it is discrete.
+        and N(n, p) = N^(p+n-1), so no table is read.  The tables come
+        from `_prepend_letter` with step 1, so for a window w of m+1
+        letters table_m[w] = first(w_0 w_1) N^(m-1) +
+        table_(m-1)[rest(w_0 w_1) w_2 ... w_m].  `_separating()` says
+        that w_0 and first(w_0 w_1) give w_1, hence the letter
+        rest(w_0 w_1), and by induction on m the rest of the output gives
+        w_2 ... w_m.  So w|_p and (Tw)|_(length-1) determine w: a partition
+        discrete at step n-1 is discrete at step n, and at n = 1 it is
+        discrete.
 
         The pair is the key h * n_classes + class(Tw) in [0, N^p *
         n_classes).  While that range fits the budget, the keys are marked
@@ -301,10 +357,17 @@ class JoinDynamics:
         return JoinCounts(tuple(head), n_max, None, n)
 
     def _separating(self) -> bool:
-        """Whether the discrete tail of `_join_counts` applies: the tables
-        come from `_prepend_letter` with step 1 and pass
-        `separation_check(1)`.  Tables built any other way are refined."""
-        return False
+        """Whether the discrete tail of `_join_counts` applies: rho is
+        permutative, step is 1, and for each letter x0 the map
+        x1 -> first(sigma^{-1}(x0 x1)) is one-to-one, i.e. every row of
+        first as an N x N array is a permutation of the letters.  The
+        depth-1 table is first itself, so this is `separation_check(1)`:
+        x0 and the output letter give x1.  Any other rho is refined."""
+        if self._steps is None or self.step != 1:
+            return False
+        n = self.n_gens
+        rows = np.sort(self._steps[0].reshape(n, n), axis=1)
+        return bool((rows == np.arange(n)).all())
 
     def entropy(self, p_max: int = 4, n_max: int = 16) -> List[EntropyReport]:
         """One EntropyReport per depth p = 1..p_max."""
@@ -350,81 +413,5 @@ class JoinDynamics:
         return True
 
 
-class CantorDynamics(JoinDynamics):
-    """Block maps and entropy for one endomorphism on the standard masa."""
-
-    def __init__(self, endo: EndomorphismSpec, budget: int = DEFAULT_BUDGET):
-        super().__init__(endo.n_gens, max(endo.rank - 1, 0), budget)
-        self.endo = endo
-        self._separates: Optional[bool] = None  # memo of _separating()
-        self._perm_inverse: Optional[np.ndarray] = None
-        if endo.perm is not None:
-            inv = endo.perm.inverse()
-            self._perm_inverse = np.array(
-                [pack_word(inv(w), self.n_gens) for w in words(self.n_gens, endo.rank)],
-                dtype=np.int64,
-            )
-
-    def label(self) -> str:
-        return self.endo.label()
-
-    def diagonal_invariant(self, depth: int) -> bool:
-        """Whether the symbolic block map builds at every depth <= `depth`:
-        every cylinder projection maps to an exact 0/1 sum of cylinder
-        projections, and these sums partition the input words."""
-        try:
-            for p in range(1, depth + 1):
-                self._symbolic_table(p)
-        except (DiagonalNotPreservedError, PartitionError):
-            return False
-        return True
-
-    def _build_table(self, p: int) -> BlockMapTable:
-        if self._perm_inverse is not None:
-            return self._permutative_table(p)
-        return self._symbolic_table(p)
-
-    def _separating(self) -> bool:
-        # the answer depends on sigma alone, so it is decided once
-        if self._separates is None:
-            self._separates = (self._perm_inverse is not None
-                               and self.step == 1
-                               and self.separation_check(1))
-        return self._separates
-
-    def _permutative_table(self, p: int) -> BlockMapTable:
-        """Word-level construction for rho_sigma, one depth at a time.  On a
-        window w the first output letter is the first letter of
-        sigma^{-1}(w|_k); the rest of that preimage followed by the unread
-        input is the depth-(p-1) window that yields the other p-1 letters."""
-        first, rest = np.divmod(self._perm_inverse, self.n_gens ** self.step)
-        return self._prepend_letter(p, first, rest)
-
-    def _symbolic_table(self, p: int) -> BlockMapTable:
-        """Generic construction from rho applied to cylinder projections."""
-        n = self.n_gens
-        window = p + self.step
-        self._check_budget(window)
-        table = np.full(n ** window, -1, dtype=np.int64)
-        for v in words(n, p):
-            img = self.endo.apply(AlgebraElement.diagonal(n, v))
-            if any(d != 0 for d in img.degrees()):
-                raise DiagonalNotPreservedError(
-                    f"image of cylinder {v} has unbalanced terms", v)
-            lev = img.level({0: window})
-            if not lev.is_diagonal_01():
-                raise DiagonalNotPreservedError(
-                    f"image of cylinder {v} is not a 0/1 diagonal sum", v)
-            code_v = pack_word(v, n)
-            for mono in lev.terms:
-                w = pack_word(mono.left, n)
-                if table[w] != -1:
-                    raise PartitionError(
-                        f"input word {mono.left} claimed by two outputs",
-                        mono.left)
-                table[w] = code_v
-        if (table == -1).any():
-            word = unpack_word(int(np.argmin(table)), window, n)
-            raise PartitionError(f"block map is not total: {word} uncovered",
-                                 word)
-        return BlockMapTable(n, p, window, table)
+# bench/tracing.py and bench/make_refs.py wrap the dynamics by this name
+JoinDynamics = CantorDynamics

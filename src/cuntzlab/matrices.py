@@ -134,7 +134,7 @@ def norm_bounds(x: AlgebraElement) -> Tuple[float, float]:
 @dataclass(frozen=True)
 class HomogeneousDecomposition:
     """Psi_k(X) = sum_J T_J (x) s_J (degree > 0), T (x) 1 (degree 0), or
-    the s_J^* form (degree < 0).  Parts are kept exactly; numeric() rounds."""
+    the s_J^* form (degree < 0), with every part kept exactly."""
 
     n_gens: int
     k: int
@@ -148,17 +148,6 @@ class HomogeneousDecomposition:
         if self.degree < 0:
             return "annihilation"
         return "scalar"
-
-    def numeric(self) -> Dict[Word, np.ndarray]:
-        dim = self.n_gens ** self.k
-        index = {w: i for i, w in enumerate(words(self.n_gens, self.k))}
-        out = {}
-        for j_word, coeffs in self.parts.items():
-            mat = np.zeros((dim, dim), dtype=complex)
-            for (row, col), c in coeffs.items():
-                mat[index[row], index[col]] = complex(c)
-            out[j_word] = mat
-        return out
 
     def gram(self) -> AlgebraElement:
         """sum_J T_J^* T_J (degree >= 0) or sum_J T_J T_J^* (degree < 0),

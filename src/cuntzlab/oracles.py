@@ -126,7 +126,8 @@ def oracle_table(name: str, p: int, window_hint: int = 2) -> BlockMapTable:
 
 def oracle_equivalence(dyn, name: str, depth: int) -> bool:
     """True iff the engine's block maps match the oracle's truncations at
-    every depth p <= depth.  `dyn` is any JoinDynamics."""
+    every depth p <= depth.  `dyn` is a CantorDynamics, ProductMasaDynamics
+    included."""
     for p in range(1, depth + 1):
         engine = dyn.block_map(p)
         oracle = oracle_table(name, p, window_hint=engine.window - p + 1)

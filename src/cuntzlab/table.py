@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .algebra import AlgebraElement, Monomial, words
-from .dynamics import CantorDynamics, JoinDynamics, DEFAULT_BUDGET
+from .dynamics import CantorDynamics, DEFAULT_BUDGET
 from .endomorphism import EndomorphismSpec, Permutation
 from .errors import MasaNotInvariantError
 from .parsing import format_element
@@ -113,7 +113,7 @@ def compute_row(cycles: Tuple[Tuple[int, ...], ...],
         for i, img in ((1, s1), (2, s2)))
 
     dyn = CantorDynamics(endo, budget=budget)
-    c2 = JoinDynamics.summarize(dyn.entropy(p_max, n_max)).verdict
+    c2 = CantorDynamics.summarize(dyn.entropy(p_max, n_max)).verdict
     hte_c2 = {"log2": LOG2, "zero": ZERO}.get(c2, "inconclusive")
 
     if c2 == "log2":
@@ -123,7 +123,7 @@ def compute_row(cycles: Tuple[Tuple[int, ...], ...],
     else:
         try:
             ef = ProductMasaDynamics(endo, budget=budget)
-            verdict = JoinDynamics.summarize(ef.entropy(p_max, n_max)).verdict
+            verdict = CantorDynamics.summarize(ef.entropy(p_max, n_max)).verdict
             hte = LOG2 if verdict == "log2" else "inconclusive"
             masa = "EF"
         except MasaNotInvariantError:

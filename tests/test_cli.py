@@ -174,23 +174,45 @@ def test_psi_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["direction"] == "creation"
-    assert payload["parts"]["1"] == [[[1.0, 0.0], [0.0, 0.0]],
-                                     [[0.0, 0.0], [0.0, 0.0]]]
+    # each T_J lists its nonzero entries [K, M, exact coefficient]
+    assert payload["parts"] == {"1": [["1", "1", "1"]],
+                                "2": [["1", "2", "1"]]}
+    code, out, _ = run(capsys, "psi", "--element",
+                       "(1/2+1/3i) * s[1] t[2] - 3/4 * s[2] t[1]", "--depth",
+                       "1", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["degree"], payload["direction"]) == (0, "scalar")
+    assert payload["parts"] == {"": [["1", "2", "1/2+1/3i"],
+                                     ["2", "1", "-3/4"]]}
 
 
 def test_psi_text(capsys):
     code, out, _ = run(capsys, "psi", "--element", "s[1]", "--depth", "2")
     assert code == 0
-    zero, one = "[0.0, 0.0]", "[1.0, 0.0]"
-
-    def row(*ones):
-        return "[" + ", ".join(one if c in ones else zero for c in range(4)) + "]"
-
-    blank = row()
     assert out == (
         "degree 1 (creation), k=2\n"
-        f"T_1 = [{row(0)}, {row(2)}, {blank}, {blank}]\n"
-        f"T_2 = [{row(1)}, {row(3)}, {blank}, {blank}]\n")
+        'T_1 = [["11", "11", "1"], ["12", "21", "1"]]\n'
+        'T_2 = [["11", "12", "1"], ["12", "22", "1"]]\n')
+
+
+def test_psi_prints_only_nonzero_entries(capsys):
+    # s_1 at k = 10 has 1,024 nonzero entries in two 1024 x 1024 parts
+    code, out, _ = run(capsys, "psi", "--element", "s[1]", "--depth", "10",
+                       "--json")
+    assert code == 0
+    parts = json.loads(out)["parts"]
+    assert sorted(parts) == ["1", "2"]
+    assert sum(len(entries) for entries in parts.values()) == 1024
+    assert len(out) < 1_000_000
+
+
+def test_entropy_proved_tail_verdicts(capsys):
+    for perm, verdict in (("(2 3)", "log2"), ("(1 2)", "zero")):
+        code, out, _ = run(capsys, "entropy", "--perm", perm, "--depth", "2",
+                           "--steps", "3", "--json")
+        assert code == 0
+        assert json.loads(out)["summary"]["verdict"] == verdict, perm
 
 
 def test_verify_suite(capsys):

@@ -2,6 +2,7 @@
 certificate on the standard masa."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -97,7 +98,7 @@ def test_fast_path_matches_symbolic():
         symbolic = CantorDynamics(
             EndomorphismSpec(perm_unitary(perm), rank=perm.k, check=False))
         for p in (1, 2, 3, 4):
-            assert np.array_equal(d._permutative_table(p).table,
+            assert np.array_equal(d.block_map(p).table,
                                   symbolic._symbolic_table(p).table), perm.one_line()
 
 
@@ -268,8 +269,8 @@ def test_discrete_tail_matches_full_refinement_on_o3():
 
 def test_discrete_tail_only_on_separating_word_tables(monkeypatch):
     """Spy on the block maps each series reads: the discrete tail reads
-    depth 1 only, and symbolic tables, rank-3 sigma and non-separating
-    sigma refine instead."""
+    none, and symbolic tables, rank-3 sigma and non-separating sigma
+    refine instead."""
     depths = []
     block_map = JoinDynamics.block_map
 
@@ -294,7 +295,7 @@ def test_discrete_tail_only_on_separating_word_tables(monkeypatch):
     for d in closed:
         depths.clear()
         reports = d.entropy(4, 16)
-        assert set(depths) == {1}, d.label()
+        assert depths == [], d.label()
         assert all(r.counts.tail == "discrete" and r.counts.refined_steps == 1
                    for r in reports)
     for d in refined:
@@ -307,28 +308,33 @@ def test_discrete_tail_only_on_separating_word_tables(monkeypatch):
             == [r.counts for r in dyn("(2 3)").entropy(3, 6)])
 
 
-def test_separation_checked_once_per_dynamics(monkeypatch):
-    """The discrete-tail test depends on sigma alone, so every series of
-    one dynamics reuses the first answer."""
+def test_separating_reads_sigma_without_separation_check(monkeypatch):
+    """`_separating()` is `separation_check(1)` for step-1 word tables,
+    read off sigma^{-1} with no call to the sort-based check."""
+    rows = [CantorDynamics(EndomorphismSpec.from_permutation(perm))
+            for perm in all_rank2_perms()]
+    o3 = [CantorDynamics(EndomorphismSpec.from_permutation(perm))
+          for perm in o3_rank2_sample()]
+    for d in rows + o3 + ef_dynamics():
+        assert d._separating() == d.separation_check(1), d.label()
+    assert sum(d._separating() for d in o3) == 20
+    # the proof needs one letter a step: rank 3 is refined even when its
+    # depth-1 table separates
+    rank3 = CantorDynamics(EndomorphismSpec.from_permutation(
+        Permutation.parse("(1 8)(2 7 6)", 3, 2)))
+    assert rank3.separation_check(1) and not rank3._separating()
     calls = []
-    check = JoinDynamics.separation_check
+    check = CantorDynamics.separation_check
 
     def spy(self, depth):
         calls.append((self, depth))
         return check(self, depth)
 
-    monkeypatch.setattr(JoinDynamics, "separation_check", spy)
+    monkeypatch.setattr(CantorDynamics, "separation_check", spy)
     for label, closed in (("(1 3)", True), ("(1 2)", False)):
-        d = dyn(label)
-        calls.clear()
-        reports = d.entropy(4, 16)
-        d.join_count(2, 5)
-        assert calls == [(d, 1)], label
+        reports = dyn(label).entropy(4, 16)
         assert all((r.counts.tail == "discrete") == closed for r in reports)
-    # a fresh dynamics decides again
-    calls.clear()
-    dyn("(1 3)").entropy(2, 4)
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_forced_discrete_tail_is_caught(monkeypatch):
@@ -432,6 +438,29 @@ def test_entropy_verdicts():
     r = dyn("(2 3)").entropy(4, 16)[3]
     assert all(x == 1 and type(x) is int for x in r.increments)
     assert r.estimate_nats == pytest.approx(0.6931471805599453)
+
+
+def test_proved_tail_decides_short_series():
+    # three steps are too few for the four-ratio rule, but the tails are
+    # proved: discrete over two letters doubles, stable stays constant
+    for label, verdict, estimate in (("(2 3)", "log2", math.log(2.0)),
+                                     ("(1 2)", "zero", 0.0)):
+        reports = dyn(label).entropy(2, 3)
+        assert all(r.verdict == verdict and r.estimate_nats == estimate
+                   for r in reports), label
+        assert JoinDynamics.summarize(reports).verdict == verdict
+    assert dyn("(2 3)").entropy(1, 1)[0].verdict == "log2"
+    # a discrete tail over three letters grows by log 3, not log 2
+    o3 = CantorDynamics(EndomorphismSpec.from_permutation(
+        o3_rank2_sample()[0]))
+    report = o3.entropy(1, 8)[0]
+    assert report.counts.tail == "discrete"
+    assert report.verdict == "inconclusive"
+    assert report.estimate_nats == pytest.approx(math.log(3.0))
+    # plain lists carry no tail and keep the four-count rule
+    assert _verdict([(1, 2), (2, 4), (3, 8)])[1] == "inconclusive"
+    assert _verdict([(1, 4), (2, 4), (3, 4)])[1] == "inconclusive"
+    assert _verdict([(n, 4) for n in range(1, 5)])[1:] == ("zero", 0.0)
 
 
 def test_summary_ranks_by_estimate():

@@ -107,15 +107,16 @@ def test_norm_bounds_mixed(s1, one):
 def test_decomposition_directions(s1):
     dec = homogeneous_parts(s1, 1)
     assert dec.direction == "creation"
-    mats = dec.numeric()
-    t1, t2 = mats[(1,)], mats[(2,)]
-    assert np.allclose(t1, [[1, 0], [0, 0]])
-    assert np.allclose(t2, [[0, 1], [0, 0]])
+    one = GaussianRational.of(1)
+    assert dec.parts == {(1,): {((1,), (1,)): one},
+                         (2,): {((1,), (2,)): one}}
     dec0 = homogeneous_parts(parse_element("s[1] t[2]", 2), 1)
     assert dec0.direction == "scalar"
-    assert np.allclose(dec0.numeric()[()], [[0, 1], [0, 0]])
+    assert dec0.parts == {(): {((1,), (2,)): one}}
     deca = homogeneous_parts(s1.adjoint(), 1)
     assert deca.direction == "annihilation"
+    assert deca.parts == {(1,): {((1,), (1,)): one},
+                          (2,): {((2,), (1,)): one}}
 
 
 def test_decomposition_requires_homogeneity(s1):
