@@ -14,10 +14,12 @@ hands a real pure degree-0 element to it, and the kernel's own results
 product or comparison with an operand that holds a matrix and no terms
 goes to the kernel within a storage bound when both operands are real;
 every other pair, and so every complex operand, takes the sparse monomial
-path.  An element keeps the first exact matrix the kernel makes of it, one
-integer numerator matrix over a denominator with its nonzero count and
-largest numerator read once, and never replaces it: a higher level is a
-Kronecker product of that matrix with the identity, made for the call
+path, as does a product or sum whose exact result would leave the
+kernel's one form.  That form is an int64 numerator matrix over a
+denominator in lowest terms, so equal values have equal matrices, and
+products multiply in float64 while that is exact.  An element keeps the
+first matrix the kernel makes of it and never replaces it: a higher level
+is a Kronecker product of that matrix with the identity, made for the call
 that asks for it.  Kernel elements build their terms, at the level they
 were made at, only when they are read; until then the sum of two of
 them, and the adjoint, the trace state and the theta image
@@ -169,7 +171,9 @@ class AlgebraElement:
             return NotImplemented
         self._require_same_alphabet(other)
         if _unbuilt(self) and _unbuilt(other):
-            return _dense_add(self, other)
+            out = _dense_add(self, other)
+            if out is not None:
+                return out
         if _built_terms(other) == {}:
             return self
         if _built_terms(self) == {}:
@@ -278,12 +282,10 @@ class AlgebraElement:
         terms = _built_terms(self)
         if terms is not None and terms == _built_terms(other):
             return True
-        targets = self._common_targets(other)
-        m = targets.get(0, 0)  # a held operand is pure degree 0, level >= 1
-        if (len(targets) == 1 and (_unbuilt(self) or _unbuilt(other))
-                and _real(self) and _real(other)
-                and _dense_fits(self.n_gens ** m, _size(self), _size(other))):
+        m = _dense_mul_level(self, other)
+        if m is not None:
             return _dense_eq(self, other, m)
+        targets = self._common_targets(other)
         return self.level(targets)._terms == other.level(targets)._terms
 
     __hash__ = None  # semantic equality is not hash-compatible
@@ -411,7 +413,9 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     a._require_same_alphabet(b)
     m = _dense_mul_level(a, b)
     if m is not None:
-        return _dense_mul(a, b, m)
+        out = _dense_mul(a, b, m)
+        if out is not None:
+            return out
     out: Dict[Monomial, GaussianRational] = {}
 
     by_left: Dict[Word, list] = {}
@@ -504,22 +508,25 @@ def _shapes(elem: AlgebraElement) -> set:
 # At level m, s_I s_J^* with |I| = |J| = r <= m is the block E_(I,J) (x) 1 of
 # the N^m x N^m matrix: its coefficient sits on the diagonal of the
 # N^(m-r)-square block at rows pack(I) N^(m-r) + t, columns
-# pack(J) N^(m-r) + t.  The kernel is real: a matrix is one integer numerator
-# matrix over a denominator, int64 when a bound on its entries fits and
-# Python ints otherwise, kept as a _Matrix with the facts routing and the
-# kernel read, its nonzero count and its largest |numerator|, each taken
-# once when the matrix is made.  Each element keeps the first matrix made of
-# it, read-only and never replaced, so an operand used twice is densified
-# once: a matrix at level m0 gives the one at m > m0 as
-# kron(M, I_(N^(m-m0))), since one leveling step is x -> x (x) I_N, made
-# for that call.  A kernel call asks at the highest level among its operands, so only
-# an element with terms is asked below its memo, and it is densified again
-# from them.  A product, a sum of two kernel elements, the adjoint of a
-# kernel element and theta of one are kernel elements, as is an element
-# _hold hands to the kernel: each keeps its matrix (a computed one in lowest
-# terms) at the level of its terms, and builds those terms from it only when
-# they are read; the trace state of one with no terms is its normalized
-# matrix trace.
+# pack(J) N^(m-r) + t.  The kernel is real, and every matrix has one form,
+# made by _matrix: int64 numerators over a denominator, the two divided by
+# their gcd, so equal values have equal (den, num).  It is kept as a
+# _Matrix with the facts routing and the kernel read, its nonzero count and
+# its largest |numerator|, each taken once when the matrix is made.  (Only
+# _dense stores Python ints, when an exact entry passes int64: norm's
+# embedding of an element with huge coefficients asks for such a matrix,
+# and no kernel product or sum takes it as an operand.)  Each element keeps
+# the first matrix made of it, read-only and never replaced, so an operand
+# used twice is densified once: a matrix at level m0 gives the one at
+# m > m0 as kron(M, I_(N^(m-m0))), since one leveling step is
+# x -> x (x) I_N, made for that call.  A kernel call asks at the highest
+# level among its operands, so only an element with terms is asked below
+# its memo, and it is densified again from them.  A product, a sum of two
+# kernel elements, the adjoint of a kernel element and theta of one are
+# kernel elements, as is an element _hold hands to the kernel: each keeps
+# its matrix at the level of its terms, and builds those terms from it
+# only when they are read; the trace state of one with no terms is its
+# normalized matrix trace.
 # theta(s_I s_J^*) = sum_i s_{iI} s_{iJ}^* puts M on each diagonal block
 # one level up, so theta of a level-m kernel element is kron(I_N, M) at
 # level m + 1.
@@ -534,9 +541,11 @@ def _shapes(elem: AlgebraElement) -> set:
 # is made from, which bounds what any dense call allocates.  Two operands
 # with terms take the sparse rule, whatever their sizes, and so does an
 # operand with a complex coefficient: the E/F projections the kernel is
-# for are real.  A product whose every partial sum stays below 2^53 is
-# exact in float64 and multiplies through BLAS: a 32 x 32 matmul took
-# 3.5-9.5 us there against 35-43 us in int64.
+# for are real.  A product multiplies in float64 through BLAS, exact while
+# every partial sum stays below 2^53 (a 32 x 32 matmul took 3.5-9.5 us
+# there against 35-43 us in int64), and a sum adds the numerators over the
+# lcm of the denominators while they stay within int64.  A product or sum
+# past its bound takes the sparse rule too.
 
 _INT64_MAX = 2 ** 63 - 1
 _FLOAT_EXACT = 2 ** 53  # float64 holds every integer below it
@@ -550,8 +559,8 @@ def _dense_fits(dim: int, size_a: int, size_b: int) -> bool:
 
 
 def _dense_mul_level(a: AlgebraElement, b: AlgebraElement) -> Optional[int]:
-    """The level at which the kernel multiplies a and b, or None for the
-    sparse rule."""
+    """The level at which the kernel multiplies or compares a and b, or
+    None for the sparse rule."""
     if not (_unbuilt(a) or _unbuilt(b)) or not (_real(a) and _real(b)):
         return None
     shapes = _shapes(a) | _shapes(b)
@@ -562,8 +571,8 @@ def _dense_mul_level(a: AlgebraElement, b: AlgebraElement) -> Optional[int]:
 
 
 class _Matrix(NamedTuple):
-    """The exact level-m matrix num / den, read-only, with nnz its number
-    of nonzero entries and top the largest |numerator|."""
+    """The exact level-m matrix num / den, read-only, in lowest terms, with
+    nnz its number of nonzero entries and top the largest |numerator|."""
 
     m: int
     num: object
@@ -573,14 +582,21 @@ class _Matrix(NamedTuple):
 
 
 def _matrix(m: int, num, den: int, nnz: Optional[int] = None) -> _Matrix:
-    """The _Matrix of num / den at level m, its facts read once (nnz given
-    when the caller has counted it)."""
+    """The _Matrix of num / den at level m in the kernel's one form: num
+    and den divided by their gcd, num in int64 unless an entry passes it,
+    its facts read once (nnz given when the caller has counted it)."""
     import numpy as np
 
     if nnz is None:
         nnz = int(np.count_nonzero(num))
+    g = gcd(den, int(np.gcd.reduce(num.ravel())))
+    if g != 1:
+        num, den = num // g, den // g
+    top = int(abs(num).max())
+    if top <= _INT64_MAX:
+        num = num.astype(np.int64, copy=False)
     num.flags.writeable = False
-    return _Matrix(m, num, den, nnz, int(abs(num).max()))
+    return _Matrix(m, num, den, nnz, top)
 
 
 def _dense(elem: AlgebraElement, m: int) -> _Matrix:
@@ -611,10 +627,9 @@ def _dense(elem: AlgebraElement, m: int) -> _Matrix:
 
 def _degree0_matrix(elem: AlgebraElement, m: int) -> _Matrix:
     """The _Matrix of a real pure degree-0 element at level m >= its
-    longest word, exact; the denominator is a multiple of the coefficients'
-    denominators (their lcm when made from the terms).  The first matrix
-    made of an element is its memo; a higher level is read off the memo,
-    a lower one off the terms."""
+    longest word, exact and in lowest terms.  The first matrix made of an
+    element is its memo; a higher level is read off the memo, a lower one
+    off the terms."""
     memo = getattr(elem, "_matrix", None)
     if memo is None:
         elem._matrix = memo = _dense(elem, m)
@@ -628,7 +643,7 @@ def _degree0_matrix(elem: AlgebraElement, m: int) -> _Matrix:
 def _kron_identity(mat: _Matrix, m: int, k: int, inner: bool) -> _Matrix:
     """mat at level m, k-fold bigger: kron(M, I_k) when `inner`, as
     leveling makes it, else kron(I_k, M), as theta makes it; in M's dtype,
-    as np.kron without its overhead."""
+    as np.kron without its overhead.  Lowest terms carry over."""
     import numpy as np
 
     d, t = len(mat.num), np.arange(k)
@@ -642,57 +657,42 @@ def _kron_identity(mat: _Matrix, m: int, k: int, inner: bool) -> _Matrix:
     return _Matrix(m, num, mat.den, mat.nnz * k, mat.top)
 
 
-def _scaled(mat: _Matrix, factor: int):
-    """(numerators, largest |numerator|) of mat times `factor`, exact."""
-    if factor == 1:
-        return mat.num, mat.top
-    num = mat.num
-    if max(mat.top, 1) * factor > _INT64_MAX:
-        num = num.astype(object)
-    return num * factor, mat.top * factor
-
-
 def _dense_eq(a: AlgebraElement, b: AlgebraElement, m: int) -> bool:
     import numpy as np
 
     x, y = _degree0_matrix(a, m), _degree0_matrix(b, m)
-    if x.nnz != y.nnz:
-        return False
-    # x / den_a = y / den_b  iff  x (den_b / g) = y (den_a / g)
-    g = gcd(x.den, y.den)
-    return bool(np.array_equal(_scaled(x, y.den // g)[0], _scaled(y, x.den // g)[0]))
+    return x.den == y.den and bool(np.array_equal(x.num, y.num))
 
 
-def _dense_mul(a: AlgebraElement, b: AlgebraElement, m: int) -> AlgebraElement:
+def _dense_mul(a: AlgebraElement, b: AlgebraElement, m: int) -> Optional[AlgebraElement]:
+    """a b at level m in float64, or None when an entry's partial sums
+    could reach 2^53 and mul takes the sparse rule."""
     import numpy as np
 
     n = a.n_gens
     x, y = _degree0_matrix(a, m), _degree0_matrix(b, m)
-    p, q = x.num, y.num
-    # each entry of the product is a sum of N^m products of entries; below
-    # 2^53 every partial sum is exact in float64, whose matmul is BLAS
-    bound = x.top * y.top * n ** m
-    dtype = float if bound < _FLOAT_EXACT else object if bound > _INT64_MAX else None
-    if dtype is not None:
-        p, q = p.astype(dtype), q.astype(dtype)
-    num = p @ q
-    if dtype is float:
-        num = num.astype(np.int64)
+    # each entry of the product is a sum of N^m products of entries
+    if x.top * y.top * n ** m >= _FLOAT_EXACT:
+        return None
+    num = (x.num.astype(float) @ y.num.astype(float)).astype(np.int64)
     return _lowest_terms(n, m, num, x.den * y.den)
 
 
-def _dense_add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+def _dense_add(a: AlgebraElement, b: AlgebraElement) -> Optional[AlgebraElement]:
     """a + b for two kernel elements without terms, at the higher of their
-    levels."""
+    levels, or None when the numerators could pass int64 and the sum
+    takes the term path."""
     m = max(l for _, l in _shapes(a) | _shapes(b))
     x, y = _degree0_matrix(a, m), _degree0_matrix(b, m)
     # x / den_a + y / den_b = (x (den_b / g) + y (den_a / g)) / lcm
     g = gcd(x.den, y.den)
-    p, p_top = _scaled(x, y.den // g)
-    q, q_top = _scaled(y, x.den // g)
-    if p_top + q_top > _INT64_MAX:
-        p, q = p.astype(object), q.astype(object)
-    return _lowest_terms(a.n_gens, m, p + q, x.den // g * y.den)
+    fx, fy = y.den // g, x.den // g
+    # max(top, 1): a zero matrix's factor must fit in int64 too
+    if max(x.top, 1) * fx + max(y.top, 1) * fy > _INT64_MAX:
+        return None
+    p = x.num if fx == 1 else x.num * fx
+    q = y.num if fy == 1 else y.num * fy
+    return _lowest_terms(a.n_gens, m, p + q, x.den * fx)
 
 
 def _dense_adjoint(elem: AlgebraElement) -> AlgebraElement:
@@ -735,17 +735,14 @@ def _hold(elem: AlgebraElement) -> AlgebraElement:
 
 
 def _lowest_terms(n: int, m: int, num, den: int) -> AlgebraElement:
-    """The element of the level-m matrix num / den, with the denominator
-    reduced to the lcm of the entries' reduced denominators."""
+    """The element of the level-m matrix num / den: the empty element when
+    num is zero, else a kernel element of its _matrix."""
     import numpy as np
 
     nnz = int(np.count_nonzero(num))
     if not nnz:
         return _wrap(n, {})
-    g = gcd(den, int(np.gcd.reduce(num.ravel())))
-    if g != 1:
-        num = num // g
-    return _held_element(n, _matrix(m, num, den // g, nnz))
+    return _held_element(n, _matrix(m, num, den, nnz))
 
 
 def _held_element(n: int, mat: _Matrix) -> AlgebraElement:

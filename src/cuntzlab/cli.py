@@ -128,7 +128,16 @@ def _endomorphism_from_args(args) -> EndomorphismSpec:
             f"a permutation of rank {args.rank} needs {args.n_gens}^"
             f"{args.rank} words, budget {budget}")
     if getattr(args, "perm_word", None):
-        line = [int(c) for c in args.perm_word.strip()]
+        # one digit per one-line entry writes at most 9 entries
+        if size > 9:
+            raise ParseError(
+                f"--perm-word writes one digit per entry, so N^k <= 9, but "
+                f"{args.n_gens}^{args.rank} = {size}; use --perm", 0)
+        text = args.perm_word.strip()
+        for pos, c in enumerate(text):
+            if c not in "0123456789":
+                raise ParseError(f"--perm-word entry {c!r} is not a digit", pos)
+        line = [int(c) for c in text]
         perm = Permutation.from_one_line(line, args.rank, args.n_gens)
         return EndomorphismSpec.from_permutation(perm)
     if getattr(args, "perm", None):

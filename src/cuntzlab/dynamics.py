@@ -122,9 +122,13 @@ class EntropyReport:
     masa: str
     p: int
     counts: JoinCounts
-    increments: List[Union[int, float]]  # int bits for exact powers of two
     verdict: str  # "log2" | "zero" | "inconclusive"
     estimate_nats: float
+
+    @property
+    def increments(self) -> List[Union[int, float]]:
+        """log2 of each ratio of consecutive counts, read off the counts."""
+        return _increments([c for _, c in self.counts])
 
     def to_dict(self) -> dict:
         return {
@@ -142,33 +146,39 @@ class EntropyReport:
         }
 
 
-def _verdict(counts: Sequence[Tuple[int, int]]):
-    """Exact verdict.  A proved tail decides: "stable" counts are constant
-    from some n on, so zero, and "discrete" counts over two letters double
-    every step, so log2.  Otherwise log2 if the last four ratios are
-    exactly 2, zero if the last four counts are equal, else inconclusive
-    with an LSQ slope."""
-    values = [c for _, c in counts]
+def _increments(values: Sequence[int]) -> List[Union[int, float]]:
+    """log2 of each ratio of consecutive counts: int bits for an exact
+    power of two, else a float."""
     increments: List[Union[int, float]] = []
     for prev, cur in zip(values, values[1:]):
         if cur % prev == 0 and (q := cur // prev) & (q - 1) == 0:
             increments.append(q.bit_length() - 1)
         else:
             increments.append(math.log2(cur / prev))
+    return increments
+
+
+def _verdict(counts: Sequence[Tuple[int, int]]) -> Tuple[str, float]:
+    """Exact (verdict, estimate in nats).  A proved tail decides: "stable"
+    counts are constant from some n on, so zero, and "discrete" counts
+    over two letters double every step, so log2.  Otherwise log2 if the
+    last four ratios are exactly 2, zero if the last four counts are
+    equal, else inconclusive with an LSQ slope."""
     proved = counts.tail if isinstance(counts, JoinCounts) else None
     if proved == "stable":
-        return increments, "zero", 0.0
+        return "zero", 0.0
     if proved == "discrete" and counts.n_gens == 2:
-        return increments, "log2", math.log(2.0)
-    tail = increments[-4:]
+        return "log2", math.log(2.0)
+    values = [c for _, c in counts]
+    tail = _increments(values)[-4:]
     if len(tail) == 4 and all(x == 1 for x in tail):
-        return increments, "log2", math.log(2.0)
+        return "log2", math.log(2.0)
     if len(values) >= 4 and len(set(values[-4:])) == 1:
-        return increments, "zero", 0.0
+        return "zero", 0.0
     ns = np.array([n for n, _ in counts], dtype=float)
     logs = np.array([math.log(c) for c in values])
     slope = float(np.polyfit(ns, logs, 1)[0]) if len(ns) >= 2 else 0.0
-    return increments, "inconclusive", slope
+    return "inconclusive", slope
 
 
 class CantorDynamics:
@@ -378,9 +388,8 @@ class CantorDynamics:
         reports = []
         for p in range(1, p_max + 1):
             counts = self._join_counts(p, n_max)
-            increments, verdict, est = _verdict(counts)
-            reports.append(EntropyReport(label, masa, p, counts, increments,
-                                         verdict, est))
+            reports.append(EntropyReport(label, masa, p, counts,
+                                         *_verdict(counts)))
         return reports
 
     @staticmethod

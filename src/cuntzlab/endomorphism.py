@@ -170,7 +170,8 @@ def perm_unitary(sigma: Permutation) -> AlgebraElement:
 class EndomorphismSpec:
     """A unitary u in P(O_N) together with its rank k; drives rho_u."""
 
-    __slots__ = ("u", "n_gens", "rank", "origin", "perm", "_cocycles")
+    # _sigma: (k, N, images) of perm, read once here for _rewrite
+    __slots__ = ("u", "n_gens", "rank", "origin", "perm", "_sigma", "_cocycles")
 
     def __init__(self, u: AlgebraElement, rank: Optional[int] = None,
                  origin: str = "unitary", perm: Optional[Permutation] = None,
@@ -182,6 +183,7 @@ class EndomorphismSpec:
         self.n_gens = u.n_gens
         self.origin = origin
         self.perm = perm
+        self._sigma = None if perm is None else (perm.k, perm.n_gens, perm.images)
         self.rank = self._infer_rank() if rank is None else rank
         self._cocycles: Dict[int, AlgebraElement] = {0: one, 1: u}
 
@@ -268,8 +270,7 @@ class EndomorphismSpec:
         """pi(W) for |W| = m+k-1: sigma applied to the k-letter window at
         positions m-1, m-2, ..., 0, right to left, as in
         u_m = u theta(u) ... theta^{m-1}(u)."""
-        sigma = self.perm
-        k, n, images = sigma.k, sigma.n_gens, sigma.images
+        k, n, images = self._sigma
         out = list(word)
         for pos in range(len(out) - k, -1, -1):
             out[pos:pos + k] = images[pack_word(out[pos:pos + k], n)]

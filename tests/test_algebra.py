@@ -6,7 +6,7 @@ import itertools
 import random
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -539,18 +539,21 @@ def _big_rational(rng):
 
 
 def test_dense_kernel_python_int_fallback(kernel_calls, sparse_reference):
+    """A held product whose float64 partial sums could be inexact takes the
+    sparse rule, over Python ints, and matches the sparse reference."""
     rng = random.Random(2 ** 40)
     # numerators near 2^40: every product entry overflows int64
     a = _random_degree0(rng, 2, 2, 12, _big_rational)
     b = _random_degree0(rng, 2, 2, 12, _big_rational)
     _check_against_reference(algebra._hold(a), b, 2, rng, sparse_reference)
-    # every level-3 entry near 2^30.6: a product of two entries fits in
-    # int64, a sum of 2^3 of them does not
+    # every level-3 entry near 2^30.6: a product of two entries is exact in
+    # float64, a sum of 2^3 of them need not be
     a, b = (AlgebraElement(2, {Monomial(i, j): 3 * 2 ** 29 + rng.randint(0, 99)
                                for i in words(2, 3) for j in words(2, 3)})
             for _ in range(2))
     _check_against_reference(algebra._hold(a), b, 3, rng, sparse_reference)
     assert kernel_calls["mul"] == 2
+    assert not isinstance(algebra._hold(a) * b, algebra._KernelElement)
 
 
 def test_sparse_high_level_product_stays_sparse(monkeypatch):
@@ -683,16 +686,32 @@ def _huge_rational(rng):
     return Fraction(rng.choice((1, -1)) * (2 ** 54 + rng.randint(0, 999)), 3)
 
 
+def _term_den(x):
+    """The lcm of the denominators of x's coefficients."""
+    return lcm(*{c._d for c in x.terms.values()})
+
+
+def _one_form(mat):
+    """Whether a _Matrix is in the kernel's one form: int64 numerators and
+    a positive denominator with no common factor."""
+    return (mat.num.dtype == np.int64 and mat.den > 0
+            and gcd(mat.den, *mat.num.ravel().tolist()) == 1)
+
+
 @pytest.mark.parametrize("coeff", [_small_rational, _huge_rational])
 def test_dense_eq_across_denominators(coeff, kernel_calls, sparse_reference):
+    """Terms over a 1009 times larger common denominator make the same
+    matrix in lowest terms, so the kernel compares (den, num) directly."""
     rng = random.Random(1009)
     x = _random_degree0(rng, 2, 4, 100, coeff)
     y = _same_value_new_denominator(x, 1009)
-    assert x.terms != y.terms
+    assert x.terms != y.terms and _term_den(y) == 1009 * _term_den(x)
     x_mat, y_mat = algebra._degree0_matrix(x, 4), algebra._degree0_matrix(y, 4)
-    assert y_mat.den == 1009 * x_mat.den
+    assert y_mat.den == x_mat.den and np.array_equal(y_mat.num, x_mat.num)
+    assert x_mat.num.dtype == y_mat.num.dtype == np.int64
     if coeff is _huge_rational:
-        assert x_mat.num.dtype == np.int64 and x_mat.top * 1009 > 2 ** 63
+        # over y's common denominator the numerators pass int64
+        assert x_mat.top * 1009 > 2 ** 63
     bumped = y + AlgebraElement.monomial(2, (2,) * 4, (1,) * 4, Fraction(1, 1009))
     held_x, held_y = algebra._hold(x), algebra._hold(y)
     assert held_x == y and held_y == x
@@ -862,25 +881,30 @@ def test_held_sum_matches_sparse_sum(kernel_calls, sparse_reference):
     assert got.terms == want.terms
 
 
-def test_held_sum_promotes_to_python_ints(kernel_calls, sparse_reference):
-    # a level-2 kernel product whose entries reach 4 big = 2^61 + 4, inside
-    # int64: all of a but its row (2, 2) times all of b but its column (2, 2)
-    big = 2 ** 59 + 1
+def test_held_sum_past_int64_takes_the_term_path(kernel_calls,
+                                                 sparse_reference):
+    """A sum of two kernel elements whose numerators over the common
+    denominator could pass int64 makes no kernel result: it takes the term
+    path and equals the sparse sum."""
     ws = list(words(2, 2))
-    a = AlgebraElement(2, {Monomial(i, j): big for i in ws[:3] for j in ws})
-    b = AlgebraElement(2, {Monomial(i, j): 1 for i in ws for j in ws[:3]})
-    x = _lazy_product(a, b)
-    assert x._matrix.num.dtype == np.int64
-    twice = x + x  # 2^62 + 8 still fits
-    assert twice._matrix.num.dtype == np.int64
-    got = twice + twice  # 2^63 + 16 does not
-    assert kernel_calls["add"] == 2 and algebra._built_terms(got) is None
-    assert got._matrix.num.dtype == object
+    big = 2 ** 61 + 1
+    # x's numerators sum past int64 while each entry, big + k, fits in it
+    a = AlgebraElement(2, {Monomial(i, j): big + k
+                           for k, (i, j) in enumerate(itertools.product(ws, ws))})
+    b = AlgebraElement(2, {Monomial(i, j): Fraction(1, 5) for i in ws for j in ws})
+    x, y = algebra._hold(a), algebra._hold(b)
+    assert x._matrix.num.dtype == np.int64 and x._matrix.top == big + 15
+    twice = x + x  # 2 (big + 15) still fits
+    assert algebra._unbuilt(twice) and _one_form(twice._matrix)
+    # 5 (big + 15) over the denominator 5, and 4 (big + 15), do not; the
+    # term path builds the operands' terms, so each sum holds afresh
+    got = [x + y, algebra._hold(b) + algebra._hold(a), twice + twice]
+    assert kernel_calls["add"] == 4
+    assert not any(isinstance(z, algebra._KernelElement) for z in got)
     with sparse_reference():
-        want = a * b
-        want = want + want + want + want
-    assert got.terms == want.terms
-    assert got.terms[Monomial((1, 1), (1, 1))] == 4 * 4 * big
+        want = [a + b, b + a, (a + a) + (a + a)]
+    assert [z.terms for z in got] == [z.terms for z in want]
+    assert got[2].terms[Monomial((1, 1), (1, 1))] == 4 * big
 
 
 def test_held_trace_state_reads_the_matrix(kernel_calls, sparse_reference):
@@ -901,11 +925,20 @@ THETA_CASES = [(2, 3, 60, 60, _small_rational), (3, 2, 60, 60, _small_rational),
 
 
 @pytest.mark.parametrize("n, m, size_a, size_b, coeff", THETA_CASES)
-def test_held_theta_matches_theta_of_built_terms(n, m, size_a, size_b, coeff):
+def test_held_theta_matches_theta_of_built_terms(n, m, size_a, size_b, coeff,
+                                                 sparse_reference):
     rng = random.Random(100 * n + m)
     for _ in range(3):
-        x = _lazy_product(_random_degree0(rng, n, m, size_a, coeff),
-                          _random_degree0(rng, n, m, size_b, coeff))
+        a = _random_degree0(rng, n, m, size_a, coeff)
+        b = _random_degree0(rng, n, m, size_b, coeff)
+        if coeff is _big_rational:
+            # past float64's exact integers the product takes the sparse
+            # rule, and theta acts on the held operand
+            product = algebra._hold(a) * b
+            assert not isinstance(product, algebra._KernelElement)
+            x = algebra._hold(a)
+        else:
+            x = product = _lazy_product(a, b)
         got = theta(x)
         # kron(I_N, M) one level up, with no terms built on either side
         assert algebra._built_terms(got) is None and algebra._built_terms(x) is None
@@ -916,8 +949,9 @@ def test_held_theta_matches_theta_of_built_terms(n, m, size_a, size_b, coeff):
         assert algebra._built_terms(want) is not None
         assert got.terms == want.terms
         assert got == want and theta(got) == theta(want)
-    if coeff is _big_rational:
-        assert x._matrix.num.dtype == object
+        assert _one_form(got._matrix)
+        with sparse_reference():
+            assert product == a * b
 
 
 def test_theta_past_the_storage_bound_rewrites_words():
@@ -961,21 +995,50 @@ def test_ef_projection_is_built_on_the_kernel(kernel_calls, sparse_reference):
         assert p.terms == want.level({0: 5}).terms, q
 
 
-def test_kernel_product_of_int64_and_object_operands(kernel_calls,
-                                                     sparse_reference):
+def test_held_product_past_float64_takes_the_sparse_rule(kernel_calls,
+                                                         sparse_reference):
+    """A kernel product whose float64 partial sums could reach 2^53 makes
+    no kernel result: mul takes the sparse rule, which equals the sparse
+    reference."""
     rng = random.Random(12)
     top = [Monomial(i, j) for i in words(2, 4) for j in words(2, 4)]
     picked = rng.sample(top, 220)
-    # a's unit numerators stay in int64; b's sum past it, so b is densified
-    # in Python ints, while max|a| max|b| N^4 = 2^61 needs no promotion
+    # max|a| max|b| N^4 = 2^61 >= 2^53; b's numerators sum past int64 while
+    # each entry fits in it
     a = AlgebraElement(2, {mono: rng.choice((-1, 1)) for mono in picked[:100]})
     b = AlgebraElement(2, {mono: 2 ** 57 - k for k, mono in enumerate(picked[100:])})
     assert algebra._degree0_matrix(a, 4).num.dtype == np.int64
-    assert algebra._degree0_matrix(b, 4).num.dtype == object
+    assert algebra._degree0_matrix(b, 4).num.dtype == np.int64
     with sparse_reference():
         want = [a * b, b * a, b.adjoint() * a]
-    held = algebra._hold(a)
-    got = [held * b, b * held, b.adjoint() * held]
+    got = [algebra._hold(a) * b, b * algebra._hold(a),
+           b.adjoint() * algebra._hold(a)]
     assert kernel_calls["mul"] == 3
     for x, y in zip(got, want):
-        assert x.terms == y.level({0: 4}).terms
+        assert not isinstance(x, algebra._KernelElement)
+        assert x.terms == y.terms
+
+
+def test_every_kernel_matrix_is_in_lowest_terms(sparse_reference):
+    """_dense, a product, a sum, an adjoint, theta and _kron_identity each
+    make int64 numerators with no factor in common with the denominator,
+    even from terms over a common denominator 1009 times too large."""
+    rng = random.Random(1009)
+    x = _random_degree0(rng, 2, 3, 60, _small_rational)
+    y = _same_value_new_denominator(x, 1009)
+    assert _term_den(y) == 1009 * _term_den(x)
+    held_x, held_y = algebra._hold(x), algebra._hold(y)
+    made = {"dense": algebra._dense(y, 3), "held": held_y._matrix}
+    results = {"product": held_y * x, "sum": held_y + held_x,
+               "adjoint": held_y.adjoint(), "theta": theta(held_y)}
+    made.update((name, z._matrix) for name, z in results.items())
+    for inner in (True, False):
+        made[f"kron {inner}"] = algebra._kron_identity(held_y._matrix, 5, 4, inner)
+    assert [name for name, mat in made.items() if not _one_form(mat)] == []
+    assert made["held"].den == _term_den(x)
+    assert all(algebra._unbuilt(z) for z in results.values())
+    assert held_y == x and held_x == y
+    with sparse_reference():
+        want = {"product": y * x, "sum": y + x, "adjoint": y.adjoint(),
+                "theta": theta(y)}
+        assert all(results[name] == want[name] for name in want)

@@ -109,6 +109,13 @@ def test_exit_codes(capsys):
         code, _, err = run(capsys, "apply", "--perm-word", word,
                            "--element", "s[1]")
         assert code == 2 and "outside 1..4" in err, word
+    # one digit per entry cannot write N^k > 9 entries, nor a non-digit
+    code, _, err = run(capsys, "apply", "--perm-word", "12345678910111213141516",
+                       "--rank", "4", "--element", "s[1]")
+    assert code == 2 and "N^k <= 9" in err and "2^4 = 16" in err, err
+    assert "use --perm" in err
+    code, _, err = run(capsys, "apply", "--perm-word", "21x4", "--element", "s[1]")
+    assert code == 2 and "'x' is not a digit (at position 2)" in err, err
     for rank in ("0", "-1"):
         assert run(capsys, "apply", "--rank", rank, "--perm", "(1 2)",
                    "--element", "s[1]")[0] == 2, rank

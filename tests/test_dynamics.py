@@ -458,9 +458,9 @@ def test_proved_tail_decides_short_series():
     assert report.verdict == "inconclusive"
     assert report.estimate_nats == pytest.approx(math.log(3.0))
     # plain lists carry no tail and keep the four-count rule
-    assert _verdict([(1, 2), (2, 4), (3, 8)])[1] == "inconclusive"
-    assert _verdict([(1, 4), (2, 4), (3, 4)])[1] == "inconclusive"
-    assert _verdict([(n, 4) for n in range(1, 5)])[1:] == ("zero", 0.0)
+    assert _verdict([(1, 2), (2, 4), (3, 8)])[0] == "inconclusive"
+    assert _verdict([(1, 4), (2, 4), (3, 4)])[0] == "inconclusive"
+    assert _verdict([(n, 4) for n in range(1, 5)]) == ("zero", 0.0)
 
 
 def test_summary_ranks_by_estimate():
@@ -481,7 +481,7 @@ def test_summary_ranks_by_estimate():
     # on equal estimates the verdict decides
     zero, log2 = dyn("id").entropy(1, 6)[0], dyn("(2 3)").entropy(1, 6)[0]
     tied = EntropyReport(zero.perm, zero.masa, 2, zero.counts,
-                         zero.increments, "inconclusive", 0.0)
+                         "inconclusive", 0.0)
     assert JoinDynamics.summarize([tied, zero]) is tied
     assert JoinDynamics.summarize([log2, tied, zero]) is log2
 
