@@ -610,29 +610,31 @@ def _dense(elem: AlgebraElement, m: int) -> _Matrix:
     for r in range(m + 1):
         codes.update(zip(words(n, r), range(n ** r)))
     nums: Dict[int, int] = {}  # flat index -> numerator
-    bound = 0  # an entry sums the numerators of distinct terms
     for (left, right), c in elem._terms.items():
         a = c._a * (den // c._d)
-        bound += abs(a)
         # the diagonal of the term's block; blocks of terms of different
         # lengths may overlap
         block = n ** (m - len(left))
         start = (codes[left] * dim + codes[right]) * block
         for idx in range(start, start + block * (dim + 1), dim + 1):
             nums[idx] = nums.get(idx, 0) + a
-    num = np.zeros(dim * dim, np.int64 if bound <= _INT64_MAX else object)
+    # the exact entries choose the dtype: object only when one passes int64
+    top = max(map(abs, nums.values()), default=0)
+    num = np.zeros(dim * dim, np.int64 if top <= _INT64_MAX else object)
     num[list(nums)] = list(nums.values())
     return _matrix(m, num.reshape(dim, dim), den)
 
 
-def _degree0_matrix(elem: AlgebraElement, m: int) -> _Matrix:
+def _degree0_matrix(elem: AlgebraElement, m: int, keep: bool = True) -> _Matrix:
     """The _Matrix of a real pure degree-0 element at level m >= its
     longest word, exact and in lowest terms.  The first matrix made of an
-    element is its memo; a higher level is read off the memo, a lower one
-    off the terms."""
+    element is its memo, stored here unless `keep` is false; a higher
+    level is read off the memo, a lower one off the terms."""
     memo = getattr(elem, "_matrix", None)
     if memo is None:
-        elem._matrix = memo = _dense(elem, m)
+        memo = _dense(elem, m)
+        if keep:
+            elem._matrix = memo
     if memo.m == m:
         return memo
     if memo.m < m:
@@ -670,10 +672,14 @@ def _dense_mul(a: AlgebraElement, b: AlgebraElement, m: int) -> Optional[Algebra
     import numpy as np
 
     n = a.n_gens
-    x, y = _degree0_matrix(a, m), _degree0_matrix(b, m)
-    # each entry of the product is a sum of N^m products of entries
+    x, y = _degree0_matrix(a, m, keep=False), _degree0_matrix(b, m, keep=False)
+    # each entry of the product is a sum of N^m products of entries; a
+    # refused product leaves its operands without a memo
     if x.top * y.top * n ** m >= _FLOAT_EXACT:
         return None
+    for elem, mat in ((a, x), (b, y)):
+        if getattr(elem, "_matrix", None) is None:
+            elem._matrix = mat
     num = (x.num.astype(float) @ y.num.astype(float)).astype(np.int64)
     return _lowest_terms(n, m, num, x.den * y.den)
 

@@ -185,11 +185,14 @@ class CantorDynamics:
     """Block maps and entropy for one endomorphism on the standard masa.
 
     The window at depth p is p + step letters, step = rank - 1.  A
-    permutative rho_sigma is read through sigma^{-1} once: on a head h
-    (the first rank letters of a window) T emits the letter first[h] and
-    continues on the word rest[h], where first[h] and rest[h] are the first
-    letter and the other step letters of sigma^{-1}(h).  Any other rho
-    applies itself to cylinder projections."""
+    permutative rho_sigma is read through sigma^{-1} once, when it is
+    made: on a head h (the first rank letters of a window) T emits the
+    letter first[h] and continues on the word rest[h], where first[h] and
+    rest[h] are the first letter and the other step letters of
+    sigma^{-1}(h).  first and rest are plain lists, so a series that the
+    discrete tail closes reads no numpy; they become arrays only where a
+    block map is built.  Any other rho applies itself to cylinder
+    projections."""
 
     def __init__(self, endo: EndomorphismSpec, budget: int = DEFAULT_BUDGET):
         self.endo = endo
@@ -197,14 +200,20 @@ class CantorDynamics:
         self.step = max(endo.rank - 1, 0)
         self.budget = budget
         self._tables: Dict[int, BlockMapTable] = {}
-        # (first, rest) of sigma^{-1}, or None for a non-permutative rho
-        self._steps: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        # (first, rest) of sigma^{-1} as two lists indexed by the packed
+        # head, or None for a non-permutative rho
+        self._steps: Optional[Tuple[List[int], List[int]]] = None
         if endo.perm is not None:
             # one_line() lists sigma(w) + 1 packed, w in lexicographic order
-            images = np.array(endo.perm.one_line(), dtype=np.int64) - 1
-            inverse = np.empty_like(images)
-            inverse[images] = np.arange(images.size, dtype=np.int64)
-            self._steps = np.divmod(inverse, self.n_gens ** self.step)
+            line = endo.perm.one_line()
+            inverse = [0] * len(line)
+            for w, image in enumerate(line):
+                inverse[image - 1] = w
+            low = self.n_gens ** self.step
+            self._steps = ([w // low for w in inverse],
+                           [w % low for w in inverse])
+        # _steps as arrays, made when the first block map is built
+        self._step_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def label(self) -> str:
         return self.endo.label()
@@ -227,8 +236,13 @@ class CantorDynamics:
         if p <= 0:
             raise ValueError("depth p must be positive")
         if p not in self._tables:
-            self._tables[p] = (self._symbolic_table(p) if self._steps is None
-                               else self._prepend_letter(p, *self._steps))
+            if self._steps is None:
+                self._tables[p] = self._symbolic_table(p)
+            else:
+                if self._step_arrays is None:
+                    self._step_arrays = (np.asarray(self._steps[0]),
+                                         np.asarray(self._steps[1]))
+                self._tables[p] = self._prepend_letter(p, *self._step_arrays)
         return self._tables[p]
 
     def _prepend_letter(self, p: int, first: np.ndarray,
@@ -369,15 +383,16 @@ class CantorDynamics:
     def _separating(self) -> bool:
         """Whether the discrete tail of `_join_counts` applies: rho is
         permutative, step is 1, and for each letter x0 the map
-        x1 -> first(sigma^{-1}(x0 x1)) is one-to-one, i.e. every row of
-        first as an N x N array is a permutation of the letters.  The
-        depth-1 table is first itself, so this is `separation_check(1)`:
-        x0 and the output letter give x1.  Any other rho is refined."""
+        x1 -> first(sigma^{-1}(x0 x1)) is one-to-one, i.e. every run of N
+        consecutive entries of first (the heads x0 x1 with one x0) is a
+        permutation of the letters.  The depth-1 table is first itself,
+        so this is `separation_check(1)`: x0 and the output letter give
+        x1.  Any other rho is refined."""
         if self._steps is None or self.step != 1:
             return False
-        n = self.n_gens
-        rows = np.sort(self._steps[0].reshape(n, n), axis=1)
-        return bool((rows == np.arange(n)).all())
+        n, first = self.n_gens, self._steps[0]
+        # the entries are letters 0..N-1, so N distinct ones are all of them
+        return all(len(set(first[h:h + n])) == n for h in range(0, n * n, n))
 
     def entropy(self, p_max: int = 4, n_max: int = 16) -> List[EntropyReport]:
         """One EntropyReport per depth p = 1..p_max."""

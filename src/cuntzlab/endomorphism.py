@@ -54,6 +54,8 @@ class Permutation(_PermutationFields):
     __slots__ = ()
 
     def __new__(cls, k: int, n_gens: int, images: Tuple[Word, ...]):
+        if n_gens < 2:
+            raise ValueError("alphabet size must be at least 2")
         size = n_gens ** k
         if len(images) != size or len(set(images)) != size:
             raise ValueError("images must be a bijection on length-k words")
@@ -162,9 +164,13 @@ class Permutation(_PermutationFields):
 
 
 def perm_unitary(sigma: Permutation) -> AlgebraElement:
-    """u_sigma = sum over length-k words J of s_{sigma(J)} s_J^*."""
-    terms = {Monomial(sigma(j), j): 1 for j in words(sigma.n_gens, sigma.k)}
-    return AlgebraElement(sigma.n_gens, terms)
+    """u_sigma = sum over length-k words J of s_{sigma(J)} s_J^*, wrapped
+    as it is: `Permutation` has checked the alphabet, every image word
+    and the bijection, and the terms share one coefficient 1."""
+    one = GaussianRational(1)
+    terms = {Monomial(image, j): one
+             for image, j in zip(sigma.images, words(sigma.n_gens, sigma.k))}
+    return _wrap(sigma.n_gens, terms)
 
 
 class EndomorphismSpec:

@@ -995,18 +995,24 @@ def test_ef_projection_is_built_on_the_kernel(kernel_calls, sparse_reference):
         assert p.terms == want.level({0: 5}).terms, q
 
 
+def _past_float64_pair():
+    """Fresh level-4 operands whose kernel product could reach 2^53:
+    max|a| max|b| N^4 = 2^61.  b's numerators sum past int64 while each
+    entry fits in it."""
+    rng = random.Random(12)
+    top = [Monomial(i, j) for i in words(2, 4) for j in words(2, 4)]
+    picked = rng.sample(top, 220)
+    a = AlgebraElement(2, {mono: rng.choice((-1, 1)) for mono in picked[:100]})
+    b = AlgebraElement(2, {mono: 2 ** 57 - k for k, mono in enumerate(picked[100:])})
+    return a, b
+
+
 def test_held_product_past_float64_takes_the_sparse_rule(kernel_calls,
                                                          sparse_reference):
     """A kernel product whose float64 partial sums could reach 2^53 makes
     no kernel result: mul takes the sparse rule, which equals the sparse
     reference."""
-    rng = random.Random(12)
-    top = [Monomial(i, j) for i in words(2, 4) for j in words(2, 4)]
-    picked = rng.sample(top, 220)
-    # max|a| max|b| N^4 = 2^61 >= 2^53; b's numerators sum past int64 while
-    # each entry fits in it
-    a = AlgebraElement(2, {mono: rng.choice((-1, 1)) for mono in picked[:100]})
-    b = AlgebraElement(2, {mono: 2 ** 57 - k for k, mono in enumerate(picked[100:])})
+    a, b = _past_float64_pair()
     assert algebra._degree0_matrix(a, 4).num.dtype == np.int64
     assert algebra._degree0_matrix(b, 4).num.dtype == np.int64
     with sparse_reference():
@@ -1017,6 +1023,39 @@ def test_held_product_past_float64_takes_the_sparse_rule(kernel_calls,
     for x, y in zip(got, want):
         assert not isinstance(x, algebra._KernelElement)
         assert x.terms == y.terms
+
+
+def test_refused_product_leaves_no_memo(kernel_calls, sparse_reference):
+    """A product refused for float64 exactness stores no matrix on an
+    operand it densified, and equals the sparse reference."""
+    a, b = _past_float64_pair()
+    b_star = b.adjoint()
+    with sparse_reference():
+        want = [a * b, b * a, b_star * a]
+    got = [algebra._hold(a) * b, b * algebra._hold(a),
+           b_star * algebra._hold(a)]
+    assert kernel_calls["mul"] == 3
+    assert getattr(b, "_matrix", None) is None
+    assert getattr(b_star, "_matrix", None) is None
+    assert [x.terms for x in got] == [y.terms for y in want]
+
+
+def test_dense_dtype_reads_the_entries(monkeypatch):
+    """_dense fills an int64 array when every exact entry fits in int64,
+    though the numerators of b sum past it."""
+    _, b = _past_float64_pair()
+    assert sum(abs(c.re) for c in b.terms.values()) > 2 ** 63
+    dtypes = []
+    zeros = np.zeros
+
+    def spy(shape, dtype=float, *args, **kwargs):
+        dtypes.append(np.dtype(dtype))
+        return zeros(shape, dtype, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", spy)
+    mat = algebra._dense(b, 4)
+    assert dtypes == [np.dtype(np.int64)]
+    assert mat.top == 2 ** 57
 
 
 def test_every_kernel_matrix_is_in_lowest_terms(sparse_reference):

@@ -12,7 +12,9 @@ from cuntzlab import (AlgebraElement, BudgetExceededError, CantorDynamics,
                       EndomorphismSpec, EntropyReport, GaussianRational,
                       JoinDynamics, Permutation, ProductMasaDynamics,
                       perm_unitary)
+from cuntzlab import dynamics
 from cuntzlab.dynamics import JoinCounts, _verdict, pack_word, unpack_word
+from cuntzlab.table import LOG2, TABLE1_EXPECTED
 
 
 def dyn(label, **kw):
@@ -335,6 +337,45 @@ def test_separating_reads_sigma_without_separation_check(monkeypatch):
         reports = dyn(label).entropy(4, 16)
         assert all((r.counts.tail == "discrete") == closed for r in reports)
     assert calls == []
+
+
+class NumpyReads:
+    """A stand-in for the numpy module that records every attribute read
+    and hands the read on to numpy."""
+
+    def __init__(self):
+        self.reads = []
+
+    def __getattr__(self, name):
+        self.reads.append(name)
+        return getattr(np, name)
+
+
+def test_proved_series_read_no_numpy(monkeypatch):
+    """The 16 separating Table 1 rows on C_2 and the 4 sigma' series of the
+    E/F rows go from construction to verdict without numpy; the 8 rows
+    that refine read it and equal full refinement."""
+    def spec(cycles):
+        return EndomorphismSpec.from_permutation(
+            Permutation.from_cycles(cycles, 2, 2))
+
+    proxy = NumpyReads()
+    monkeypatch.setattr(dynamics, "np", proxy)
+    closed = [cycles for cycles, _, hte_c2 in TABLE1_EXPECTED if hte_c2 == LOG2]
+    refined = [cycles for cycles, _, hte_c2 in TABLE1_EXPECTED if hte_c2 != LOG2]
+    assert (len(closed), len(refined)) == (16, 8)
+    for d in ([CantorDynamics(spec(cycles)) for cycles in closed]
+              + ef_dynamics()):
+        reports = d.entropy(4, 16)
+        assert all(r.counts.tail == "discrete" and r.verdict == "log2"
+                   for r in reports), d.label()
+    assert proxy.reads == []
+    for cycles in refined:
+        d = CantorDynamics(spec(cycles))
+        proxy.reads.clear()
+        reports = d.entropy(4, 16)
+        assert proxy.reads, d.label()
+        assert reports == full_refinement_reports(d, 4, 16), d.label()
 
 
 def test_forced_discrete_tail_is_caught(monkeypatch):

@@ -8,11 +8,13 @@ import time
 import pytest
 
 from cuntzlab import (AlgebraElement, AlphabetMismatchError, EndomorphismSpec,
-                      NotUnitaryError, ParseError, Permutation, ef_generators,
-                      parse_element, perm_unitary, theta, theta_power, words)
+                      GaussianRational, Monomial, NotUnitaryError, ParseError,
+                      Permutation, ef_generators, parse_element, perm_unitary,
+                      theta, theta_power, words)
 from cuntzlab.algebra import pack_word, unpack_word
 from cuntzlab.sampling import random_element
 from cuntzlab.table import TABLE1_EXPECTED, f_invariant
+from test_dynamics import o3_rank2_sample
 
 
 def all_line_perms():
@@ -106,6 +108,25 @@ def test_perm_unitary_examples(one):
     assert perm_unitary(Permutation.parse("id")) == one
     assert u12 * u12.adjoint() == one
     assert all(d == 0 for d in u12.degrees())
+    # the wrapped terms are those the checked constructor makes, for the
+    # 24 rank-2 sigma of O_2, seeded rank-3 sigma of O_2 and rank-2 sigma
+    # of O_3
+    rng = random.Random(20261020)
+    rank3 = []
+    for _ in range(10):
+        line = list(range(1, 9))
+        rng.shuffle(line)
+        rank3.append(Permutation.from_one_line(line, 3, 2))
+    sigmas = list(all_line_perms()) + rank3 + o3_rank2_sample()
+    assert len(sigmas) == 24 + 10 + 40
+    for sigma in sigmas:
+        u = perm_unitary(sigma)
+        want = AlgebraElement(sigma.n_gens, {
+            Monomial(sigma(j), j): 1 for j in words(sigma.n_gens, sigma.k)})
+        assert u.terms == want.terms, sigma.one_line()
+        assert all(type(c) is GaussianRational for c in u.terms.values())
+    with pytest.raises(ValueError, match="alphabet size"):
+        Permutation(1, 1, ((1,),))
 
 
 def test_shift_unitary_gives_theta(rng):
