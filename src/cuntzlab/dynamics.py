@@ -57,10 +57,9 @@ class BlockMapTable:
         if not 1 <= p <= self.p:
             raise ValueError("restriction depth out of range")
         drop = self.p - p
-        n = self.n_gens
-        stride = n ** drop
-        sub = self.table[::stride] // stride
-        return BlockMapTable(n, p, self.window - drop, sub.copy())
+        stride = self.n_gens ** drop
+        return BlockMapTable(self.n_gens, p, self.window - drop,
+                             self.table[::stride] // stride)
 
 
 class JoinCounts(collections.abc.Sequence):
@@ -185,14 +184,13 @@ class CantorDynamics:
     """Block maps and entropy for one endomorphism on the standard masa.
 
     The window at depth p is p + step letters, step = rank - 1.  A
-    permutative rho_sigma is read through sigma^{-1} once, when it is
-    made: on a head h (the first rank letters of a window) T emits the
-    letter first[h] and continues on the word rest[h], where first[h] and
-    rest[h] are the first letter and the other step letters of
-    sigma^{-1}(h).  first and rest are plain lists, so a series that the
-    discrete tail closes reads no numpy; they become arrays only where a
-    block map is built.  Any other rho applies itself to cylinder
-    projections."""
+    permutative rho_sigma is read through sigma^{-1}: on a head h (the
+    first rank letters of a window) T emits the letter first[h] and
+    continues on the word rest[h], the first letter and the other step
+    letters of sigma^{-1}(h).  first and rest are plain lists, read off the
+    spec's automaton, so a series that the discrete tail closes reads no
+    numpy; they become arrays only where a block map is built.  Any other
+    rho applies itself to cylinder projections."""
 
     def __init__(self, endo: EndomorphismSpec, budget: int = DEFAULT_BUDGET):
         self.endo = endo
@@ -200,18 +198,8 @@ class CantorDynamics:
         self.step = max(endo.rank - 1, 0)
         self.budget = budget
         self._tables: Dict[int, BlockMapTable] = {}
-        # (first, rest) of sigma^{-1} as two lists indexed by the packed
-        # head, or None for a non-permutative rho
-        self._steps: Optional[Tuple[List[int], List[int]]] = None
-        if endo.perm is not None:
-            # one_line() lists sigma(w) + 1 packed, w in lexicographic order
-            line = endo.perm.one_line()
-            inverse = [0] * len(line)
-            for w, image in enumerate(line):
-                inverse[image - 1] = w
-            low = self.n_gens ** self.step
-            self._steps = ([w // low for w in inverse],
-                           [w % low for w in inverse])
+        self._steps: Optional[Tuple[List[int], List[int]]] = (
+            None if endo.perm is None else endo.automaton()[6:])
         # _steps as arrays, made when the first block map is built
         self._step_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
@@ -240,8 +228,7 @@ class CantorDynamics:
                 self._tables[p] = self._symbolic_table(p)
             else:
                 if self._step_arrays is None:
-                    self._step_arrays = (np.asarray(self._steps[0]),
-                                         np.asarray(self._steps[1]))
+                    self._step_arrays = tuple(map(np.asarray, self._steps))
                 self._tables[p] = self._prepend_letter(p, *self._step_arrays)
         return self._tables[p]
 

@@ -76,8 +76,7 @@ class Permutation(_PermutationFields):
         for i in line:
             if not 1 <= i <= size:
                 raise ValueError(f"one-line entry {i} outside 1..{size}")
-        imgs = tuple(unpack_word(i - 1, k, n_gens) for i in line)
-        return cls(k, n_gens, imgs)
+        return cls(k, n_gens, tuple(unpack_word(i - 1, k, n_gens) for i in line))
 
     @classmethod
     def from_cycles(cls, cycles: Iterable[Iterable[int]], k: int, n_gens: int) -> "Permutation":
@@ -107,14 +106,11 @@ class Permutation(_PermutationFields):
         text = text.strip()
         if text == "id":
             return cls.identity(k, n_gens)
-        if text == "shift":
+        shorthands = {"shift": [(2, 3)], "flip": [(1, 3), (2, 4)]}
+        if text in shorthands:
             if (n_gens, k) != (2, 2):
-                raise ParseError("'shift' shorthand requires N=2, k=2", 0)
-            return cls.from_cycles([(2, 3)], k, n_gens)
-        if text == "flip":
-            if (n_gens, k) != (2, 2):
-                raise ParseError("'flip' shorthand requires N=2, k=2", 0)
-            return cls.from_cycles([(1, 3), (2, 4)], k, n_gens)
+                raise ParseError(f"{text!r} shorthand requires N=2, k=2", 0)
+            return cls.from_cycles(shorthands[text], k, n_gens)
         if not text.startswith("("):
             raise ParseError(f"expected cycle notation or shorthand, got {text!r}", 0)
         cycles: List[List[int]] = []
@@ -131,36 +127,31 @@ class Permutation(_PermutationFields):
         return cls.from_cycles(cycles, k, n_gens)
 
     def __call__(self, word: Word) -> Word:
+        if len(word) != self.k or any(not 1 <= c <= self.n_gens for c in word):
+            raise ValueError(f"no word of length {self.k} over 1..{self.n_gens}: {word}")
         return self.images[pack_word(word, self.n_gens)]
 
     def inverse(self) -> "Permutation":
-        size = self.n_gens ** self.k
-        inv: List[Word] = [()] * size
-        for i, img in enumerate(self.images):
-            inv[pack_word(img, self.n_gens)] = unpack_word(i, self.k, self.n_gens)
-        return Permutation(self.k, self.n_gens, tuple(inv))
+        # the domain words in the lexicographic order of their images
+        pairs = sorted(zip(self.images, words(self.n_gens, self.k)))
+        return Permutation(self.k, self.n_gens, tuple(w for _, w in pairs))
 
     def one_line(self) -> Tuple[int, ...]:
         return tuple(pack_word(w, self.n_gens) + 1 for w in self.images)
 
     def cycle_notation(self) -> str:
         """Canonical cycle string, fixed points omitted; "id" if trivial."""
-        line = self.one_line()
-        seen = set()
-        parts = []
-        for start in range(1, len(line) + 1):
-            if start in seen or line[start - 1] == start:
-                seen.add(start)
+        line, seen, parts = self.one_line(), set(), []
+        for start, nxt in enumerate(line, 1):
+            if start in seen or nxt == start:
                 continue
             cyc = [start]
-            seen.add(start)
-            nxt = line[start - 1]
             while nxt != start:
                 cyc.append(nxt)
                 seen.add(nxt)
                 nxt = line[nxt - 1]
             parts.append("(" + " ".join(str(x) for x in cyc) + ")")
-        return "".join(parts) if parts else "id"
+        return "".join(parts) or "id"
 
 
 def perm_unitary(sigma: Permutation) -> AlgebraElement:
@@ -173,11 +164,27 @@ def perm_unitary(sigma: Permutation) -> AlgebraElement:
     return _wrap(sigma.n_gens, terms)
 
 
+def _mealy_automaton(sigma: Permutation) -> tuple:
+    """sigma as a Mealy automaton on S = N^(k-1) states s, the words heads[s]
+    of length k-1 (start maps them back), read off the code c of each image
+    sigma(w), as (k-1, S, start, nexts, letters, heads, first, rest).  For
+    w = a s, pi on letter a in state s moves to nexts[w] = c // N and emits
+    letters[w] = c % N + 1 (int lists: a tuple per entry costs the garbage
+    collector at high rank); T's step table is first[h] = v // S and
+    rest[h] = v % S for v = sigma^{-1}(h)."""
+    n, size = sigma.n_gens, sigma.n_gens ** (sigma.k - 1)
+    codes = [pack_word(image, n) for image in sigma.images]
+    inverse = sorted(range(len(codes)), key=codes.__getitem__)
+    heads = list(words(n, sigma.k - 1))
+    return (sigma.k - 1, size, {h: s for s, h in enumerate(heads)},
+            [c // n for c in codes], [c % n + 1 for c in codes], heads,
+            [v // size for v in inverse], [v % size for v in inverse])
+
+
 class EndomorphismSpec:
     """A unitary u in P(O_N) together with its rank k; drives rho_u."""
 
-    # _sigma: (k, N, images) of perm, read once here for _rewrite
-    __slots__ = ("u", "n_gens", "rank", "origin", "perm", "_sigma", "_cocycles")
+    __slots__ = ("u", "n_gens", "rank", "origin", "perm", "_automaton", "_cocycles")
 
     def __init__(self, u: AlgebraElement, rank: Optional[int] = None,
                  origin: str = "unitary", perm: Optional[Permutation] = None,
@@ -189,7 +196,7 @@ class EndomorphismSpec:
         self.n_gens = u.n_gens
         self.origin = origin
         self.perm = perm
-        self._sigma = None if perm is None else (perm.k, perm.n_gens, perm.images)
+        self._automaton: Optional[tuple] = None
         self.rank = self._infer_rank() if rank is None else rank
         self._cocycles: Dict[int, AlgebraElement] = {0: one, 1: u}
 
@@ -257,11 +264,17 @@ class EndomorphismSpec:
             out = out + self.cocycle(k) * piece * self.cocycle(l).adjoint()
         return out
 
+    def automaton(self) -> tuple:
+        """`_mealy_automaton(perm)`, built on first use, one per spec."""
+        if self._automaton is None:
+            self._automaton = _mealy_automaton(self.perm)
+        return self._automaton
+
     def _apply_words(self, a: AlgebraElement) -> AlgebraElement:
         """rho_sigma(s_I s_J^*) = sum over |V| = k-1 of s_{pi(IV)} s_{pi(JV)}^*,
-        where u_m sends s_W to s_{pi(W)} for |W| = m+k-1.  Distinct (I, J, V)
-        give distinct output monomials (pi is a bijection on each length),
-        so every coefficient carries over unchanged."""
+        where u_m sends s_W to s_{pi(W)} (`_rewrite`) for |W| = m+k-1.  Distinct
+        (I, J, V) give distinct output monomials (pi is a bijection on each
+        length), so every coefficient carries over unchanged."""
         tails = list(words(self.n_gens, self.perm.k - 1))
         out: Dict[Monomial, GaussianRational] = {}
         for (left, right), coeff in a.terms.items():
@@ -275,12 +288,17 @@ class EndomorphismSpec:
     def _rewrite(self, word: Word) -> Word:
         """pi(W) for |W| = m+k-1: sigma applied to the k-letter window at
         positions m-1, m-2, ..., 0, right to left, as in
-        u_m = u theta(u) ... theta^{m-1}(u)."""
-        k, n, images = self._sigma
-        out = list(word)
-        for pos in range(len(out) - k, -1, -1):
-            out[pos:pos + k] = images[pack_word(out[pos:pos + k], n)]
-        return tuple(out)
+        u_m = u theta(u) ... theta^{m-1}(u): the automaton, started in the
+        state of W's last k-1 letters, reads the others right to left."""
+        k1, size, start, nexts, letters, heads, _, _ = self._automaton or self.automaton()
+        m = len(word) - k1
+        state = start[word[m:]]
+        out = []
+        for a in reversed(word[:m]):
+            out.append(letters[w := (a - 1) * size + state])
+            state = nexts[w]
+        out.reverse()
+        return heads[state] + tuple(out)
 
     def apply_power(self, m: int, a: AlgebraElement) -> AlgebraElement:
         for _ in range(m):
@@ -297,16 +315,11 @@ class EndomorphismSpec:
         n = self.n_gens
         one = AlgebraElement.one(n)
         imgs = [self.apply(AlgebraElement.generator(n, i)) for i in range(1, n + 1)]
-        report: Dict[str, bool] = {}
-        for i in range(n):
-            for j in range(n):
-                expected = one if i == j else AlgebraElement.zero(n)
-                report[f"adj(rho(s{i+1}))*rho(s{j+1})"] = (
-                    imgs[i].adjoint() * imgs[j] == expected
-                )
-        total = AlgebraElement.zero(n)
-        for img in imgs:
-            total = total + img * img.adjoint()
+        report: Dict[str, bool] = {
+            f"adj(rho(s{i+1}))*rho(s{j+1})": imgs[i].adjoint() * imgs[j]
+            == (one if i == j else AlgebraElement.zero(n))
+            for i in range(n) for j in range(n)}
+        total = sum((img * img.adjoint() for img in imgs), AlgebraElement.zero(n))
         report["sum rho(s_i) rho(s_i)* = 1"] = total == one
         report["unitary"] = (self.u * self.u.adjoint() == one
                              and self.u.adjoint() * self.u == one)

@@ -9,8 +9,10 @@ import pytest
 from cuntzlab import (AlgebraElement, DiagonalNotPreservedError,
                       EndomorphismSpec, GaussianRational,
                       MasaNotInvariantError, Permutation, checks,
-                      product_masa)
+                      endomorphism, product_masa)
 from cuntzlab.cli import main
+from test_dynamics import inversion_failures
+from test_endomorphism import window_rewrite
 
 
 @pytest.mark.parametrize("name", sorted(checks.SUITES))
@@ -138,14 +140,7 @@ def test_raising_suite_is_a_failed_report(monkeypatch, capsys):
 
 def _inverse_rewrite(self, word):
     """EndomorphismSpec._rewrite with sigma^{-1} in place of sigma."""
-    from cuntzlab.algebra import pack_word
-
-    inverse = self.perm.inverse()
-    k, n = inverse.k, inverse.n_gens
-    out = list(word)
-    for pos in range(len(out) - k, -1, -1):
-        out[pos:pos + k] = inverse.images[pack_word(out[pos:pos + k], n)]
-    return tuple(out)
+    return window_rewrite(self.perm.inverse(), word)
 
 
 def test_inverse_rewrite_mutant_fails_verify_ef(monkeypatch, capsys):
@@ -161,6 +156,56 @@ def test_inverse_rewrite_mutant_fails_verify_ef(monkeypatch, capsys):
               "(1 4 3)", "(2 3 4)", "(2 4 3)"]
     assert sorted(failed) == sorted(
         f"{c} rho(P_q) expands on the EF table to depth 2" for c in cycles)
+
+
+def _swap_one_transition(build):
+    """`_mealy_automaton` with the forward-table entries of the windows 11
+    and 12 traded, so that pi runs sigma composed with (1 2), the
+    transposition of those two words."""
+    def swapped(sigma):
+        record = build(sigma)
+        for forward in record[3:5]:  # nexts and letters
+            forward[0], forward[1] = forward[1], forward[0]
+        return record
+    return swapped
+
+
+def test_swapped_transition_mutant_fails_verify_and_table1(monkeypatch,
+                                                           capsys):
+    """One transition of the automaton swapped: apply runs
+    rho_{sigma (1 2)}, still an endomorphism, so the Cuntz relations and
+    the identities of the word rewriting hold, but it is not rho_sigma.
+    The cocycle correspondence and the E/F expansion fail for all 24
+    sigma, four psi formulas fail, every Table 1 row mismatches on its
+    images, and the E/F column moves on eight rows while the C_2 column,
+    read off sigma^{-1}, does not.  T(pi(W))|_p = W|_p fails exactly
+    where sigma(11) and sigma(12) end in different letters."""
+    monkeypatch.setattr(endomorphism, "_mealy_automaton",
+                        _swap_one_transition(endomorphism._mealy_automaton))
+    assert main(["verify", "all", "--json"]) == 1
+    failed = {r["suite"]: [name for name, ok in r["checks"].items() if not ok]
+              for r in json.loads(capsys.readouterr().out)}
+    labels = [endo.label() for endo in checks.all_rank2_specs()]
+    assert failed.pop("cocycle") == [f"{l} correspondence" for l in labels]
+    assert failed.pop("ef") == [
+        f"{l} rho(P_q) expands on the EF table to depth 2" for l in labels]
+    assert failed.pop("psi-formulas") == [
+        "psi(s1^n) closed form, n<=10", "psi'(s1) = psi(s2)",
+        "psi'(s2) = psi(s1)", "rho_(14)(23) = Ad(s1 s2* + s2 s1*)"]
+    assert failed == dict.fromkeys(["matrix-norms", "oracles",
+                                    "range-containment", "relations",
+                                    "trace-invariance"], [])
+    from cuntzlab import table
+
+    rows = table.compute_table1()
+    assert all(row.status == "mismatch"
+               and row.hte_c2_computed == row.hte_c2_expected for row in rows)
+    assert [row.perm for row in rows if row.hte_computed != row.hte_expected] \
+        == ["id", "(1 2)", "(3 4)", "(1 3 2 4)", "(1 4 2 3)", "(1 2)(3 4)",
+            "(1 3)(2 4)", "(1 4)(2 3)"]
+    perms = [Permutation.parse(row.perm) for row in rows]
+    assert [p for p in perms if inversion_failures(p, 3)] == \
+        [p for p in perms if p((1, 1))[-1] != p((1, 2))[-1]]
 
 
 def test_identity_bogolubov_mutant_fails_verify_ef(monkeypatch, capsys):

@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from cuntzlab import (AlgebraElement, AlphabetMismatchError, EndomorphismSpec,
+from cuntzlab import (AlgebraElement, AlphabetMismatchError, CantorDynamics,
+                      EndomorphismSpec,
                       GaussianRational, Monomial, NotUnitaryError, ParseError,
                       Permutation, ef_generators, parse_element, perm_unitary,
                       theta, theta_power, words)
@@ -34,6 +35,14 @@ def test_word_indexing():
     p = Permutation.parse("(1 2)")
     assert p((1, 1)) == (1, 2) and p((1, 2)) == (1, 1)
     assert p((2, 1)) == (2, 1)
+
+
+def test_permutation_refuses_words_it_cannot_map():
+    p = Permutation.parse("(1 2)")
+    for word in ((1,), (1, 1, 1), (), (3, 1), (1, 0)):
+        with pytest.raises(ValueError, match="no word of length 2 over 1..2"):
+            p(word)
+    assert p((1, 1)) == (1, 2)
 
 
 def test_permutation_parsing():
@@ -228,6 +237,49 @@ def test_word_rewriting_matches_cocycle_path():
             img = fast.apply(a)
             assert img == slow.apply(a), (sigma, a)
             assert fast.apply(img) == slow.apply(slow.apply(a)), (sigma, a)
+
+
+def window_rewrite(sigma, word):
+    """pi(W) window by window: sigma applied to the k-letter window at
+    positions m-1, ..., 0 of W, right to left, through the packed code
+    of each window."""
+    k, n = sigma.k, sigma.n_gens
+    out = list(word)
+    for pos in range(len(out) - k, -1, -1):
+        out[pos:pos + k] = sigma.images[pack_word(out[pos:pos + k], n)]
+    return tuple(out)
+
+
+def test_automaton_equals_the_window_rewriting():
+    """`_rewrite` runs sigma's automaton; it equals the window rewriting
+    on every word of length k-1 to k+5, for the 24 rows and four seeded
+    sigma at each (k, N)."""
+    rng = random.Random(20261020)
+    perms = list(all_line_perms())
+    for k, n_gens in ((2, 2), (3, 2), (4, 2), (2, 3)):
+        for _ in range(4):
+            line = list(range(1, n_gens ** k + 1))
+            rng.shuffle(line)
+            perms.append(Permutation.from_one_line(line, k, n_gens))
+    for sigma in perms:
+        spec = EndomorphismSpec.from_permutation(sigma)
+        for length in range(sigma.k - 1, sigma.k + 6):
+            for w in words(sigma.n_gens, length):
+                assert spec._rewrite(w) == window_rewrite(sigma, w), (sigma, w)
+
+
+def test_automaton_built_on_first_use_once_per_spec():
+    """from_permutation builds no automaton; apply builds it, dynamics
+    read sigma^{-1}'s step table off the same one, and two specs of one
+    sigma build one each."""
+    sigma = Permutation.parse("(1 2 4)")
+    a, b = (EndomorphismSpec.from_permutation(sigma) for _ in range(2))
+    assert a._automaton is None and b._automaton is None
+    a.apply(AlgebraElement.generator(2, 1))
+    record = a._automaton
+    assert record is not None and b._automaton is None
+    assert CantorDynamics(a)._steps[0] is record[6] and a.automaton() is record
+    assert b.automaton() == record and b.automaton() is not record
 
 
 def test_word_rewriting_is_not_exponential(psi12, s1, s2):
