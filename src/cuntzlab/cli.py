@@ -137,8 +137,7 @@ def _endomorphism_from_args(args) -> EndomorphismSpec:
         for pos, c in enumerate(text):
             if c not in "0123456789":
                 raise ParseError(f"--perm-word entry {c!r} is not a digit", pos)
-        line = [int(c) for c in text]
-        perm = Permutation.from_one_line(line, args.rank, args.n_gens)
+        perm = Permutation.from_one_line(map(int, text), args.rank, args.n_gens)
         return EndomorphismSpec.from_permutation(perm)
     if getattr(args, "perm", None):
         perm = Permutation.parse(args.perm, args.rank, args.n_gens)

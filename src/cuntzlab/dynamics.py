@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .algebra import AlgebraElement, Word, pack_word, unpack_word, words
 from .endomorphism import EndomorphismSpec
 from .errors import (DEFAULT_BUDGET, BudgetExceededError,
@@ -174,8 +172,8 @@ def _verdict(counts: Sequence[Tuple[int, int]]) -> Tuple[str, float]:
         return "log2", math.log(2.0)
     if len(values) >= 4 and len(set(values[-4:])) == 1:
         return "zero", 0.0
-    ns = np.array([n for n, _ in counts], dtype=float)
-    logs = np.array([math.log(c) for c in values])
+    import numpy as np
+    ns, logs = [n for n, _ in counts], [math.log(c) for c in values]
     slope = float(np.polyfit(ns, logs, 1)[0]) if len(ns) >= 2 else 0.0
     return "inconclusive", slope
 
@@ -184,13 +182,13 @@ class CantorDynamics:
     """Block maps and entropy for one endomorphism on the standard masa.
 
     The window at depth p is p + step letters, step = rank - 1.  A
-    permutative rho_sigma is read through sigma^{-1}: on a head h (the
-    first rank letters of a window) T emits the letter first[h] and
-    continues on the word rest[h], the first letter and the other step
-    letters of sigma^{-1}(h).  first and rest are plain lists, read off the
-    spec's automaton, so a series that the discrete tail closes reads no
-    numpy; they become arrays only where a block map is built.  Any other
-    rho applies itself to cylinder projections."""
+    permutative rho_sigma is read through the spec's sigma^{-1} step table:
+    on a head h (the first rank letters of a window) T emits the letter
+    first[h] and continues on the word rest[h], the first letter and the
+    other step letters of sigma^{-1}(h).  first and rest are plain lists,
+    so a series that the discrete tail closes loads no numpy; numpy is
+    imported where a table is built, refined or fitted.  Any other rho
+    applies itself to cylinder projections."""
 
     def __init__(self, endo: EndomorphismSpec, budget: int = DEFAULT_BUDGET):
         self.endo = endo
@@ -198,10 +196,8 @@ class CantorDynamics:
         self.step = max(endo.rank - 1, 0)
         self.budget = budget
         self._tables: Dict[int, BlockMapTable] = {}
-        self._steps: Optional[Tuple[List[int], List[int]]] = (
-            None if endo.perm is None else endo.automaton()[6:])
-        # _steps as arrays, made when the first block map is built
-        self._step_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._steps: Optional[tuple] = None if endo.perm is None else endo.steps()
+        self._step_arrays: Optional[tuple] = None  # made by the first block map
 
     def label(self) -> str:
         return self.endo.label()
@@ -224,16 +220,11 @@ class CantorDynamics:
         if p <= 0:
             raise ValueError("depth p must be positive")
         if p not in self._tables:
-            if self._steps is None:
-                self._tables[p] = self._symbolic_table(p)
-            else:
-                if self._step_arrays is None:
-                    self._step_arrays = tuple(map(np.asarray, self._steps))
-                self._tables[p] = self._prepend_letter(p, *self._step_arrays)
+            self._tables[p] = (self._symbolic_table(p) if self._steps is None
+                               else self._prepend_letter(p))
         return self._tables[p]
 
-    def _prepend_letter(self, p: int, first: np.ndarray,
-                        rest: np.ndarray) -> BlockMapTable:
+    def _prepend_letter(self, p: int) -> BlockMapTable:
         """Depth-p table from the depth-(p-1) table, for a map that reads
         its input through a window of step + 1 letters.  For each head h
         (the first step + 1 letters of a depth-p window) the map emits the
@@ -244,7 +235,11 @@ class CantorDynamics:
             table_p[h, tail] = first[h] * N^(p-1) + table_{p-1}[rest[h], tail]
 
         The depth-0 table maps every length-`step` word to the empty
-        output 0."""
+        output 0.  first and rest become arrays once, at the first call."""
+        import numpy as np
+        if self._step_arrays is None:
+            self._step_arrays = tuple(map(np.asarray, self._steps))
+        first, rest = self._step_arrays
         n = self.n_gens
         window = p + self.step
         self._check_budget(window)
@@ -256,6 +251,7 @@ class CantorDynamics:
 
     def _symbolic_table(self, p: int) -> BlockMapTable:
         """Generic construction from rho applied to cylinder projections."""
+        import numpy as np
         n = self.n_gens
         window = p + self.step
         self._check_budget(window)
@@ -333,6 +329,7 @@ class CantorDynamics:
         self._check_budget(p + (n_max - 1) * self.step)
         if self._separating():
             return JoinCounts((n ** p,), n_max, "discrete", n)
+        import numpy as np
         head = [n ** p]
         # None: the partition is discrete and each word is its own class
         cls: Optional[np.ndarray] = None
@@ -408,6 +405,7 @@ class CantorDynamics:
         their first j letters but differ at letter j+1, their depth-j
         outputs differ (for every j <= depth).  Equivalently, on each
         fixed-prefix fiber the output determines the (j+1)-th input letter."""
+        import numpy as np
         n = self.n_gens
         for j in range(1, depth + 1):
             tbl = self.block_map(j)

@@ -44,39 +44,36 @@ def theta_power(m: int, a: AlgebraElement) -> AlgebraElement:
 class _PermutationFields(NamedTuple):
     k: int
     n_gens: int
-    images: Tuple[Word, ...]
+    codes: Tuple[int, ...]
 
 
 class Permutation(_PermutationFields):
-    """A permutation of the N^k words of length k, stored as the image
-    tuple in lexicographic order of the domain."""
+    """A permutation sigma of the N^k words of length k, held as its
+    one-line codes: codes[c] is the lexicographic index of sigma(w) for
+    the word w of index c, both 0-based as in `pack_word`."""
 
     __slots__ = ()
 
-    def __new__(cls, k: int, n_gens: int, images: Tuple[Word, ...]):
+    def __new__(cls, k: int, n_gens: int, codes: Iterable[int]):
         if n_gens < 2:
             raise ValueError("alphabet size must be at least 2")
-        size = n_gens ** k
-        if len(images) != size or len(set(images)) != size:
+        codes = tuple(codes)
+        if sorted(codes) != list(range(n_gens ** k)):
             raise ValueError("images must be a bijection on length-k words")
-        for w in images:
-            if len(w) != k or any(not 1 <= c <= n_gens for c in w):
-                raise ValueError(f"bad image word {w}")
-        return super().__new__(cls, k, n_gens, images)
+        return super().__new__(cls, k, n_gens, codes)
 
     @classmethod
     def identity(cls, k: int, n_gens: int) -> "Permutation":
-        return cls(k, n_gens, tuple(words(n_gens, k)))
+        return cls(k, n_gens, range(n_gens ** k))
 
     @classmethod
     def from_one_line(cls, line: Iterable[int], k: int, n_gens: int) -> "Permutation":
         """Images of 1..N^k in order, as 1-based lexicographic indices."""
-        size = n_gens ** k
-        line = tuple(line)
-        for i in line:
-            if not 1 <= i <= size:
-                raise ValueError(f"one-line entry {i} outside 1..{size}")
-        return cls(k, n_gens, tuple(unpack_word(i - 1, k, n_gens) for i in line))
+        size, codes = n_gens ** k, [i - 1 for i in line]
+        for c in codes:
+            if not 0 <= c < size:
+                raise ValueError(f"one-line entry {c + 1} outside 1..{size}")
+        return cls(k, n_gens, codes)
 
     @classmethod
     def from_cycles(cls, cycles: Iterable[Iterable[int]], k: int, n_gens: int) -> "Permutation":
@@ -84,7 +81,7 @@ class Permutation(_PermutationFields):
         appears twice, in one cycle or in two, is refused rather than read
         as a composition."""
         size = n_gens ** k
-        line = list(range(1, size + 1))
+        codes = list(range(size))
         seen = set()
         for cyc in cycles:
             cyc = list(cyc)
@@ -95,8 +92,8 @@ class Permutation(_PermutationFields):
                     raise ValueError(f"cycle entry {a} appears twice; "
                                      "cycles must be disjoint")
                 seen.add(a)
-                line[a - 1] = b
-        return cls.from_one_line(line, k, n_gens)
+                codes[a - 1] = b - 1
+        return cls(k, n_gens, codes)
 
     @classmethod
     def parse(cls, text: str, k: int = 2, n_gens: int = 2) -> "Permutation":
@@ -129,62 +126,58 @@ class Permutation(_PermutationFields):
     def __call__(self, word: Word) -> Word:
         if len(word) != self.k or any(not 1 <= c <= self.n_gens for c in word):
             raise ValueError(f"no word of length {self.k} over 1..{self.n_gens}: {word}")
-        return self.images[pack_word(word, self.n_gens)]
+        return unpack_word(self.codes[pack_word(word, self.n_gens)], self.k, self.n_gens)
 
     def inverse(self) -> "Permutation":
-        # the domain words in the lexicographic order of their images
-        pairs = sorted(zip(self.images, words(self.n_gens, self.k)))
-        return Permutation(self.k, self.n_gens, tuple(w for _, w in pairs))
+        inverse = [0] * len(self.codes)
+        for c, image in enumerate(self.codes):
+            inverse[image] = c
+        return Permutation(self.k, self.n_gens, inverse)
 
     def one_line(self) -> Tuple[int, ...]:
-        return tuple(pack_word(w, self.n_gens) + 1 for w in self.images)
+        return tuple(c + 1 for c in self.codes)
 
     def cycle_notation(self) -> str:
         """Canonical cycle string, fixed points omitted; "id" if trivial."""
-        line, seen, parts = self.one_line(), set(), []
-        for start, nxt in enumerate(line, 1):
+        codes, seen, parts = self.codes, set(), []
+        for start, nxt in enumerate(codes):
             if start in seen or nxt == start:
                 continue
             cyc = [start]
             while nxt != start:
                 cyc.append(nxt)
                 seen.add(nxt)
-                nxt = line[nxt - 1]
-            parts.append("(" + " ".join(str(x) for x in cyc) + ")")
+                nxt = codes[nxt]
+            parts.append("(" + " ".join(str(c + 1) for c in cyc) + ")")
         return "".join(parts) or "id"
 
 
 def perm_unitary(sigma: Permutation) -> AlgebraElement:
     """u_sigma = sum over length-k words J of s_{sigma(J)} s_J^*, wrapped
-    as it is: `Permutation` has checked the alphabet, every image word
-    and the bijection, and the terms share one coefficient 1."""
-    one = GaussianRational(1)
-    terms = {Monomial(image, j): one
-             for image, j in zip(sigma.images, words(sigma.n_gens, sigma.k))}
-    return _wrap(sigma.n_gens, terms)
+    as it is: `Permutation` has checked the alphabet and the bijection,
+    and the terms share one coefficient 1."""
+    one, ws = GaussianRational(1), list(words(sigma.n_gens, sigma.k))
+    return _wrap(sigma.n_gens, {Monomial(ws[c], j): one for c, j in zip(sigma.codes, ws)})
 
 
 def _mealy_automaton(sigma: Permutation) -> tuple:
-    """sigma as a Mealy automaton on S = N^(k-1) states s, the words heads[s]
-    of length k-1 (start maps them back), read off the code c of each image
-    sigma(w), as (k-1, S, start, nexts, letters, heads, first, rest).  For
-    w = a s, pi on letter a in state s moves to nexts[w] = c // N and emits
-    letters[w] = c % N + 1 (int lists: a tuple per entry costs the garbage
-    collector at high rank); T's step table is first[h] = v // S and
-    rest[h] = v % S for v = sigma^{-1}(h)."""
-    n, size = sigma.n_gens, sigma.n_gens ** (sigma.k - 1)
-    codes = [pack_word(image, n) for image in sigma.images]
-    inverse = sorted(range(len(codes)), key=codes.__getitem__)
+    """pi's forward record: sigma as a Mealy automaton on S = N^(k-1)
+    states s, the words heads[s] of length k-1 (start maps them back), as
+    (k-1, S, start, nexts, letters, heads).  For the word w = a s of code
+    (a-1) S + s, pi on letter a in state s moves to nexts[w] = c // N and
+    emits letters[w] = c % N + 1, where c = codes[w] (int lists: a tuple
+    per entry costs the garbage collector at high rank)."""
+    n, codes = sigma.n_gens, sigma.codes
     heads = list(words(n, sigma.k - 1))
-    return (sigma.k - 1, size, {h: s for s, h in enumerate(heads)},
-            [c // n for c in codes], [c % n + 1 for c in codes], heads,
-            [v // size for v in inverse], [v % size for v in inverse])
+    return (sigma.k - 1, len(heads), {h: s for s, h in enumerate(heads)},
+            [c // n for c in codes], [c % n + 1 for c in codes], heads)
 
 
 class EndomorphismSpec:
     """A unitary u in P(O_N) together with its rank k; drives rho_u."""
 
-    __slots__ = ("u", "n_gens", "rank", "origin", "perm", "_automaton", "_cocycles")
+    __slots__ = ("u", "n_gens", "rank", "origin", "perm", "_automaton",
+                 "_steps", "_cocycles")
 
     def __init__(self, u: AlgebraElement, rank: Optional[int] = None,
                  origin: str = "unitary", perm: Optional[Permutation] = None,
@@ -197,6 +190,7 @@ class EndomorphismSpec:
         self.origin = origin
         self.perm = perm
         self._automaton: Optional[tuple] = None
+        self._steps: Optional[tuple] = None
         self.rank = self._infer_rank() if rank is None else rank
         self._cocycles: Dict[int, AlgebraElement] = {0: one, 1: u}
 
@@ -265,10 +259,18 @@ class EndomorphismSpec:
         return out
 
     def automaton(self) -> tuple:
-        """`_mealy_automaton(perm)`, built on first use, one per spec."""
+        """pi's forward record, built by the first `apply`; one per spec."""
         if self._automaton is None:
             self._automaton = _mealy_automaton(self.perm)
         return self._automaton
+
+    def steps(self) -> tuple:
+        """sigma^{-1}'s step table (first, rest), first[h], rest[h] = divmod(v,
+        N^(k-1)) for v = sigma^{-1}(h); built by the first `CantorDynamics`."""
+        if self._steps is None:
+            inverse, size = self.perm.inverse().codes, self.n_gens ** (self.perm.k - 1)
+            self._steps = [v // size for v in inverse], [v % size for v in inverse]
+        return self._steps
 
     def _apply_words(self, a: AlgebraElement) -> AlgebraElement:
         """rho_sigma(s_I s_J^*) = sum over |V| = k-1 of s_{pi(IV)} s_{pi(JV)}^*,
@@ -290,7 +292,7 @@ class EndomorphismSpec:
         positions m-1, m-2, ..., 0, right to left, as in
         u_m = u theta(u) ... theta^{m-1}(u): the automaton, started in the
         state of W's last k-1 letters, reads the others right to left."""
-        k1, size, start, nexts, letters, heads, _, _ = self._automaton or self.automaton()
+        k1, size, start, nexts, letters, heads = self._automaton or self.automaton()
         m = len(word) - k1
         state = start[word[m:]]
         out = []

@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Optional, Tuple
 
-from .algebra import AlgebraElement, Monomial, _hold, _wrap, words
+from .algebra import AlgebraElement, Monomial, _hold, _wrap, pack_word, words
 from .dynamics import DEFAULT_BUDGET, CantorDynamics
 from .endomorphism import EndomorphismSpec, Permutation, theta
 from .errors import CylinderError, MasaNotInvariantError, NotUnitaryError
@@ -160,9 +160,10 @@ def _phased_permutation(u: AlgebraElement, k: int) -> Optional[Permutation]:
     terms = u.level({0: k}).terms
     if len(terms) != 2 ** k or any(c.abs2() != 1 for c in terms.values()):
         return None
-    images = {m.right: m.left for m in terms}
+    codes = {pack_word(right, 2): pack_word(left, 2) for left, right in terms
+             if len(left) == len(right) == k}
     try:
-        return Permutation(k, 2, tuple(images.get(j, ()) for j in words(2, k)))
+        return Permutation(k, 2, [codes.get(j, -1) for j in range(2 ** k)])
     except ValueError:
         return None
 

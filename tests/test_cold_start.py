@@ -1,7 +1,8 @@
 """Cold start: importing the package and the command line, `apply` and
 `--help` load neither numpy nor dataclasses (which pulls in inspect, ast,
-dis and tokenize); the numpy-backed names resolve on first use.  Each
-test runs in a fresh interpreter, since this process has numpy loaded."""
+dis and tokenize); the numpy-backed names resolve on first use, and an
+entropy series closed by proof loads no numpy.  Each test runs in a fresh
+interpreter, since this process has numpy loaded."""
 
 import os
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 import cuntzlab
 
 SRC = str(Path(cuntzlab.__file__).resolve().parent.parent)
+TESTS = str(Path(__file__).resolve().parent)
 
 
 def run_fresh(code: str) -> str:
@@ -39,6 +41,46 @@ def test_import_cli_apply_and_help_load_no_numpy():
         print("numpy" in sys.modules)
         """)
     assert out.splitlines()[-1] == "False"
+
+
+def test_proved_series_load_no_numpy():
+    """The 16 Table 1 rows that separate on C_2 and the 4 sigma' series of
+    the E/F rows go from construction to a discrete, log2 verdict without
+    loading numpy; the 8 rows that refine load it and equal full
+    refinement."""
+    out = run_fresh(f"""
+        import sys
+        from cuntzlab import (CantorDynamics, EndomorphismSpec, Permutation,
+                              ProductMasaDynamics)
+        from cuntzlab.table import LOG2, TABLE1_EXPECTED
+
+        def spec(cycles):
+            return EndomorphismSpec.from_permutation(
+                Permutation.from_cycles(cycles, 2, 2))
+
+        closed = [c for c, _, hte_c2 in TABLE1_EXPECTED if hte_c2 == LOG2]
+        refined = [c for c, _, hte_c2 in TABLE1_EXPECTED if hte_c2 != LOG2]
+        assert (len(closed), len(refined)) == (16, 8)
+        proved = [CantorDynamics(spec(c)) for c in closed] + [
+            ProductMasaDynamics(EndomorphismSpec.from_label(label))
+            for label in ("(1 2)", "(1 3 2 4)", "(3 4)", "(1 4 2 3)")]
+        for d in proved:
+            reports = d.entropy(4, 16)
+            assert all(r.counts.tail == "discrete" and r.verdict == "log2"
+                       for r in reports), d.label()
+        assert "numpy" not in sys.modules
+        CantorDynamics(spec(refined[0])).entropy(4, 16)
+        assert "numpy" in sys.modules
+        sys.path.insert(0, {TESTS!r})
+        from test_dynamics import full_refinement_reports
+        for c in refined:
+            d = CantorDynamics(spec(c))
+            reports = d.entropy(4, 16)
+            assert all(r.counts.tail != "discrete" for r in reports), d.label()
+            assert reports == full_refinement_reports(d, 4, 16), d.label()
+        print(len(proved), len(refined))
+        """)
+    assert out.splitlines()[-1] == "20 8"
 
 
 def test_every_public_name_resolves():

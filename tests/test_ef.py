@@ -16,7 +16,7 @@ from cuntzlab import (AlgebraElement, CantorDynamics, EndomorphismSpec,
                       Monomial, NotUnitaryError, Permutation,
                       ProductMasaDynamics, algebra, ef_generators,
                       ef_projection, endomorphism, parse_element,
-                      product_masa, theta, theta_power, words)
+                      product_masa, theta, theta_power)
 from cuntzlab.checks import all_rank2_specs, ef_expansion_holds
 from cuntzlab.oracles import oracle_equivalence, oracle_map
 
@@ -225,10 +225,10 @@ def test_conjugate_unitary_matches_the_conjugation_formula():
     rng = random.Random(20)
     rank3 = []
     for _ in range(20):
-        images = list(words(2, 3))
-        rng.shuffle(images)
+        codes = list(range(8))
+        rng.shuffle(codes)
         rank3.append(EndomorphismSpec.from_permutation(
-            Permutation(3, 2, tuple(images))))
+            Permutation(3, 2, codes)))
     specs = [*all_rank2_specs(), *rank3, EndomorphismSpec.canonical_shift(2)]
     for spec in specs:
         want = inverse.apply(spec.apply(w) * spec.u) * w.adjoint()
@@ -249,10 +249,10 @@ def _conjugate_specs():
     rng = random.Random(20)
     rank3 = []
     for _ in range(20):
-        images = list(words(2, 3))
-        rng.shuffle(images)
+        codes = list(range(8))
+        rng.shuffle(codes)
         rank3.append(EndomorphismSpec.from_permutation(
-            Permutation(3, 2, tuple(images))))
+            Permutation(3, 2, codes)))
     return [*all_rank2_specs(), *rank3, EndomorphismSpec.canonical_shift(2),
             EndomorphismSpec.identity(2)]
 

@@ -3,6 +3,7 @@ and the range-containment facts that bound the induced dynamics."""
 
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -135,7 +136,7 @@ def test_perm_unitary_examples(one):
         assert u.terms == want.terms, sigma.one_line()
         assert all(type(c) is GaussianRational for c in u.terms.values())
     with pytest.raises(ValueError, match="alphabet size"):
-        Permutation(1, 1, ((1,),))
+        Permutation(1, 1, (0,))
 
 
 def test_shift_unitary_gives_theta(rng):
@@ -241,12 +242,11 @@ def test_word_rewriting_matches_cocycle_path():
 
 def window_rewrite(sigma, word):
     """pi(W) window by window: sigma applied to the k-letter window at
-    positions m-1, ..., 0 of W, right to left, through the packed code
-    of each window."""
-    k, n = sigma.k, sigma.n_gens
+    positions m-1, ..., 0 of W, right to left."""
+    k = sigma.k
     out = list(word)
     for pos in range(len(out) - k, -1, -1):
-        out[pos:pos + k] = sigma.images[pack_word(out[pos:pos + k], n)]
+        out[pos:pos + k] = sigma(tuple(out[pos:pos + k]))
     return tuple(out)
 
 
@@ -269,17 +269,68 @@ def test_automaton_equals_the_window_rewriting():
 
 
 def test_automaton_built_on_first_use_once_per_spec():
-    """from_permutation builds no automaton; apply builds it, dynamics
-    read sigma^{-1}'s step table off the same one, and two specs of one
-    sigma build one each."""
+    """from_permutation builds neither record; the first apply builds pi's
+    forward record and the first dynamics sigma^{-1}'s step table, each
+    once per spec, and two specs of one sigma never share a record."""
     sigma = Permutation.parse("(1 2 4)")
     a, b = (EndomorphismSpec.from_permutation(sigma) for _ in range(2))
-    assert a._automaton is None and b._automaton is None
+    assert (a._automaton, a._steps, b._automaton, b._steps) == (None,) * 4
     a.apply(AlgebraElement.generator(2, 1))
     record = a._automaton
-    assert record is not None and b._automaton is None
-    assert CantorDynamics(a)._steps[0] is record[6] and a.automaton() is record
+    assert record is not None and a._steps is None and b._automaton is None
+    a.apply(AlgebraElement.generator(2, 2))
+    assert a.automaton() is record and len(record) == 6
+    steps = CantorDynamics(a)._steps
+    assert steps is a._steps and CantorDynamics(a)._steps is steps
+    assert a.steps() is steps and a.automaton() is record and b._steps is None
     assert b.automaton() == record and b.automaton() is not record
+    assert CantorDynamics(b)._steps == steps and b.steps() is not steps
+
+
+def test_dynamics_build_no_forward_record():
+    """Entropy on a spec that was never applied builds sigma^{-1}'s step
+    table and no pi record, for a series closed by proof and a refined
+    one; apply then builds pi, and each spec holds one of each."""
+    for label in ("(1 2 3)", "(1 2)"):
+        spec = EndomorphismSpec.from_label(label)
+        dyn = CantorDynamics(spec)
+        dyn.entropy(4, 16)
+        steps = spec._steps
+        assert spec._automaton is None and steps is not None, label
+        assert dyn._steps is steps, label
+        spec.apply(AlgebraElement.generator(2, 1))
+        record = spec._automaton
+        assert record is not None and spec._steps is steps, label
+        CantorDynamics(spec).entropy(2, 4)
+        spec.apply(AlgebraElement.generator(2, 2))
+        assert spec._automaton is record and spec._steps is steps, label
+
+
+def test_codes_make_no_word_packing(monkeypatch):
+    """A rank-12 sigma of O_2 from a one-line list and from cycles, its
+    spec, pi's forward record, its dynamics and `_separating()` make no
+    pack_word or unpack_word call: each is built from the codes."""
+    calls = []
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("cuntzlab"):
+            for name in ("pack_word", "unpack_word"):
+                fn = getattr(module, name, None)
+                if fn is not None:
+                    monkeypatch.setattr(module, name, lambda *args, _f=fn, _n=name:
+                                        calls.append(_n) or _f(*args))
+    rng = random.Random(20261021)
+    line = list(range(1, 2 ** 12 + 1))
+    rng.shuffle(line)
+    cycles = [line[i:i + 3] for i in range(0, 2 ** 12 - 3, 3)]
+    for sigma in (Permutation.from_one_line(line, 12, 2),
+                  Permutation.from_cycles(cycles, 12, 2)):
+        spec = EndomorphismSpec.from_permutation(sigma)
+        assert len(spec.automaton()[3]) == 2 ** 12
+        assert not CantorDynamics(spec)._separating()
+        assert len(spec.steps()[0]) == 2 ** 12
+    assert calls == []
+    # the spies see a call
+    assert sigma((1,) * 12) and calls == ["pack_word", "unpack_word"]
 
 
 def test_word_rewriting_is_not_exponential(psi12, s1, s2):
