@@ -198,6 +198,7 @@ class CantorDynamics:
         self._tables: Dict[int, BlockMapTable] = {}
         self._steps: Optional[tuple] = None if endo.perm is None else endo.steps()
         self._step_arrays: Optional[tuple] = None  # made by the first block map
+        self._separates = self._separating()  # read by every `_join_counts`
 
     def label(self) -> str:
         return self.endo.label()
@@ -327,7 +328,7 @@ class CantorDynamics:
             raise ValueError(f"join steps n must be at least 1, got {n_max}")
         n = self.n_gens
         self._check_budget(p + (n_max - 1) * self.step)
-        if self._separating():
+        if self._separates:
             return JoinCounts((n ** p,), n_max, "discrete", n)
         import numpy as np
         head = [n ** p]
@@ -371,7 +372,7 @@ class CantorDynamics:
         consecutive entries of first (the heads x0 x1 with one x0) is a
         permutation of the letters.  The depth-1 table is first itself,
         so this is `separation_check(1)`: x0 and the output letter give
-        x1.  Any other rho is refined."""
+        x1.  Any other rho is refined.  The constructor runs it once."""
         if self._steps is None or self.step != 1:
             return False
         n, first = self.n_gens, self._steps[0]

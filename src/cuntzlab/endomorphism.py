@@ -174,25 +174,32 @@ def _mealy_automaton(sigma: Permutation) -> tuple:
 
 
 class EndomorphismSpec:
-    """A unitary u in P(O_N) together with its rank k; drives rho_u."""
+    """A unitary u in P(O_N) together with its rank k; drives rho_u.  A
+    permutative spec holds sigma's codes and builds u_sigma on first read."""
 
-    __slots__ = ("u", "n_gens", "rank", "origin", "perm", "_automaton",
-                 "_steps", "_cocycles")
+    __slots__ = ("n_gens", "rank", "origin", "perm", "_automaton", "_steps",
+                 "_label", "_cocycles")
 
-    def __init__(self, u: AlgebraElement, rank: Optional[int] = None,
+    def __init__(self, u: Optional[AlgebraElement], rank: Optional[int] = None,
                  origin: str = "unitary", perm: Optional[Permutation] = None,
                  check: bool = True):
-        one = AlgebraElement.one(u.n_gens)
-        if check and not (u * u.adjoint() == one and u.adjoint() * u == one):
-            raise NotUnitaryError("defining element is not unitary")
-        self.u = u
-        self.n_gens = u.n_gens
-        self.origin = origin
-        self.perm = perm
-        self._automaton: Optional[tuple] = None
-        self._steps: Optional[tuple] = None
+        self.n_gens = perm.n_gens if u is None else u.n_gens
+        self.origin, self.perm = origin, perm
+        self._automaton = self._steps = self._label = None
+        self._cocycles: Dict[int, AlgebraElement] = {}  # u_k, from u_0 = 1 and u_1 = u
+        if u is not None:
+            one = AlgebraElement.one(u.n_gens)
+            if check and not (u * u.adjoint() == one and u.adjoint() * u == one):
+                raise NotUnitaryError("defining element is not unitary")
+            self._cocycles = {0: one, 1: u}
         self.rank = self._infer_rank() if rank is None else rank
-        self._cocycles: Dict[int, AlgebraElement] = {0: one, 1: u}
+
+    @property
+    def u(self) -> AlgebraElement:
+        """The defining unitary; a permutative spec builds u_sigma here once."""
+        if not self._cocycles:
+            self._cocycles = {0: AlgebraElement.one(self.n_gens), 1: perm_unitary(self.perm)}
+        return self._cocycles[1]
 
     def _infer_rank(self) -> int:
         if all(d == 0 for d in self.u.degrees()):
@@ -210,8 +217,7 @@ class EndomorphismSpec:
 
     @classmethod
     def from_permutation(cls, sigma: Permutation) -> "EndomorphismSpec":
-        return cls(perm_unitary(sigma), rank=sigma.k, origin="permutation",
-                   perm=sigma, check=False)
+        return cls(None, rank=sigma.k, origin="permutation", perm=sigma)
 
     @classmethod
     def canonical_shift(cls, n_gens: int = 2) -> "EndomorphismSpec":
@@ -225,9 +231,9 @@ class EndomorphismSpec:
         return cls.from_permutation(Permutation.parse(label, k, n_gens))
 
     def label(self) -> str:
-        if self.perm is not None:
-            return self.perm.cycle_notation()
-        return self.origin
+        if self._label is None:
+            self._label = self.origin if self.perm is None else self.perm.cycle_notation()
+        return self._label
 
     # -- cocycles and application ------------------------------------------
 
@@ -235,10 +241,10 @@ class EndomorphismSpec:
         """u_k = u theta(u) ... theta^{k-1}(u); cached."""
         if k < 0:
             raise ValueError("cocycle index must be nonnegative")
-        top = max(self._cocycles)
+        u, top = self.u, max(self._cocycles)
         while top < k:
             top += 1
-            self._cocycles[top] = self._cocycles[top - 1] * theta_power(top - 1, self.u)
+            self._cocycles[top] = self._cocycles[top - 1] * theta_power(top - 1, u)
         return self._cocycles[k]
 
     def apply(self, a: AlgebraElement) -> AlgebraElement:
@@ -268,8 +274,10 @@ class EndomorphismSpec:
         """sigma^{-1}'s step table (first, rest), first[h], rest[h] = divmod(v,
         N^(k-1)) for v = sigma^{-1}(h); built by the first `CantorDynamics`."""
         if self._steps is None:
-            inverse, size = self.perm.inverse().codes, self.n_gens ** (self.perm.k - 1)
-            self._steps = [v // size for v in inverse], [v % size for v in inverse]
+            codes, size = self.perm.codes, self.n_gens ** (self.perm.k - 1)
+            self._steps = first, rest = [0] * len(codes), [0] * len(codes)
+            for v, h in enumerate(codes):  # v = sigma^{-1}(h)
+                first[h], rest[h] = v // size, v % size
         return self._steps
 
     def _apply_words(self, a: AlgebraElement) -> AlgebraElement:
@@ -277,7 +285,7 @@ class EndomorphismSpec:
         where u_m sends s_W to s_{pi(W)} (`_rewrite`) for |W| = m+k-1.  Distinct
         (I, J, V) give distinct output monomials (pi is a bijection on each
         length), so every coefficient carries over unchanged."""
-        tails = list(words(self.n_gens, self.perm.k - 1))
+        tails = self.automaton()[5]  # heads: words(N, k-1)
         out: Dict[Monomial, GaussianRational] = {}
         for (left, right), coeff in a.terms.items():
             if not left and not right:

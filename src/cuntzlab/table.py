@@ -9,17 +9,19 @@ else in a row (generator images, verdicts, masa used) is computed."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .algebra import AlgebraElement, Monomial, words
+from .algebra import AlgebraElement, Monomial, _wrap, words
 from .dynamics import CantorDynamics, DEFAULT_BUDGET
 from .endomorphism import EndomorphismSpec, Permutation
 from .errors import MasaNotInvariantError
 from .parsing import format_element
 from .product_masa import ProductMasaDynamics
+from .scalars import GaussianRational
 
 LOG2 = "log 2"
 ZERO = "0"
+ONE = GaussianRational(1)
 
 # (cycles, expected hte, expected hte restricted to C_2), in table order
 TABLE1_EXPECTED: List[Tuple[Tuple[Tuple[int, ...], ...], str, str]] = [
@@ -83,6 +85,20 @@ def f_invariant(endo: EndomorphismSpec, max_depth: int = 4) -> bool:
     return True
 
 
+def images_hold(perm: Permutation, images: Sequence[AlgebraElement]) -> bool:
+    """Whether images[i-1] is rho_sigma(s_i) = u_sigma s_i for each letter
+    i, by the monomial rule read off sigma's codes: the sum over words J
+    with first letter i of s_{sigma(J)} s_{J'}^*, J' being J without its
+    first letter.  Leveled to one right length, an element of one gauge
+    degree has one term dict, so the dicts are compared: an image with a
+    right word of any other length reads as a mismatch."""
+    ws = list(words(perm.n_gens, perm.k))
+    expected: List[dict] = [{} for _ in range(perm.n_gens)]
+    for c, image in enumerate(perm.codes):
+        expected[ws[c][0] - 1][Monomial(ws[image], ws[c][1:])] = ONE
+    return [img.terms for img in images] == expected
+
+
 def compute_row(cycles: Tuple[Tuple[int, ...], ...],
                 hte_expected: str, hte_c2_expected: str,
                 p_max: int = 4, n_max: int = 16,
@@ -95,22 +111,10 @@ def compute_row(cycles: Tuple[Tuple[int, ...], ...],
     leaves every F_{p,l} invariant is one of the entropy-zero
     automorphisms; otherwise the product masa C_{E,F} supplies the log-2
     lower bound.  The status is "match" only when both columns match and
-    the word-path images rho(s_i) equal u s_i, read off u's terms."""
+    the word-path images rho(s_i) pass `images_hold`."""
     perm = Permutation.from_cycles(cycles, 2, 2)
     endo = EndomorphismSpec.from_permutation(perm)
-    label = perm.cycle_notation()
-    s1 = endo.apply(AlgebraElement.generator(2, 1))
-    s2 = endo.apply(AlgebraElement.generator(2, 2))
-    # every right word of u has k >= 1 letters, so by the monomial rule
-    # u s_i is the sum of c s_I s_{J'}^* over u's terms c s_I s_{iJ'}^*.
-    # Leveled to one right length, an element of one gauge degree has one
-    # term dict, so the dicts are compared: a word-path image with a right
-    # word of any other length reads as a mismatch.
-    u = endo.u.terms
-    images_hold = all(
-        img.terms == {Monomial(left, right[1:]): c
-                      for (left, right), c in u.items() if right[0] == i}
-        for i, img in ((1, s1), (2, s2)))
+    s1, s2 = (endo.apply(_wrap(2, {Monomial((i,), ()): ONE})) for i in (1, 2))
 
     dyn = CantorDynamics(endo, budget=budget)
     c2 = CantorDynamics.summarize(dyn.entropy(p_max, n_max)).verdict
@@ -129,9 +133,9 @@ def compute_row(cycles: Tuple[Tuple[int, ...], ...],
         except MasaNotInvariantError:
             hte, masa = "inconclusive", "none"
 
-    status = ("match" if images_hold and hte == hte_expected
+    status = ("match" if images_hold(perm, (s1, s2)) and hte == hte_expected
               and hte_c2 == hte_c2_expected else "mismatch")
-    return Table1Row(label, format_element(s1), format_element(s2),
+    return Table1Row(endo.label(), format_element(s1), format_element(s2),
                      hte_expected, hte, hte_c2_expected, hte_c2,
                      masa, status)
 

@@ -264,3 +264,21 @@ def test_inverse_rewrite_mutant_fails_table1_rows(monkeypatch):
     assert len(failed) == 14
     assert all(row.hte_computed == row.hte_expected
                and row.hte_c2_computed == row.hte_c2_expected for row in rows)
+
+
+def test_image_check_reads_the_codes():
+    """`images_hold` checks the images against sigma's codes: the images
+    of each of the 24 sigma pass for sigma and fail for sigma with the
+    codes of two words swapped, whether or not they share a first letter."""
+    from cuntzlab import table
+
+    for sigma in (Permutation.from_cycles(c, 2, 2)
+                  for c, _, _ in table.TABLE1_EXPECTED):
+        spec = EndomorphismSpec.from_permutation(sigma)
+        images = [spec.apply(AlgebraElement.generator(2, i)) for i in (1, 2)]
+        assert table.images_hold(sigma, images), sigma
+        for a, b in ((0, 1), (0, 2), (1, 3)):
+            codes = list(sigma.codes)
+            codes[a], codes[b] = codes[b], codes[a]
+            swapped = Permutation(2, 2, codes)
+            assert not table.images_hold(swapped, images), (sigma, a, b)

@@ -13,6 +13,7 @@ from cuntzlab import (AlgebraElement, AlphabetMismatchError, CantorDynamics,
                       GaussianRational, Monomial, NotUnitaryError, ParseError,
                       Permutation, ef_generators, parse_element, perm_unitary,
                       theta, theta_power, words)
+from cuntzlab import endomorphism, table
 from cuntzlab.algebra import pack_word, unpack_word
 from cuntzlab.sampling import random_element
 from cuntzlab.table import TABLE1_EXPECTED, f_invariant
@@ -304,6 +305,81 @@ def test_dynamics_build_no_forward_record():
         CantorDynamics(spec).entropy(2, 4)
         spec.apply(AlgebraElement.generator(2, 2))
         assert spec._automaton is record and spec._steps is steps, label
+
+
+@pytest.fixture
+def unitary_builds(monkeypatch):
+    """The sigma of every `perm_unitary` call, in order."""
+    built, build = [], endomorphism.perm_unitary
+
+    def spy(sigma):
+        built.append(sigma)
+        return build(sigma)
+
+    monkeypatch.setattr(endomorphism, "perm_unitary", spy)
+    return built
+
+
+def test_u_sigma_built_on_first_read(unitary_builds):
+    """A permutative spec builds u_sigma only when `u` is read, once: not
+    for `from_permutation`, `apply` or a dynamics' entropy, and not for
+    the Table 1 rows closed on C_2 (16) or by F-invariance (4); each E/F
+    row builds it once, for its conjugate."""
+    for sigma in all_line_perms():
+        spec = EndomorphismSpec.from_permutation(sigma)
+        spec.apply(parse_element("s[1] t[2] + s[12] t[21]", 2))
+        CantorDynamics(spec).entropy(4, 16)
+    assert unitary_builds == []
+    per_masa = {}
+    for cycles, hte, hte_c2 in TABLE1_EXPECTED:
+        row = table.compute_row(cycles, hte, hte_c2)
+        per_masa.setdefault((row.masa_used, row.hte_c2_computed), []).append(
+            len(unitary_builds))
+        unitary_builds.clear()
+    assert per_masa == {("standard", table.LOG2): [0] * 16,
+                        ("standard", table.ZERO): [0] * 4,
+                        ("EF", table.ZERO): [1] * 4}
+    sigma = Permutation.parse("(1 2 4)")
+    spec = EndomorphismSpec.from_permutation(sigma)
+    assert spec.u is spec.u and spec.cocycle(1) is spec.u
+    assert unitary_builds == [sigma] and spec.u == perm_unitary(sigma)
+
+
+def test_lazy_u_keeps_cocycles_and_verify():
+    """On the 24 rows a spec that builds u_sigma on first read gives the
+    cocycles u_k = u theta(u) ... theta^{k-1}(u), k <= 4, and the `verify`
+    report of a spec handed u_sigma at construction."""
+    for sigma in all_line_perms():
+        u = perm_unitary(sigma)
+        chain = [AlgebraElement.one(2)]
+        for k in range(4):
+            chain.append(chain[-1] * theta_power(k, u))
+        lazy = EndomorphismSpec.from_permutation(sigma)
+        assert [lazy.cocycle(k) for k in range(5)] == chain, sigma
+        eager = EndomorphismSpec(u, rank=2, origin="permutation", perm=sigma,
+                                 check=False)
+        report = EndomorphismSpec.from_permutation(sigma).verify()
+        assert report == eager.verify() and all(report.values()), sigma
+        assert list(report) == list(eager.verify())
+
+
+def test_separation_test_runs_once_per_dynamics(monkeypatch):
+    """`_separating()` runs once per dynamics, not once per depth, for a
+    series closed by the discrete tail and for a refined one."""
+    calls = []
+    separating = CantorDynamics._separating
+
+    def spy(self):
+        calls.append(self)
+        return separating(self)
+
+    monkeypatch.setattr(CantorDynamics, "_separating", spy)
+    for label, tail in (("(1 2 3)", "discrete"), ("(1 2)", "stable")):
+        calls.clear()
+        dyn = CantorDynamics(EndomorphismSpec.from_label(label))
+        reports = dyn.entropy(4, 16)
+        assert calls == [dyn], label
+        assert all(r.counts.tail == tail for r in reports), label
 
 
 def test_codes_make_no_word_packing(monkeypatch):
