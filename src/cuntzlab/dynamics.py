@@ -320,8 +320,9 @@ class CantorDynamics:
         in a boolean array instead of sorted: the marks count the classes,
         and when every word has its own key the partition is discrete, so
         the words label themselves and no class array is built.  Otherwise
-        the rank of each key among the marked ones is its label.  Past the
-        budget the keys are sorted."""
+        the rank of each key among the marked ones is its label, built
+        only when the count moved: a stable step ends the series unlabelled.
+        Past the budget the keys are sorted."""
         if p < 1:
             raise ValueError(f"partition depth p must be at least 1, got {p}")
         if n_max < 1:
@@ -352,7 +353,7 @@ class CantorDynamics:
                 refined = int(np.count_nonzero(mark))
                 if refined == keys.size:
                     cls = None
-                else:
+                elif refined != n_classes:  # a stable step needs no labels
                     lookup = np.empty(key_range, dtype=np.int64)
                     lookup[np.flatnonzero(mark)] = np.arange(refined)
                     cls = lookup[keys]

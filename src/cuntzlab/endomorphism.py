@@ -134,6 +134,22 @@ class Permutation(_PermutationFields):
             inverse[image] = c
         return Permutation(self.k, self.n_gens, inverse)
 
+    def affine_form(self) -> Optional[Tuple[Tuple[int, ...], int]]:
+        """(A, b) with sigma(x) = A x + b over F_2, a code read as the
+        vector of its k bits and A as its columns A e_i = codes[2^i] XOR b;
+        None when sigma is not affine or N != 2.  Every code is checked
+        against the one with its lowest set bit e cleared:
+        sigma(x) = sigma(x - e) + A e."""
+        if self.n_gens != 2:
+            return None
+        codes = self.codes
+        b = codes[0]
+        for x in range(3, len(codes)):
+            low = x & -x
+            if codes[x] != codes[x ^ low] ^ codes[low] ^ b:
+                return None
+        return tuple(codes[1 << i] ^ b for i in range(self.k)), b
+
     def one_line(self) -> Tuple[int, ...]:
         return tuple(c + 1 for c in self.codes)
 

@@ -83,6 +83,52 @@ def ef_projection(word: EFWord, n_gens: int = 2) -> AlgebraElement:
     return out
 
 
+def _bogolubov_rows() -> Tuple[int, tuple]:
+    """V, read at call time, as (den, rows): rows[i][a] is the pair
+    (re, im) with V[i][a] = (re + im i) / den.  Raises NotUnitaryError
+    unless V V^* = I."""
+    return _rows_of(V)
+
+
+@lru_cache(maxsize=1)
+def _rows_of(v) -> Tuple[int, tuple]:
+    """`_bogolubov_rows` for one V, a tuple of immutable scalars, checked
+    on the numerators as V V^* = den^2 I."""
+    den = lcm(*(z._d for row in v for z in row))
+    rows = tuple(tuple((z._a * (den // z._d), z._b * (den // z._d))
+                       for z in row) for row in v)
+    if any(sum(x * p + y * q for (x, y), (p, q) in zip(rows[a], rows[b]))
+           != den * den * (a == b)
+           or sum(y * p - x * q for (x, y), (p, q) in zip(rows[a], rows[b]))
+           for a in range(2) for b in range(2)):
+        raise NotUnitaryError("the Bogolubov matrix V is not unitary")
+    return den, rows
+
+
+def _is_walsh(rows: tuple) -> bool:
+    """Whether V, as `_bogolubov_rows` gives it, is c [[1, 1], [1, -1]]
+    for some scalar c (nonzero, as V is unitary)."""
+    (a, b), (c, d) = rows
+    return a == b == c and d == (-a[0], -a[1])
+
+
+def _dual_permutation(linear: Tuple[int, ...], k: int) -> Permutation:
+    """sigma'(x) = A^{-T} x over F_2, A given by its columns as in
+    `Permutation.affine_form`: the inverse of the table of A^T, which is
+    built on all 2^k codes, each from the one with its lowest set bit
+    cleared.  Row j of A (bit j of every column) is A^T e_j."""
+    rows = [sum((col >> j & 1) << i for i, col in enumerate(linear))
+            for j in range(k)]
+    size = 1 << k
+    transpose, codes = [0] * size, [0] * size
+    for z in range(1, size):
+        low = z & -z
+        transpose[z] = transpose[z ^ low] ^ rows[low.bit_length() - 1]
+    for z, x in enumerate(transpose):
+        codes[x] = z  # A^T z = x, so sigma'(x) = z
+    return Permutation(k, 2, codes)
+
+
 def _conjugate_unitary(endo: EndomorphismSpec) -> AlgebraElement:
     """u' with rho_{u'} = lambda_V^{-1} rho lambda_V.  By Cuntz's rule
     rho_a rho_b = rho_{rho_a(b) a}, rho lambda_V = rho_{rho(w) u} with
@@ -90,7 +136,7 @@ def _conjugate_unitary(endo: EndomorphismSpec) -> AlgebraElement:
     rho(w) u = u w and lambda_{V^*}(w) = w^* w w = w, that is
     u' = lambda_{V^*}(u).  w w^* is sum_{a,c} (V V^*)_{ac} s_a s_c^*, so w
     is unitary exactly when the 2 x 2 scalar matrix V is, which is
-    checked on V.
+    checked on V (`_bogolubov_rows`).
 
     lambda_{V^*}(s_i) = sum_a conj(V_ia) s_a, so with
     c(I, A) = prod_t V[I_t][A_t] (letters as 1-based indices of V),
@@ -99,16 +145,7 @@ def _conjugate_unitary(endo: EndomorphismSpec) -> AlgebraElement:
     term by term over u on Gaussian-integer numerators over one common
     denominator, and each coefficient is reduced once; for u in F_{k,k}
     so is u'."""
-    den = lcm(*(z._d for row in V for z in row))
-    # V[i][a] = (re + im i) / den, one (re, im) pair per letter a
-    rows = [[(z._a * (den // z._d), z._b * (den // z._d)) for z in row]
-            for row in V]
-    # V V^* = I, read on the numerators as V V^* = den^2 I
-    if any(sum(x * p + y * q for (x, y), (p, q) in zip(rows[a], rows[b]))
-           != den * den * (a == b)
-           or sum(y * p - x * q for (x, y), (p, q) in zip(rows[a], rows[b]))
-           for a in range(2) for b in range(2)):
-        raise NotUnitaryError("the Bogolubov matrix V is not unitary")
+    den, rows = _bogolubov_rows()
     terms = endo.u.terms
     common = lcm(*(c._d * den ** (len(m.left) + len(m.right))
                    for m, c in terms.items()))
@@ -172,6 +209,13 @@ class ProductMasaDynamics(CantorDynamics):
     """The dynamics induced on C_{E,F} by rho: the standard-masa dynamics
     of the conjugate rho' = rho_{u'}, under rho's label.
 
+    For N = 2, u' is a phased permutation exactly when sigma is affine,
+    sigma(x) = A x + b over F_2, and then sigma' = A^{-T} (Dehaene and
+    De Moor, Phys. Rev. A 2003).  So when V, read at call time, is a unit
+    multiple of the Walsh matrix [[1, 1], [1, -1]] and sigma is affine,
+    sigma' is read off sigma's codes and u' is never built.  Any other V,
+    sigma or u takes the closed form of u' (`_conjugate_unitary`).
+
     When u' is a phased permutation sum_J c_J s_{sigma'(J)} s_J^*, so is
     every cocycle u'_m = u' theta(u') ... theta^{m-1}(u'), with the
     permutation of sigma'.  Conjugating a cylinder projection by a phased
@@ -184,8 +228,15 @@ class ProductMasaDynamics(CantorDynamics):
     def __init__(self, endo: EndomorphismSpec, budget: int = DEFAULT_BUDGET):
         if endo.n_gens != 2:
             raise MasaNotInvariantError("the E/F masa is defined for N = 2")
-        u = _conjugate_unitary(endo)
-        sigma = _phased_permutation(u, endo.rank)
+        # a non-unitary V raises before sigma is read
+        form = (endo.perm.affine_form()
+                if _is_walsh(_bogolubov_rows()[1]) and endo.perm is not None
+                and endo.rank == endo.perm.k else None)
+        if form is None:
+            u = _conjugate_unitary(endo)
+            sigma = _phased_permutation(u, endo.rank)
+        else:
+            sigma = _dual_permutation(form[0], endo.rank)
         super().__init__(
             EndomorphismSpec(u, rank=endo.rank, check=False) if sigma is None
             else EndomorphismSpec.from_permutation(sigma), budget)

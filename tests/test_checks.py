@@ -282,3 +282,47 @@ def test_image_check_reads_the_codes():
             codes[a], codes[b] = codes[b], codes[a]
             swapped = Permutation(2, 2, codes)
             assert not table.images_hold(swapped, images), (sigma, a, b)
+
+
+def _linear_part(linear, k):
+    """`product_masa._dual_permutation` with sigma' = A, the linear part
+    of sigma, in place of A^{-T}."""
+    codes = [0] * 2 ** k
+    for x in range(1, 2 ** k):
+        low = x & -x
+        codes[x] = codes[x ^ low] ^ linear[low.bit_length() - 1]
+    return Permutation(k, 2, codes)
+
+
+def test_linear_part_mutant_fails_verify_ef_and_table1(monkeypatch, capsys):
+    """sigma' = A in place of A^{-T}: the E/F tables are wrong on the 16
+    rows where A^{-T} != A (A is orthogonal on the other 8), so
+    `verify ef` exits 1 on those expansion checks, both tEF tables and
+    the four log-2 verdicts, and the four E/F rows of Table 1 mismatch."""
+    kept = {"id", "(1 4)", "(2 3)", "(1 2 4 3)", "(1 3 4 2)", "(1 2)(3 4)",
+            "(1 3)(2 4)", "(1 4)(2 3)"}
+    dual = product_masa._dual_permutation
+    assert kept == {spec.label() for spec in checks.all_rank2_specs()
+                    if _linear_part(spec.perm.affine_form()[0], 2)
+                    == dual(spec.perm.affine_form()[0], 2)}
+    moved = [spec.label() for spec in checks.all_rank2_specs()
+             if spec.label() not in kept]
+    monkeypatch.setattr(product_masa, "_dual_permutation", _linear_part)
+    assert main(["verify", "ef"]) == 1
+    failed = [line.removeprefix("  failed: ")
+              for line in capsys.readouterr().out.splitlines()
+              if line.startswith("  failed: ")]
+    ef_rows = ("(1 2)", "(1 3 2 4)", "(3 4)", "(1 4 2 3)")
+    assert failed == [
+        *(f"{label} rho(P_q) expands on the EF table to depth 2"
+          for label in moved),
+        "(1 2) EF table = tEF to depth 10",
+        "(1 3 2 4) EF table = tEF to depth 10",
+        *(f"{label} EF verdict log2" for label in ef_rows)]
+    from cuntzlab import table
+
+    rows = table.compute_table1()
+    assert [row.perm for row in rows if row.status != "match"] == [
+        "(1 2)", "(3 4)", "(1 3 2 4)", "(1 4 2 3)"]
+    assert all(row.masa_used == "EF" and row.hte_computed == "inconclusive"
+               for row in rows if row.status != "match")

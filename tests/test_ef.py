@@ -387,3 +387,93 @@ def test_sliding_tables_match_rule_reading():
             for w in itertools.product((1, 2), repeat=p + k - 1):
                 expected = tuple(TEF_RULE[w[j:j + k]] for j in range(p))
                 assert tbl.map_word(w) == expected, (label, w)
+
+
+def _linear_codes(cols):
+    """x -> A x over F_2 on every code x, A given by its columns."""
+    image = [0]
+    for col in cols:
+        image += [x ^ col for x in image]
+    return image
+
+
+def _affine_codes(k):
+    """The codes of every affine sigma(x) = A x + b of F_2^k, A invertible,
+    built from the matrices (as column masks) and shifts themselves."""
+    out = set()
+    for cols in itertools.product(range(1, 2 ** k), repeat=k):
+        image = _linear_codes(cols)
+        if len(set(image)) == 2 ** k:
+            out.update(tuple(x ^ b for x in image) for b in range(2 ** k))
+    return out
+
+
+def _closed_form_sigma(spec):
+    """sigma' by the general path: u' = lambda_{V^*}(u_sigma), leveled."""
+    return product_masa._phased_permutation(
+        product_masa._conjugate_unitary(spec), spec.rank)
+
+
+def test_affine_form_gives_the_closed_form_conjugate():
+    """affine_form() picks out exactly the 1,344 affine sigma among the
+    40,320 of rank 3, returns an (A, b) that rebuilds each sigma, and
+    sigma' = A^{-T} equals the sigma' leveled off u' on all 24 rank-2
+    sigma and all 1,344 affine rank-3 sigma, as the E/F dynamics reads it."""
+    affine = [sigma for sigma in (Permutation(3, 2, codes) for codes
+                                  in itertools.permutations(range(8)))
+              if sigma.affine_form() is not None]
+    assert {sigma.codes for sigma in affine} == _affine_codes(3)
+    assert len(affine) == 1344
+    specs = all_rank2_specs() + [EndomorphismSpec.from_permutation(sigma)
+                                 for sigma in affine]
+    for spec in specs:
+        linear, b = spec.perm.affine_form()
+        assert tuple(x ^ b for x in _linear_codes(linear)) == spec.perm.codes
+        dual = product_masa._dual_permutation(linear, spec.rank)
+        assert dual == _closed_form_sigma(spec), spec.label()
+        assert ProductMasaDynamics(spec).endo.perm == dual, spec.label()
+
+
+def test_non_affine_sigma_has_no_affine_form_and_no_monomial_conjugate():
+    """A seeded sample of 300 non-affine rank-3 sigma: no affine form, and
+    u' is not a phased permutation.  affine_form() is None for N != 2."""
+    affine, rng, seen = _affine_codes(3), random.Random(35), set()
+    while len(seen) < 300:
+        codes = list(range(8))
+        rng.shuffle(codes)
+        if tuple(codes) not in affine:
+            seen.add(tuple(codes))
+    for codes in sorted(seen):
+        spec = EndomorphismSpec.from_permutation(Permutation(3, 2, codes))
+        assert spec.perm.affine_form() is None, codes
+        assert _closed_form_sigma(spec) is None, codes
+    assert Permutation.identity(2, 3).affine_form() is None
+    assert Permutation.identity(1, 3).affine_form() is None
+
+
+_WALSH_MULTIPLE = ((GaussianRational(Fraction(-1, 2), Fraction(1, 2)),) * 2,
+                   (GaussianRational(Fraction(-1, 2), Fraction(1, 2)),
+                    GaussianRational(Fraction(1, 2), Fraction(-1, 2))))
+
+
+@pytest.mark.parametrize("name, closed_form", [
+    ("hadamard", False), ("walsh multiple", False), ("identity", True),
+    ("non-symmetric", True), ("diagonal phase", True)])
+def test_closed_form_runs_unless_v_is_walsh(name, closed_form, monkeypatch):
+    """sigma' = A^{-T} is read off the codes only when V, read at call
+    time, is a multiple of [[1, 1], [1, -1]]: for V = I and the other
+    Bogolubov matrices each of the 24 dynamics computes u'.  Either way
+    the conjugate permutation is the one leveled off u'."""
+    bogolubov = {**BOGOLUBOV, "walsh multiple": _WALSH_MULTIPLE,
+                 "identity": ((_ONE, _ZERO), (_ZERO, _ONE))}
+    if bogolubov[name] is not None:
+        monkeypatch.setattr(product_masa, "V", bogolubov[name])
+    calls = []
+    conjugate = product_masa._conjugate_unitary
+    monkeypatch.setattr(product_masa, "_conjugate_unitary",
+                        lambda endo: calls.append(endo) or conjugate(endo))
+    specs = all_rank2_specs()
+    sigmas = [ProductMasaDynamics(spec).endo.perm for spec in specs]
+    assert calls == (specs if closed_form else [])
+    calls.clear()
+    assert sigmas == [_closed_form_sigma(spec) for spec in specs]

@@ -323,8 +323,8 @@ def unitary_builds(monkeypatch):
 def test_u_sigma_built_on_first_read(unitary_builds):
     """A permutative spec builds u_sigma only when `u` is read, once: not
     for `from_permutation`, `apply` or a dynamics' entropy, and not for
-    the Table 1 rows closed on C_2 (16) or by F-invariance (4); each E/F
-    row builds it once, for its conjugate."""
+    the Table 1 rows closed on C_2 (16) or by F-invariance (4), nor for
+    the 4 E/F rows, whose affine sigma gives sigma' = A^{-T} off the codes."""
     for sigma in all_line_perms():
         spec = EndomorphismSpec.from_permutation(sigma)
         spec.apply(parse_element("s[1] t[2] + s[12] t[21]", 2))
@@ -338,7 +338,7 @@ def test_u_sigma_built_on_first_read(unitary_builds):
         unitary_builds.clear()
     assert per_masa == {("standard", table.LOG2): [0] * 16,
                         ("standard", table.ZERO): [0] * 4,
-                        ("EF", table.ZERO): [1] * 4}
+                        ("EF", table.ZERO): [0] * 4}
     sigma = Permutation.parse("(1 2 4)")
     spec = EndomorphismSpec.from_permutation(sigma)
     assert spec.u is spec.u and spec.cocycle(1) is spec.u
