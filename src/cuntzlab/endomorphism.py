@@ -36,6 +36,9 @@ def theta(a: AlgebraElement) -> AlgebraElement:
 
 
 def theta_power(m: int, a: AlgebraElement) -> AlgebraElement:
+    """theta^m(a); theta has no inverse on O_N, so m must be nonnegative."""
+    if m < 0:
+        raise ValueError("theta power must be nonnegative")
     for _ in range(m):
         a = theta(a)
     return a
@@ -193,15 +196,15 @@ class EndomorphismSpec:
     """A unitary u in P(O_N) together with its rank k; drives rho_u.  A
     permutative spec holds sigma's codes and builds u_sigma on first read."""
 
-    __slots__ = ("n_gens", "rank", "origin", "perm", "_automaton", "_steps",
-                 "_label", "_cocycles")
+    __slots__ = ("n_gens", "rank", "origin", "perm", "_automaton", "_images",
+                 "_steps", "_label", "_cocycles")
 
     def __init__(self, u: Optional[AlgebraElement], rank: Optional[int] = None,
                  origin: str = "unitary", perm: Optional[Permutation] = None,
                  check: bool = True):
         self.n_gens = perm.n_gens if u is None else u.n_gens
         self.origin, self.perm = origin, perm
-        self._automaton = self._steps = self._label = None
+        self._automaton = self._images = self._steps = self._label = None
         self._cocycles: Dict[int, AlgebraElement] = {}  # u_k, from u_0 = 1 and u_1 = u
         if u is not None:
             one = AlgebraElement.one(u.n_gens)
@@ -300,15 +303,27 @@ class EndomorphismSpec:
         """rho_sigma(s_I s_J^*) = sum over |V| = k-1 of s_{pi(IV)} s_{pi(JV)}^*,
         where u_m sends s_W to s_{pi(W)} (`_rewrite`) for |W| = m+k-1.  Distinct
         (I, J, V) give distinct output monomials (pi is a bijection on each
-        length), so every coefficient carries over unchanged."""
+        length), so every coefficient carries over unchanged.  The images
+        (pi(WV) for V in heads) of each word W are rewritten once per spec and
+        kept in `_images`, which holds the distinct words this spec has
+        rewritten and nothing else."""
         tails = self.automaton()[5]  # heads: words(N, k-1)
+        images = self._images
+        if images is None:
+            images = self._images = {}
         out: Dict[Monomial, GaussianRational] = {}
-        for (left, right), coeff in a.terms.items():
+        for (left, right), coeff in a._terms.items():
             if not left and not right:
                 out[Monomial((), ())] = coeff  # u_0 = 1, so rho(1) = 1
                 continue
-            for v in tails:
-                out[Monomial(self._rewrite(left + v), self._rewrite(right + v))] = coeff
+            lefts = images.get(left)
+            if lefts is None:
+                lefts = images[left] = tuple(self._rewrite(left + v) for v in tails)
+            rights = images.get(right)
+            if rights is None:
+                rights = images[right] = tuple(self._rewrite(right + v) for v in tails)
+            for l, r in zip(lefts, rights):
+                out[Monomial(l, r)] = coeff
         return _wrap(self.n_gens, out)
 
     def _rewrite(self, word: Word) -> Word:
@@ -327,6 +342,9 @@ class EndomorphismSpec:
         return heads[state] + tuple(out)
 
     def apply_power(self, m: int, a: AlgebraElement) -> AlgebraElement:
+        """rho^m(a); rho has no inverse on O_N, so m must be nonnegative."""
+        if m < 0:
+            raise ValueError("endomorphism power must be nonnegative")
         for _ in range(m):
             a = self.apply(a)
         return a

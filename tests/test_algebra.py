@@ -131,6 +131,16 @@ def test_products_match_rewriting_oracle():
                 assert got == AlgebraElement(2, {want: 1}), (ma, mb)
 
 
+def test_scalar_on_the_left():
+    """`2 - a`, `3 * a` and `Fraction(1, 2) * a` reach `__rsub__` and
+    `__rmul__`; each prints as the element it should be."""
+    a = gen(1, 2) * gen(2, 2) * gen(1, 2).adjoint() - gen(1).scaled(Fraction(3, 4))
+    assert repr(2 - a) == "AlgebraElement(N=2, 2 + 3/4 * s[1] - s[12] t[1])"
+    assert repr(3 * a) == "AlgebraElement(N=2, -9/4 * s[1] + 3 * s[12] t[1])"
+    assert (repr(Fraction(1, 2) * a)
+            == "AlgebraElement(N=2, -3/8 * s[1] + 1/2 * s[12] t[1])")
+
+
 # ------------------------------------------------------- level and equality
 
 def test_level_examples():

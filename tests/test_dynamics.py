@@ -367,6 +367,10 @@ def test_join_counts_sequence():
     with pytest.raises(AttributeError):
         discrete.extra = 1
     assert (stable.refined_steps, discrete.refined_steps) == (3, 1)
+    assert repr(stable) == ("JoinCounts([(1, 4), (2, 6), (3, 6), (4, 6), "
+                            "(5, 6)], refined_steps=3, tail='stable')")
+    assert repr(refined) == ("JoinCounts([(1, 2), (2, 4), (3, 6)], "
+                             "refined_steps=3, tail=None)")
 
 
 def test_early_exit_skips_deep_tables():

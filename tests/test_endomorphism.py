@@ -241,6 +241,35 @@ def test_word_rewriting_matches_cocycle_path():
             assert fast.apply(img) == slow.apply(slow.apply(a)), (sigma, a)
 
 
+def test_warm_spec_images_equal_fresh_and_cocycle_images():
+    """`_images` never changes an image: a warm spec, one already applied
+    to every monomial with |I|, |J| <= 2, gives the same rho, rho^2 and
+    rho^3 images, term for term, as a fresh spec, and the same elements
+    as the cocycle path, for the oracle permutations and seeded sigma at
+    (k, N) = (3, 2), (4, 2), (2, 3)."""
+    rng = random.Random(20261021)
+    perms = oracle_permutations()
+    for k, n_gens in ((3, 2), (4, 2), (2, 3)):
+        line = list(range(1, n_gens ** k + 1))
+        rng.shuffle(line)
+        perms.append(Permutation.from_one_line(line, k, n_gens))
+    for sigma in perms:
+        n = sigma.n_gens
+        inputs = [AlgebraElement.monomial(n, left, right)
+                  for p in range(3) for l in range(3)
+                  for left in words(n, p) for right in words(n, l)]
+        warm = EndomorphismSpec.from_permutation(sigma)
+        for a in inputs:
+            warm.apply(a)
+        slow = EndomorphismSpec(perm_unitary(sigma), rank=sigma.k, check=False)
+        for a in inputs:
+            fresh = EndomorphismSpec.from_permutation(sigma)
+            x = y = z = a
+            for _ in range(3):
+                x, y, z = warm.apply(x), fresh.apply(y), slow.apply(z)
+                assert dict(x.terms) == dict(y.terms) and x == z, (sigma, a)
+
+
 def window_rewrite(sigma, word):
     """pi(W) window by window: sigma applied to the k-letter window at
     positions m-1, ..., 0 of W, right to left."""
@@ -270,22 +299,30 @@ def test_automaton_equals_the_window_rewriting():
 
 
 def test_automaton_built_on_first_use_once_per_spec():
-    """from_permutation builds neither record; the first apply builds pi's
-    forward record and the first dynamics sigma^{-1}'s step table, each
-    once per spec, and two specs of one sigma never share a record."""
+    """from_permutation builds no record and no images memo; the first
+    apply builds pi's forward record and the memo, the first dynamics
+    sigma^{-1}'s step table and no memo, each once per spec, and two specs
+    of one sigma never share a record or a memo."""
     sigma = Permutation.parse("(1 2 4)")
     a, b = (EndomorphismSpec.from_permutation(sigma) for _ in range(2))
-    assert (a._automaton, a._steps, b._automaton, b._steps) == (None,) * 4
+    assert (a._automaton, a._steps, a._images, b._automaton, b._steps,
+            b._images) == (None,) * 6
     a.apply(AlgebraElement.generator(2, 1))
-    record = a._automaton
+    record, images = a._automaton, a._images
     assert record is not None and a._steps is None and b._automaton is None
+    assert images == {(1,): ((1, 2), (2, 2)), (): ((1,), (2,))}
     a.apply(AlgebraElement.generator(2, 2))
     assert a.automaton() is record and len(record) == 6
+    assert a._images is images and images[(2,)] == ((2, 1), (1, 1))
     steps = CantorDynamics(a)._steps
     assert steps is a._steps and CantorDynamics(a)._steps is steps
     assert a.steps() is steps and a.automaton() is record and b._steps is None
     assert b.automaton() == record and b.automaton() is not record
     assert CantorDynamics(b)._steps == steps and b.steps() is not steps
+    assert b._images is None and a._images is images and len(images) == 3
+    b.apply(AlgebraElement.generator(2, 1))
+    assert b._images == {(1,): images[(1,)], (): images[()]}
+    assert b._images is not images and len(images) == 3
 
 
 def test_dynamics_build_no_forward_record():
@@ -469,6 +506,16 @@ def test_range_containment_examples():
     assert EndomorphismSpec.from_label("(1 2)").range_containment(1, 1, 1)
     assert EndomorphismSpec.identity(2).range_containment(2, 2, 2)
     assert EndomorphismSpec.from_label("(2 3)").range_containment(2, 2, 2)
+
+
+def test_powers_refuse_negative_exponents():
+    """theta and rho have no inverse on O_N, so theta^m and rho^m with
+    m < 0 raise, as cocycle does for k < 0, rather than return a."""
+    s1 = AlgebraElement.generator(2, 1)
+    with pytest.raises(ValueError, match="theta power must be nonnegative"):
+        theta_power(-2, s1)
+    with pytest.raises(ValueError, match="endomorphism power must be nonnegative"):
+        EndomorphismSpec.from_label("(2 3)").apply_power(-1, s1)
 
 
 def test_apply_power_single_monomials():
