@@ -194,6 +194,8 @@ def _mealy_automaton(sigma: Permutation) -> tuple:
 
 class EndomorphismSpec:
     """A unitary u in P(O_N) together with its rank k; drives rho_u.  A
+    spec built from u holds u.canonical(), so a u written with words longer
+    than its rank still gives words the dynamics can level to that rank.  A
     permutative spec holds sigma's codes and builds u_sigma on first read."""
 
     __slots__ = ("n_gens", "rank", "origin", "perm", "_automaton", "_images",
@@ -210,7 +212,7 @@ class EndomorphismSpec:
             one = AlgebraElement.one(u.n_gens)
             if check and not (u * u.adjoint() == one and u.adjoint() * u == one):
                 raise NotUnitaryError("defining element is not unitary")
-            self._cocycles = {0: one, 1: u}
+            self._cocycles = {0: one, 1: u.canonical()}
         self.rank = self._infer_rank() if rank is None else rank
 
     @property

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Optional, Tuple
 
-from .algebra import AlgebraElement, Monomial, _hold, _wrap, pack_word, words
+from .algebra import AlgebraElement, Monomial, _hold, pack_word
 from .dynamics import DEFAULT_BUDGET, CantorDynamics
 from .endomorphism import EndomorphismSpec, Permutation, theta
 from .errors import CylinderError, MasaNotInvariantError, NotUnitaryError
-from .scalars import GaussianRational, _reduce
+from .scalars import GaussianRational
 
 EFWord = Tuple[int, ...]  # letters 1 (=E) and 2 (=F)
 
@@ -83,33 +82,11 @@ def ef_projection(word: EFWord, n_gens: int = 2) -> AlgebraElement:
     return out
 
 
-def _bogolubov_rows() -> Tuple[int, tuple]:
-    """V, read at call time, as (den, rows): rows[i][a] is the pair
-    (re, im) with V[i][a] = (re + im i) / den.  Raises NotUnitaryError
-    unless V V^* = I."""
-    return _rows_of(V)
-
-
-@lru_cache(maxsize=1)
-def _rows_of(v) -> Tuple[int, tuple]:
-    """`_bogolubov_rows` for one V, a tuple of immutable scalars, checked
-    on the numerators as V V^* = den^2 I."""
-    den = lcm(*(z._d for row in v for z in row))
-    rows = tuple(tuple((z._a * (den // z._d), z._b * (den // z._d))
-                       for z in row) for row in v)
-    if any(sum(x * p + y * q for (x, y), (p, q) in zip(rows[a], rows[b]))
-           != den * den * (a == b)
-           or sum(y * p - x * q for (x, y), (p, q) in zip(rows[a], rows[b]))
-           for a in range(2) for b in range(2)):
-        raise NotUnitaryError("the Bogolubov matrix V is not unitary")
-    return den, rows
-
-
-def _is_walsh(rows: tuple) -> bool:
-    """Whether V, as `_bogolubov_rows` gives it, is c [[1, 1], [1, -1]]
-    for some scalar c (nonzero, as V is unitary)."""
-    (a, b), (c, d) = rows
-    return a == b == c and d == (-a[0], -a[1])
+def _is_walsh() -> bool:
+    """Whether V, read at call time, is c [[1, 1], [1, -1]] with
+    2 |c|^2 = 1, which makes V unitary."""
+    (a, b), (c, d) = V
+    return a == b == c and d == -a and 2 * a.abs2() == 1
 
 
 def _dual_permutation(linear: Tuple[int, ...], k: int) -> Permutation:
@@ -134,61 +111,15 @@ def _conjugate_unitary(endo: EndomorphismSpec) -> AlgebraElement:
     rho_a rho_b = rho_{rho_a(b) a}, rho lambda_V = rho_{rho(w) u} with
     w = sum_{a,b} V_ab s_a s_b^*, and u' = lambda_{V^*}(rho(w) u) w^*.  As
     rho(w) u = u w and lambda_{V^*}(w) = w^* w w = w, that is
-    u' = lambda_{V^*}(u).  w w^* is sum_{a,c} (V V^*)_{ac} s_a s_c^*, so w
-    is unitary exactly when the 2 x 2 scalar matrix V is, which is
-    checked on V (`_bogolubov_rows`).
-
-    lambda_{V^*}(s_i) = sum_a conj(V_ia) s_a, so with
-    c(I, A) = prod_t V[I_t][A_t] (letters as 1-based indices of V),
-    lambda_{V^*}(s_I s_J^*) = sum over |A| = |I|, |B| = |J| of
-    conj(c(I, A)) c(J, B) s_A s_B^*, for every gauge degree.  It is summed
-    term by term over u on Gaussian-integer numerators over one common
-    denominator, and each coefficient is reduced once; for u in F_{k,k}
-    so is u'."""
-    den, rows = _bogolubov_rows()
-    terms = endo.u.terms
-    common = lcm(*(c._d * den ** (len(m.left) + len(m.right))
-                   for m, c in terms.items()))
-    vectors = {}  # word I -> numerators of c(I, A), A in lexicographic order
-    sums = {}  # (|A|, |B|) -> real and imaginary numerator lists over (A, B)
-
-    def vector(word):
-        vec = vectors.get(word)
-        if vec is None:
-            vec = [(1, 0)]
-            for letter in word:
-                vec = [(x * p - y * q, x * q + y * p)
-                       for x, y in vec for p, q in rows[letter - 1]]
-            vectors[word] = vec
-        return vec
-
-    for (left, right), c in terms.items():
-        scale = common // (c._d * den ** (len(left) + len(right)))
-        cr, ci = c._a * scale, c._b * scale
-        cols = vector(right)
-        shape = (len(left), len(right))
-        acc = sums.get(shape)
-        if acc is None:
-            acc = sums[shape] = ([0] * (2 ** sum(shape)), [0] * (2 ** sum(shape)))
-        re, im = acc
-        at = 0
-        for x, y in vector(left):
-            # c * conj(c(I, A)), then times c(J, B) along the row of A
-            tr, ti = cr * x + ci * y, ci * x - cr * y
-            for p, q in cols:
-                re[at] += tr * p - ti * q
-                im[at] += tr * q + ti * p
-                at += 1
-    out = {}
-    for (la, lb), (re, im) in sums.items():
-        right_words = list(words(2, lb))
-        at = 0
-        for a in words(2, la):
-            for b in right_words:
-                if re[at] or im[at]:
-                    out[Monomial(a, b)] = _reduce(re[at], im[at], common)
-                at += 1
-    return _wrap(2, out)
+    u' = lambda_{V^*}(u), and lambda_{V^*} is rho_{w^*}.  w w^* is
+    sum_{a,c} (V V^*)_{ac} s_a s_c^*, so w is unitary exactly when the
+    scalar matrix V, read at call time, is."""
+    n = len(V)
+    w = AlgebraElement(n, {Monomial((a + 1,), (b + 1,)): V[a][b]
+                           for a in range(n) for b in range(n)})
+    if w * w.adjoint() != AlgebraElement.one(n):
+        raise NotUnitaryError("the Bogolubov matrix V is not unitary")
+    return EndomorphismSpec(w.adjoint(), rank=1, check=False).apply(endo.u)
 
 
 def _phased_permutation(u: AlgebraElement, k: int) -> Optional[Permutation]:
@@ -214,7 +145,7 @@ class ProductMasaDynamics(CantorDynamics):
     De Moor, Phys. Rev. A 2003).  So when V, read at call time, is a unit
     multiple of the Walsh matrix [[1, 1], [1, -1]] and sigma is affine,
     sigma' is read off sigma's codes and u' is never built.  Any other V,
-    sigma or u takes the closed form of u' (`_conjugate_unitary`).
+    sigma or u computes u' = lambda_{V^*}(u) (`_conjugate_unitary`).
 
     When u' is a phased permutation sum_J c_J s_{sigma'(J)} s_J^*, so is
     every cocycle u'_m = u' theta(u') ... theta^{m-1}(u'), with the
@@ -230,7 +161,7 @@ class ProductMasaDynamics(CantorDynamics):
             raise MasaNotInvariantError("the E/F masa is defined for N = 2")
         # a non-unitary V raises before sigma is read
         form = (endo.perm.affine_form()
-                if _is_walsh(_bogolubov_rows()[1]) and endo.perm is not None
+                if _is_walsh() and endo.perm is not None
                 and endo.rank == endo.perm.k else None)
         if form is None:
             u = _conjugate_unitary(endo)

@@ -11,7 +11,7 @@ import pytest
 from cuntzlab import (AlgebraElement, BudgetExceededError, CantorDynamics,
                       EndomorphismSpec, EntropyReport, GaussianRational,
                       JoinDynamics, Permutation, ProductMasaDynamics,
-                      perm_unitary)
+                      parse_element, perm_unitary)
 from cuntzlab.dynamics import JoinCounts, _verdict, pack_word, unpack_word
 
 
@@ -84,6 +84,20 @@ def test_block_map_examples():
     s13 = dyn("(1 3)").block_map(1)
     for w in itertools.product((1, 2), repeat=2):
         assert s13.map_word(w) == ((1,) if w[0] != w[1] else (2,))
+
+
+@pytest.mark.parametrize("text, table", [
+    ("s[11] t[11] + s[12] t[12] + s[2] t[2]", [0, 1, 2, 3]),  # 1
+    ("s[1] t[2] + s[21] t[11] + s[22] t[12]", [3, 2, 1, 0]),  # the swap X
+])
+def test_unitary_with_words_longer_than_its_rank(text, table):
+    """Both unitaries have rank 1 but are written with words of length 2;
+    both dynamics level them to rank 1 on C_2, and on C_{E,F}, where 1 and
+    X are diagonal, sigma' is the identity."""
+    spec = EndomorphismSpec(parse_element(text, 2))
+    assert spec.rank == 1
+    assert CantorDynamics(spec).block_map(2).table.tolist() == table
+    assert ProductMasaDynamics(spec).endo.perm == Permutation.identity(1, 2)
 
 
 def test_zero_depth_rejected():

@@ -2,6 +2,7 @@
 sliding-block dynamics that yields the log-2 lower bound where the
 standard masa gives zero."""
 
+import functools
 import itertools
 import random
 import time
@@ -235,12 +236,19 @@ def test_conjugate_unitary_matches_the_conjugation_formula():
         assert product_masa._conjugate_unitary(spec) == want, spec.label()
 
 
-def _cocycle_lambda_v_star(x):
-    """lambda_{V^*}(x) on the cocycle path: rho_{w^*} for the rank-1
-    w = sum_{a,b} V_ab s_a s_b^*, with V read at call time."""
-    w = AlgebraElement(2, {Monomial((a + 1,), (b + 1,)): product_masa.V[a][b]
-                           for a in range(2) for b in range(2)})
-    return EndomorphismSpec(w.adjoint(), rank=1).apply(x)
+def _homomorphism_lambda_v_star(x):
+    """lambda_{V^*}(x) as a homomorphism: each s_I s_J^* goes to the
+    product of the generator images lambda_{V^*}(s_i) = sum_a conj(V_ia) s_a
+    along I times the adjoint of that product along J, with V read at call
+    time."""
+    gens = [AlgebraElement(2, {Monomial((a + 1,), ()): product_masa.V[i][a].conjugate()
+                               for a in range(2)}) for i in range(2)]
+    one, out = AlgebraElement.one(2), AlgebraElement.zero(2)
+    for (left, right), c in x.terms.items():
+        image = functools.reduce(algebra.mul, (gens[i - 1] for i in left), one)
+        tail = functools.reduce(algebra.mul, (gens[j - 1] for j in right), one)
+        out = out + algebra.mul(image, tail.adjoint()).scaled(c)
+    return out
 
 
 def _conjugate_specs():
@@ -270,48 +278,22 @@ GRADED = ("(1/2+1/3i) * s[12] t[2]",
 
 
 @pytest.mark.parametrize("name", sorted(BOGOLUBOV))
-def test_closed_form_conjugate_matches_cocycle_path(name, monkeypatch):
-    """The closed form of u' = lambda_{V^*}(u) equals the cocycle-path
-    lambda_{V^*} on every spec, and on elements of nonzero gauge degree
-    with complex coefficients.  The non-symmetric V tells c(I, A) from its
-    transpose c(A, I), and the phase V has a denominator other than 2."""
+def test_conjugate_unitary_matches_homomorphism_form(name, monkeypatch):
+    """u' = rho_{w^*}(u) on the cocycle path equals lambda_{V^*}(u) built
+    from the generator images as a homomorphism, on every spec, and on
+    elements of nonzero gauge degree with complex coefficients.  The
+    non-symmetric V tells V from its transpose, and the phase V has a
+    denominator other than 2."""
     if BOGOLUBOV[name] is not None:
         monkeypatch.setattr(product_masa, "V", BOGOLUBOV[name])
     for spec in _conjugate_specs():
-        want = _cocycle_lambda_v_star(spec.u)
+        want = _homomorphism_lambda_v_star(spec.u)
         assert product_masa._conjugate_unitary(spec) == want, spec.label()
     for text in GRADED:
         x = parse_element(text, 2)
         got = product_masa._conjugate_unitary(
             EndomorphismSpec(x, rank=1, check=False))
-        assert got == _cocycle_lambda_v_star(x), text
-
-
-def test_conjugate_unitary_makes_no_products_or_applications(monkeypatch):
-    """u' is read off u's terms: no product, no theta, no apply and no
-    EndomorphismSpec."""
-    specs = [EndomorphismSpec.from_label("(1 3 2 4)"),
-             EndomorphismSpec.from_label("(1 6 5 4 7 8)(2 3)", k=3),
-             EndomorphismSpec.canonical_shift(2), EndomorphismSpec.identity(2)]
-    want = [product_masa._conjugate_unitary(spec) for spec in specs]
-    calls = []
-
-    def spy(owner, attr, name):
-        original = getattr(owner, attr)
-
-        def record(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
-        monkeypatch.setattr(owner, attr, record)
-
-    spy(algebra, "mul", "mul")
-    spy(endomorphism, "theta", "theta")
-    spy(product_masa, "theta", "theta")
-    spy(EndomorphismSpec, "apply", "apply")
-    spy(EndomorphismSpec, "__init__", "EndomorphismSpec")
-    got = [product_masa._conjugate_unitary(spec) for spec in specs]
-    assert calls == []
-    assert [g.terms for g in got] == [w.terms for w in want]
+        assert got == _homomorphism_lambda_v_star(x), text
 
 
 def test_ef_verdict_is_the_conjugate_verdict_on_c2():
@@ -352,6 +334,25 @@ def test_direct_expansion_oracle_catches_a_wrong_basis(monkeypatch):
     monkeypatch.setattr(product_masa, "V", ((c, c), (c, c)))
     with pytest.raises(NotUnitaryError):
         ProductMasaDynamics(EndomorphismSpec.from_label("(1 2)"))
+
+
+def test_walsh_shaped_non_unitary_v_raises_before_sigma_is_read(monkeypatch):
+    """V = [[1, 1], [1, -1]] unscaled has the Walsh shape but 2 |c|^2 = 2,
+    so V is not unitary: the dynamics raises before it reads sigma's
+    affine form or builds u_sigma."""
+    one = GaussianRational(1)
+    monkeypatch.setattr(product_masa, "V", ((one, one), (one, -one)))
+    read = []
+    affine_form = Permutation.affine_form
+    perm_unitary = endomorphism.perm_unitary
+    monkeypatch.setattr(Permutation, "affine_form",
+                        lambda sigma: read.append(sigma) or affine_form(sigma))
+    monkeypatch.setattr(endomorphism, "perm_unitary",
+                        lambda sigma: read.append(sigma) or perm_unitary(sigma))
+    for label in EF_ROWS:
+        with pytest.raises(NotUnitaryError, match="V is not unitary"):
+            ProductMasaDynamics(EndomorphismSpec.from_label(label))
+    assert read == []
 
 
 def test_bogolubov_matrix_is_checked_as_a_scalar_matrix(monkeypatch):
@@ -408,7 +409,7 @@ def _affine_codes(k):
     return out
 
 
-def _closed_form_sigma(spec):
+def _leveled_sigma(spec):
     """sigma' by the general path: u' = lambda_{V^*}(u_sigma), leveled."""
     return product_masa._phased_permutation(
         product_masa._conjugate_unitary(spec), spec.rank)
@@ -430,7 +431,7 @@ def test_affine_form_gives_the_closed_form_conjugate():
         linear, b = spec.perm.affine_form()
         assert tuple(x ^ b for x in _linear_codes(linear)) == spec.perm.codes
         dual = product_masa._dual_permutation(linear, spec.rank)
-        assert dual == _closed_form_sigma(spec), spec.label()
+        assert dual == _leveled_sigma(spec), spec.label()
         assert ProductMasaDynamics(spec).endo.perm == dual, spec.label()
 
 
@@ -446,7 +447,7 @@ def test_non_affine_sigma_has_no_affine_form_and_no_monomial_conjugate():
     for codes in sorted(seen):
         spec = EndomorphismSpec.from_permutation(Permutation(3, 2, codes))
         assert spec.perm.affine_form() is None, codes
-        assert _closed_form_sigma(spec) is None, codes
+        assert _leveled_sigma(spec) is None, codes
     assert Permutation.identity(2, 3).affine_form() is None
     assert Permutation.identity(1, 3).affine_form() is None
 
@@ -456,10 +457,10 @@ _WALSH_MULTIPLE = ((GaussianRational(Fraction(-1, 2), Fraction(1, 2)),) * 2,
                     GaussianRational(Fraction(1, 2), Fraction(-1, 2))))
 
 
-@pytest.mark.parametrize("name, closed_form", [
+@pytest.mark.parametrize("name, general", [
     ("hadamard", False), ("walsh multiple", False), ("identity", True),
     ("non-symmetric", True), ("diagonal phase", True)])
-def test_closed_form_runs_unless_v_is_walsh(name, closed_form, monkeypatch):
+def test_closed_form_runs_unless_v_is_walsh(name, general, monkeypatch):
     """sigma' = A^{-T} is read off the codes only when V, read at call
     time, is a multiple of [[1, 1], [1, -1]]: for V = I and the other
     Bogolubov matrices each of the 24 dynamics computes u'.  Either way
@@ -474,6 +475,6 @@ def test_closed_form_runs_unless_v_is_walsh(name, closed_form, monkeypatch):
                         lambda endo: calls.append(endo) or conjugate(endo))
     specs = all_rank2_specs()
     sigmas = [ProductMasaDynamics(spec).endo.perm for spec in specs]
-    assert calls == (specs if closed_form else [])
+    assert calls == (specs if general else [])
     calls.clear()
-    assert sigmas == [_closed_form_sigma(spec) for spec in specs]
+    assert sigmas == [_leveled_sigma(spec) for spec in specs]
