@@ -371,12 +371,15 @@ class AlgebraElement:
         It lies in F_{p,l} iff every term is s_{IW} s_{JW}^* with |I| = p,
         |J| = l, the coefficient depends only on (I, J), and every (I, J)
         comes with all N^(big-l) tails W."""
-        if self.is_zero():
-            return True
         d = p - l
-        if any(m.degree != d for m in self._terms):
-            return False
-        big = max(l, self.max_right_length(d))
+        # one scan of the keys checks the degree and finds the target
+        big = l
+        for left, right in self._terms:
+            r = len(right)
+            if len(left) - r != d:
+                return False
+            if r > big:
+                big = r
         lev = self.level({d: big})._terms
         coeffs: Dict[Tuple[Word, Word], GaussianRational] = {}
         for m, c in lev.items():

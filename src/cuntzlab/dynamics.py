@@ -328,9 +328,10 @@ class CantorDynamics:
         if n_max < 1:
             raise ValueError(f"join steps n must be at least 1, got {n_max}")
         n = self.n_gens
-        self._check_budget(p + (n_max - 1) * self.step)
+        # the discrete tail reads no table, so it is not budgeted
         if self._separates:
             return JoinCounts((n ** p,), n_max, "discrete", n)
+        self._check_budget(p + (n_max - 1) * self.step)
         import numpy as np
         head = [n ** p]
         # None: the partition is discrete and each word is its own class

@@ -368,6 +368,51 @@ def test_membership_predicates():
     mixed = s1 * gen(2).adjoint() + one
     assert mixed.in_F(1, 1)
     assert not mixed.in_F(1, 0)
+    # the off-degree term comes after the longest right word in key order
+    late = sum_of(2, [((1, 1), (1, 1), 1), ((1,), (), 1)])
+    assert [len(m.right) for m in late.terms] == [2, 0]
+    assert not late.in_F(2, 2) and not late.in_F(1, 1)
+    zero = AlgebraElement.zero(2)
+    assert zero.in_F(0, 0) and zero.in_F(3, 1)
+    exact = sum_of(2, [((1, 2), (2,), 1), ((2, 2), (1,), 3)])
+    assert exact.in_F(2, 1) and not exact.in_F(1, 0)
+    # s_1 s_1^* reaches F_{2,2} only leveled to s_11 s_11^* + s_12 s_12^*
+    assert (s1 * s1.adjoint()).in_F(2, 2)
+    for x in (late, zero, exact):
+        check_against_references(x)
+
+
+def _in_F_mutant(name):
+    """`in_F` with its one scan of the keys cut short: `big_first` takes
+    the leveling target from the first key only, `degree_first` checks
+    the degree of the first key only."""
+    def in_F(self, p, l):
+        d = p - l
+        big = l
+        for i, (left, right) in enumerate(self._terms):
+            if (i == 0 or name != "degree_first") and len(left) - len(right) != d:
+                return False
+            if i == 0 or name != "big_first":
+                big = max(big, len(right))
+        lev = self.level({d: big})._terms
+        coeffs = {}
+        for m, c in lev.items():
+            if m.left[p:] != m.right[l:]:
+                return False
+            if coeffs.setdefault((m.left[:p], m.right[:l]), c) != c:
+                return False
+        return len(lev) == len(coeffs) * self.n_gens ** (big - l)
+    return in_F
+
+
+@pytest.mark.parametrize("name", ["big_first", "degree_first"])
+def test_references_kill_in_F_mutants(monkeypatch, name):
+    # the longest right word, and an off-degree term, after the first key
+    x = sum_of(2, [((1,), (1,), 1), ((1, 1), (1, 1), 1), ((1,), (), 1)])
+    check_against_references(x)
+    monkeypatch.setattr(AlgebraElement, "in_F", _in_F_mutant(name))
+    with pytest.raises((AssertionError, LevelError)):
+        check_against_references(x)
 
 
 # ------------------------------------------------------ property-based laws

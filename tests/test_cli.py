@@ -129,7 +129,11 @@ def test_exit_codes(capsys):
     code, _, err = run(capsys, "entropy", "--rank", "3",
                        "--perm", "(1 7 2 8 6 4 5)", "--masa", "ef")
     assert code == 3 and "witness E/F cylinder" in err
-    assert run(capsys, "entropy", "--perm", "(2 3)", "--budget", "32")[0] == 4
+    assert run(capsys, "entropy", "--perm", "(1 2)", "--budget", "32")[0] == 4
+    # a series closed by the discrete tail reads no table and is not budgeted
+    assert run(capsys, "entropy", "--perm", "(2 3)", "--budget", "32")[0] == 0
+    code, out, _ = run(capsys, "entropy", "--perm", "(1 2 3)", "--steps", "40")
+    assert code == 0 and "40:1099511627776" in out
     # a budget below one word is a usage error, not an exceeded budget
     for argv in (("entropy", "--perm", "(1 2)", "--budget", "-1"),
                  ("table1", "--budget", "0")):

@@ -447,9 +447,19 @@ def test_sorted_keys_past_budget_agree(monkeypatch):
 
 
 def test_budget_exceeded():
-    d = dyn("(2 3)", budget=64)
+    d = dyn("(1 2)", budget=64)
     with pytest.raises(BudgetExceededError):
         d.join_count(4, 16)
+    assert not d._tables
+
+
+def test_discrete_tail_is_not_budgeted():
+    # a separating sigma closes its series without a table, so no budget
+    # bounds it, however long the words
+    d = dyn("(2 3)", budget=32)
+    counts = d._join_counts(4, 16)
+    assert counts.tail == "discrete" and counts[-1] == (16, 2 ** 19)
+    assert dyn("(1 2 3)", budget=32).join_count(1, 40) == 2 ** 40
     assert not d._tables
 
 
