@@ -23,9 +23,11 @@ is a Kronecker product of that matrix with the identity, made for the call
 that asks for it.  Kernel elements build their terms, at the level they
 were made at, only when they are read; until then the sum of two of
 them, and the adjoint, the trace state and the theta image
-(`endomorphism.theta`) of one, are read off the matrices.  The kernel
-functions import numpy when a held matrix first reaches them, so the
-sparse path runs without it.
+(`endomorphism.theta`) of one, are read off the matrices.  A kernel element
+that has not built its terms is recognised by its type, `_KernelElement`:
+building them turns it into a plain AlgebraElement, which keeps its
+matrix as a memo.  The kernel functions import numpy when a held matrix
+first reaches them, so the sparse path runs without it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple
 
-from .errors import AlphabetMismatchError, LevelError
+from .errors import (DEFAULT_BUDGET, AlphabetMismatchError, BudgetExceededError,
+                     LevelError)
 from .scalars import GaussianRational, _reduce
 
 Word = Tuple[int, ...]
@@ -239,7 +242,9 @@ class AlgebraElement:
         are left untouched.  One scan of the keys finds whether any term is
         off its target; when none is, the element is returned as it is
         (elements are immutable, so sharing the term dict is safe).  A
-        target below a term's right length raises LevelError."""
+        target below a term's right length raises LevelError, and a padding
+        to more than DEFAULT_BUDGET terms raises BudgetExceededError before
+        any is made."""
         terms = self._terms
         for left, right in terms:
             r = len(right)
@@ -247,8 +252,9 @@ class AlgebraElement:
                 break
         else:
             return self
-        out: Dict[Monomial, GaussianRational] = {}
-        for mono, c in terms.items():
+        n = self.n_gens
+        gaps = []
+        for mono in terms:
             t = targets.get(mono.degree, len(mono.right))
             gap = t - len(mono.right)
             if gap < 0:
@@ -256,7 +262,14 @@ class AlgebraElement:
                     f"target right-length {t} below current {len(mono.right)} "
                     f"in degree {mono.degree}"
                 )
-            for w in words(self.n_gens, gap):
+            gaps.append(gap)
+        size = sum(n ** gap for gap in gaps)
+        if size > DEFAULT_BUDGET:
+            raise BudgetExceededError(
+                f"leveling makes {size} terms, budget {DEFAULT_BUDGET}")
+        out: Dict[Monomial, GaussianRational] = {}
+        for (mono, c), gap in zip(terms.items(), gaps):
+            for w in words(n, gap):
                 key = Monomial(mono.left + w, mono.right + w)
                 acc = out.get(key)
                 s = c if acc is None else acc + c
@@ -466,9 +479,11 @@ def _wrap(n_gens: int, terms: Dict[Monomial, GaussianRational]) -> AlgebraElemen
 
 class _KernelElement(AlgebraElement):
     """An element made by the dense kernel (a product, sum, adjoint or
-    theta image): it holds its exact matrix and builds its terms the first
-    time they are read.  (A hook for a missing attribute on AlgebraElement
-    itself would slow every attribute read.)"""
+    theta image) that has not built its terms: it holds its exact matrix,
+    and the first read of its terms builds them and turns it into a plain
+    AlgebraElement (the two classes have the same slots), so its type alone
+    says whether it has built them.  (A hook for a missing attribute on
+    AlgebraElement itself would slow every attribute read.)"""
 
     __slots__ = ()
 
@@ -476,26 +491,20 @@ class _KernelElement(AlgebraElement):
         # reached only while the _terms slot is unassigned
         if name != "_terms":
             raise AttributeError(f"'AlgebraElement' object has no attribute {name!r}")
-        self._terms = _matrix_terms(self.n_gens, self._matrix)
-        return self._terms
-
-
-_TERMS_SLOT = AlgebraElement._terms  # reads the slot without building terms
+        self._terms = terms = _matrix_terms(self.n_gens, self._matrix)
+        self.__class__ = AlgebraElement
+        return terms
 
 
 def _built_terms(elem: AlgebraElement) -> Optional[Dict[Monomial, GaussianRational]]:
     """The term dict, or None for a kernel element that has not built it."""
-    try:
-        return _TERMS_SLOT.__get__(elem)
-    except AttributeError:
-        return None
+    return None if type(elem) is _KernelElement else elem._terms
 
 
 def _size(elem: AlgebraElement) -> int:
     """The number of terms, which for a kernel element is the number of
     nonzero entries of its matrix; read without building terms."""
-    terms = _built_terms(elem)
-    return len(terms) if terms is not None else elem._matrix.nnz
+    return elem._matrix.nnz if type(elem) is _KernelElement else len(elem._terms)
 
 
 def _shapes(elem: AlgebraElement) -> set:
@@ -513,9 +522,13 @@ def _shapes(elem: AlgebraElement) -> set:
 # N^(m-r)-square block at rows pack(I) N^(m-r) + t, columns
 # pack(J) N^(m-r) + t.  The kernel is real, and every matrix has one form,
 # made by _matrix: int64 numerators over a denominator, the two divided by
-# their gcd, so equal values have equal (den, num).  It is kept as a
-# _Matrix with the facts routing and the kernel read, its nonzero count and
-# its largest |numerator|, each taken once when the matrix is made.  (Only
+# their gcd, so equal values have equal (den, num).  That gcd divides
+# g = gcd(den, top), top the largest |numerator|: when g is 1 there is
+# nothing to divide, when it is a power of two the gcd is the lowest set bit
+# of the OR of the numerators, and only otherwise does _matrix take the gcd
+# of every entry.  It is kept as a _Matrix with the facts routing and the
+# kernel read, its nonzero count and its largest |numerator|, each taken
+# once when the matrix is made.  (Only
 # _dense stores Python ints, when an exact entry passes int64: norm's
 # embedding of an element with huge coefficients asks for such a matrix,
 # and no kernel product or sum takes it as an operand.)  Each element keeps
@@ -526,13 +539,14 @@ def _shapes(elem: AlgebraElement) -> set:
 # level among its operands, so only an element with terms is asked below
 # its memo, and it is densified again from them.  A product, a sum of two
 # kernel elements, the adjoint of a kernel element and theta of one are
-# kernel elements, as is an element _hold hands to the kernel: each keeps
-# its matrix at the level of its terms, and builds those terms from it
-# only when they are read; the trace state of one with no terms is its
-# normalized matrix trace.
+# kernel elements, as is an element _hold hands to the kernel and each E
+# and F that product_masa._ef_pair wraps around their memoized level-1
+# matrices: each keeps its matrix at the level of its terms, and builds
+# those terms from it only when they are read; the trace state of one with
+# no terms is its normalized matrix trace.
 # theta(s_I s_J^*) = sum_i s_{iI} s_{iJ}^* puts M on each diagonal block
 # one level up, so theta of a level-m kernel element is kron(I_N, M) at
-# level m + 1.
+# level m + 1, written as N copies of M on the diagonal.
 #
 # Holding a matrix is the only way into the kernel.  A product or a
 # comparison with an operand that holds a matrix and no terms, and theta of
@@ -592,10 +606,18 @@ def _matrix(m: int, num, den: int, nnz: Optional[int] = None) -> _Matrix:
 
     if nnz is None:
         nnz = int(np.count_nonzero(num))
-    g = gcd(den, int(np.gcd.reduce(num.ravel())))
-    if g != 1:
-        num, den = num // g, den // g
     top = int(abs(num).max())
+    # the common factor divides g = gcd(den, top); when g is a power of two
+    # it is the lowest set bit the numerators share, that of their OR
+    g = gcd(den, top)
+    if g != 1:
+        if g & (g - 1):
+            g = gcd(g, int(np.gcd.reduce(num.ravel())))
+        else:
+            low = int(np.bitwise_or.reduce(num.ravel()))
+            g = gcd(g, low & -low)
+        if g != 1:
+            num, den, top = num // g, den // g, top // g
     if top <= _INT64_MAX:
         num = num.astype(np.int64, copy=False)
     num.flags.writeable = False
@@ -651,13 +673,16 @@ def _kron_identity(mat: _Matrix, m: int, k: int, inner: bool) -> _Matrix:
     as np.kron without its overhead.  Lowest terms carry over."""
     import numpy as np
 
-    d, t = len(mat.num), np.arange(k)
-    big = np.zeros((d, k, d, k) if inner else (k, d, k, d), mat.num.dtype)
+    d = len(mat.num)
     if inner:
+        t = np.arange(k)
+        big = np.zeros((d, k, d, k), mat.num.dtype)
         big[:, t, :, t] = mat.num  # entry (i k + t, j k + t) is M[i, j]
+        num = big.reshape(d * k, d * k)
     else:
-        big[t, :, t, :] = mat.num  # entry (t d + i, t d + j) is M[i, j]
-    num = big.reshape(d * k, d * k)
+        num = np.zeros((k * d, k * d), mat.num.dtype)
+        for s in range(0, k * d, d):
+            num[s:s + d, s:s + d] = mat.num  # the k diagonal blocks
     num.flags.writeable = False
     return _Matrix(m, num, mat.den, mat.nnz * k, mat.top)
 
@@ -770,7 +795,7 @@ def _unbuilt(elem: AlgebraElement) -> bool:
     the storage bound, and its sums with another such element, its
     adjoint, its trace state and its theta image read its matrix in place
     of terms."""
-    return _built_terms(elem) is None
+    return type(elem) is _KernelElement
 
 
 def _real(elem: AlgebraElement) -> bool:

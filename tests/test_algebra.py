@@ -5,6 +5,7 @@ small-step word-rewriting oracle."""
 import itertools
 import random
 import re
+import time
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -13,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuntzlab import (AlgebraElement, AlphabetMismatchError, GaussianRational,
-                      LevelError, Monomial, ef_projection, format_element,
-                      theta, words)
+from cuntzlab import (AlgebraElement, AlphabetMismatchError, BudgetExceededError,
+                      GaussianRational, LevelError, Monomial, ef_projection,
+                      format_element, theta, words)
 from cuntzlab import algebra, product_masa
 from cuntzlab.sampling import random_element
 
@@ -233,6 +234,17 @@ def test_level_error_below_one_term_among_level_ones():
     with pytest.raises(LevelError, match="below current 0 in degree 1"):
         sum_of(2, [((2,), (), 3)]).level({1: -1})
     assert a.level({0: 2}).terms == reference_level(a, {0: 2})
+
+
+def test_level_refuses_an_exponential_padding():
+    """A padding to more than DEFAULT_BUDGET terms raises before it makes
+    any: 1 against a cylinder of 40 letters would level 1 to 2^40 terms."""
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="budget"):
+        AlgebraElement.one(2) == AlgebraElement.diagonal(2, (1,) * 40)
+    with pytest.raises(BudgetExceededError, match=f"makes {2 ** 40 + 1} terms"):
+        (AlgebraElement.one(2) + AlgebraElement.diagonal(2, (2,) * 40)).level({0: 40})
+    assert time.perf_counter() - start < 1.0
 
 
 def test_readers_leave_a_level_element_alone():
@@ -748,9 +760,103 @@ def _term_den(x):
 
 def _one_form(mat):
     """Whether a _Matrix is in the kernel's one form: int64 numerators and
-    a positive denominator with no common factor."""
+    a positive denominator with no common factor, with exact nnz and top."""
     return (mat.num.dtype == np.int64 and mat.den > 0
-            and gcd(mat.den, *mat.num.ravel().tolist()) == 1)
+            and gcd(mat.den, *mat.num.ravel().tolist()) == 1
+            and mat.nnz == np.count_nonzero(mat.num)
+            and mat.top == abs(mat.num).max())
+
+
+def _dyadic_rational(rng):
+    return Fraction(rng.randint(-9, 9), 2 ** rng.randint(0, 4))
+
+
+def _mixed_rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.choice((3, 6, 12)))
+
+
+# (numerators, denominator) whose common factor the gcd of the denominator
+# and the largest |numerator| overstates, a power of two or not
+SHARED_FACTORS = [((2, 6), 8), ((4, 6), 8), ((3, 4), 8), ((2, 4), 16),
+                  ((3, 6), 12), ((4, 9), 12), ((0, 5), 10), ((7, -7), 7)]
+
+
+def _normal_form_failures(sparse_reference):
+    """The cases where _matrix leaves the one form or changes the value:
+    the SHARED_FACTORS diagonals, and the products, sums, adjoints and
+    theta images of seeded real operands over dyadic and non-dyadic
+    denominators, each read against the sparse reference."""
+    failures = []
+    for nums, den in SHARED_FACTORS:
+        mat = algebra._matrix(1, np.diag(np.array(nums, np.int64)), den)
+        got = [Fraction(int(x), mat.den) for x in mat.num.diagonal()]
+        if not _one_form(mat) or got != [Fraction(x, den) for x in nums]:
+            failures.append((nums, den))
+    rng = random.Random(2024)
+    for coeff in (_dyadic_rational, _mixed_rational):
+        for case in range(6):
+            a = _random_degree0(rng, 2, 2, 12, coeff)
+            b = _random_degree0(rng, 2, 2, 12, coeff)
+            x, y = algebra._hold(a), algebra._hold(b)
+            got = {"product": x * y, "sum": x + y, "adjoint": x.adjoint(),
+                   "theta": theta(x)}
+            with sparse_reference():
+                want = {"product": a * b, "sum": a + b, "adjoint": a.adjoint(),
+                        "theta": theta(a)}
+            for name, z in got.items():
+                if not (algebra._unbuilt(z) and _one_form(z._matrix)
+                        and z.terms == want[name].level({0: z._matrix.m}).terms):
+                    failures.append((coeff.__name__, case, name))
+    return failures
+
+
+def test_kernel_results_keep_the_normal_form(sparse_reference):
+    assert _normal_form_failures(sparse_reference) == []
+
+
+def _gcd_of_top_only(m, num, den, nnz=None):
+    """_matrix dividing by gcd(den, top) with no pass over the numerators."""
+    g = gcd(den, int(abs(num).max()))
+    num = (num // g).astype(np.int64)
+    return algebra._Matrix(m, num, den // g, int(np.count_nonzero(num)),
+                           int(abs(num).max()))
+
+
+@pytest.mark.parametrize("mutant", ["gcd of top only", "top not divided"])
+def test_normal_form_kills_matrix_mutants(mutant, monkeypatch, sparse_reference):
+    matrix = algebra._matrix
+    if mutant == "gcd of top only":
+        monkeypatch.setattr(algebra, "_matrix", _gcd_of_top_only)
+    else:
+        monkeypatch.setattr(algebra, "_matrix", lambda m, num, den, nnz=None:
+                            matrix(m, num, den, nnz)._replace(top=int(abs(num).max())))
+    assert _normal_form_failures(sparse_reference) != []
+
+
+def test_built_kernel_element_is_a_plain_element(sparse_reference):
+    """Reading the terms of a kernel element turns it into a plain
+    AlgebraElement that keeps its matrix as a memo; from then on every
+    operation on it takes the sparse rule or reads its memo, and agrees
+    with the sparse reference."""
+    x, y, (a, b, c, d) = _held_pair(13, 3, 3)
+    memo = x._matrix
+    assert type(x) is algebra._KernelElement and algebra._unbuilt(x)
+    x.terms
+    assert type(x) is AlgebraElement and not algebra._unbuilt(x)
+    assert x._matrix is memo and algebra._built_terms(x) is x._terms
+    assert algebra._size(x) == len(x.terms) == memo.nnz
+    image = theta(x)  # rewrites x's words
+    assert type(image) is AlgebraElement and algebra._built_terms(image) is not None
+    got = [x * x, x + y, x.adjoint(), x.trace_state(), x == y, x == x,
+           image]
+    with sparse_reference():
+        ab, cd = a * b, c * d
+        want = [ab * ab, ab + cd, ab.adjoint(), ab.trace_state(), ab == cd,
+                True, theta(ab)]
+        # without the kernel, E and F are built as term elements
+        p = ef_projection((1, 2, 2))
+        assert type(p) is AlgebraElement and getattr(p, "_matrix", None) is None
+    assert got == want
 
 
 @pytest.mark.parametrize("coeff", [_small_rational, _huge_rational])

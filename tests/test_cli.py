@@ -173,6 +173,15 @@ def test_exit_codes(capsys):
         assert run(capsys, *argv)[0] == 2, argv
 
 
+def test_apply_past_the_level_budget_exits_4(capsys):
+    # printing rho(1 + s_w s_w^*) for |w| = 30 levels 1 to the 31 letters
+    # of the image, 2^31 terms: refused before any is made
+    ones = "1" * 30
+    code, out, err = run(capsys, "apply", "--perm", "(1 2)",
+                         "--element", f"1 + s[{ones}] t[{ones}]")
+    assert code == 4 and "budget" in err and out == ""
+
+
 def test_norm(capsys):
     code, out, _ = run(capsys, "norm", "--element", "s[1] t[2] + s[2] t[1]")
     assert code == 0

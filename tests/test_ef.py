@@ -94,6 +94,51 @@ def test_ef_memo_keeps_only_level1_read_only_matrices():
         assert single == q
 
 
+def _closed_form(q):
+    """(m, den, num) of P_q = v v^T / 2^m, m = |q|: v[j] is the product over
+    the F positions t of q of (-1)^(digit t of j), the first letter being
+    the most significant binary digit of j."""
+    m = len(q)
+    v = []
+    for j in range(2 ** m):
+        flips = sum(j >> (m - 1 - t) & 1 for t, letter in enumerate(q) if letter == 2)
+        v.append((-1) ** flips)
+    return m, 2 ** m, [[x * y for y in v] for x in v]
+
+
+def _closed_form_mismatches():
+    """The E/F words of depth <= 6 whose projection is not an unbuilt
+    kernel element with the closed-form matrix."""
+    bad = []
+    for m in range(1, 7):
+        for q in itertools.product((1, 2), repeat=m):
+            p = ef_projection(q)
+            if not (algebra._unbuilt(p) and (p._matrix.m, p._matrix.den,
+                                             p._matrix.num.tolist()) == _closed_form(q)):
+                bad.append(q)
+    return bad
+
+
+def test_ef_projections_match_the_closed_form():
+    assert _closed_form_mismatches() == []
+
+
+def test_closed_form_kills_a_theta_that_writes_one_block(monkeypatch):
+    kron = algebra._kron_identity
+
+    def first_block_only(mat, m, k, inner):
+        out = kron(mat, m, k, inner)
+        if inner:
+            return out
+        d = len(mat.num)
+        num = np.zeros_like(out.num)
+        num[:d, :d] = mat.num
+        return out._replace(num=num)
+
+    monkeypatch.setattr(algebra, "_kron_identity", first_block_only)
+    assert len(_closed_form_mismatches()) == 126 - 2  # all but E and F
+
+
 def test_ef_projection_returns_fresh_elements():
     for word in ((1,), (2,), (2, 1, 1)):
         a, b = ef_projection(word), ef_projection(word)
