@@ -236,15 +236,16 @@ class AlgebraElement:
     def max_right_length(self, degree: int) -> int:
         return max((len(m.right) for m in self._terms if m.degree == degree), default=0)
 
-    def level(self, targets: Mapping[int, int]) -> "AlgebraElement":
+    def level(self, targets: Mapping[int, int],
+              budget: int = DEFAULT_BUDGET) -> "AlgebraElement":
         """Insert sum_i s_i s_i^* = 1 on the right until every term of gauge
         degree d has right-length targets[d].  Degrees absent from targets
         are left untouched.  One scan of the keys finds whether any term is
         off its target; when none is, the element is returned as it is
         (elements are immutable, so sharing the term dict is safe).  A
         target below a term's right length raises LevelError, and a padding
-        to more than DEFAULT_BUDGET terms raises BudgetExceededError before
-        any is made."""
+        to more than `budget` terms (DEFAULT_BUDGET unless the caller has
+        checked its own) raises BudgetExceededError before any is made."""
         terms = self._terms
         for left, right in terms:
             r = len(right)
@@ -264,9 +265,9 @@ class AlgebraElement:
                 )
             gaps.append(gap)
         size = sum(n ** gap for gap in gaps)
-        if size > DEFAULT_BUDGET:
+        if size > budget:
             raise BudgetExceededError(
-                f"leveling makes {size} terms, budget {DEFAULT_BUDGET}")
+                f"leveling makes {size} terms, budget {budget}")
         out: Dict[Monomial, GaussianRational] = {}
         for (mono, c), gap in zip(terms.items(), gaps):
             for w in words(n, gap):
@@ -524,14 +525,13 @@ def _shapes(elem: AlgebraElement) -> set:
 # made by _matrix: int64 numerators over a denominator, the two divided by
 # their gcd, so equal values have equal (den, num).  That gcd divides
 # g = gcd(den, top), top the largest |numerator|: when g is 1 there is
-# nothing to divide, when it is a power of two the gcd is the lowest set bit
-# of the OR of the numerators, and only otherwise does _matrix take the gcd
-# of every entry.  It is kept as a _Matrix with the facts routing and the
-# kernel read, its nonzero count and its largest |numerator|, each taken
-# once when the matrix is made.  (Only
-# _dense stores Python ints, when an exact entry passes int64: norm's
-# embedding of an element with huge coefficients asks for such a matrix,
-# and no kernel product or sum takes it as an operand.)  Each element keeps
+# nothing to divide, and only otherwise does _matrix take the gcd of every
+# entry.  It is kept as a _Matrix with the facts routing and the kernel
+# read, its nonzero count and its largest |numerator|, each taken once when
+# the matrix is made.  (Only _dense stores Python ints, when an exact
+# entry passes int64: norm's embedding of an element with huge
+# coefficients asks for such a matrix, and no kernel product or sum takes
+# it as an operand.)  Each element keeps
 # the first matrix made of it, read-only and never replaced, so an operand
 # used twice is densified once: a matrix at level m0 gives the one at
 # m > m0 as kron(M, I_(N^(m-m0))), since one leveling step is
@@ -539,11 +539,10 @@ def _shapes(elem: AlgebraElement) -> set:
 # level among its operands, so only an element with terms is asked below
 # its memo, and it is densified again from them.  A product, a sum of two
 # kernel elements, the adjoint of a kernel element and theta of one are
-# kernel elements, as is an element _hold hands to the kernel and each E
-# and F that product_masa._ef_pair wraps around their memoized level-1
-# matrices: each keeps its matrix at the level of its terms, and builds
-# those terms from it only when they are read; the trace state of one with
-# no terms is its normalized matrix trace.
+# kernel elements, as is an element _hold hands to the kernel: each keeps
+# its matrix at the level of its terms, and builds those terms from it
+# only when they are read; the trace state of one with no terms is its
+# normalized matrix trace.
 # theta(s_I s_J^*) = sum_i s_{iI} s_{iJ}^* puts M on each diagonal block
 # one level up, so theta of a level-m kernel element is kron(I_N, M) at
 # level m + 1, written as N copies of M on the diagonal.
@@ -607,15 +606,9 @@ def _matrix(m: int, num, den: int, nnz: Optional[int] = None) -> _Matrix:
     if nnz is None:
         nnz = int(np.count_nonzero(num))
     top = int(abs(num).max())
-    # the common factor divides g = gcd(den, top); when g is a power of two
-    # it is the lowest set bit the numerators share, that of their OR
-    g = gcd(den, top)
+    g = gcd(den, top)  # the common factor divides it
     if g != 1:
-        if g & (g - 1):
-            g = gcd(g, int(np.gcd.reduce(num.ravel())))
-        else:
-            low = int(np.bitwise_or.reduce(num.ravel()))
-            g = gcd(g, low & -low)
+        g = gcd(g, int(np.gcd.reduce(num.ravel())))
         if g != 1:
             num, den, top = num // g, den // g, top // g
     if top <= _INT64_MAX:

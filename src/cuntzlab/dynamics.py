@@ -262,7 +262,7 @@ class CantorDynamics:
             if any(d != 0 for d in img.degrees()):
                 raise DiagonalNotPreservedError(
                     f"image of cylinder {v} has unbalanced terms", v)
-            lev = img.level({0: window})
+            lev = img.level({0: window}, self.budget)
             if not lev.is_diagonal_01():
                 raise DiagonalNotPreservedError(
                     f"image of cylinder {v} is not a 0/1 diagonal sum", v)

@@ -20,8 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Tuple
 
-from . import algebra
-from .algebra import AlgebraElement, Monomial, _degree0_matrix, pack_word
+from .algebra import AlgebraElement, Monomial, _hold, pack_word
 from .dynamics import DEFAULT_BUDGET, CantorDynamics
 from .endomorphism import EndomorphismSpec, Permutation, theta
 from .errors import CylinderError, MasaNotInvariantError, NotUnitaryError
@@ -47,7 +46,7 @@ def ef_generators(n_gens: int = 2) -> Tuple[AlgebraElement, AlgebraElement]:
 
 @lru_cache(maxsize=None)
 def _ef_memo(n_gens: int) -> Tuple[AlgebraElement, AlgebraElement]:
-    """E and F of one alphabet, built once and never handed out: `_ef_pair`
+    """E and F of one alphabet, built once and never handed out: `_hold`
     fills their level-1 matrix memo, read-only, and reuses it for every
     projection word, whose fresh kernel elements wrap it."""
     return ef_generators(n_gens)
@@ -55,15 +54,13 @@ def _ef_memo(n_gens: int) -> Tuple[AlgebraElement, AlgebraElement]:
 
 def _ef_pair(n_gens: int) -> Tuple[AlgebraElement, AlgebraElement]:
     """Fresh E and F for one projection word: kernel elements over the
-    memoized level-1 matrices where those fit the kernel's storage bound,
-    else newly built sparse elements.  The bound and the kernel element
-    maker are read off `algebra` at call time, so that a context which
-    replaces them, as the tests' sparse reference does, reaches E and F."""
+    memoized level-1 matrices where the kernel takes them, else newly
+    built sparse elements."""
     memo = _ef_memo(n_gens)
-    if not all(algebra._dense_fits(n_gens, len(q.terms), 0) for q in memo):
+    pair = tuple(_hold(q) for q in memo)
+    if any(held is q for held, q in zip(pair, memo)):
         return ef_generators(n_gens)
-    return tuple(algebra._held_element(n_gens, _degree0_matrix(q, 1))
-                 for q in memo)
+    return pair
 
 
 def ef_projection(word: EFWord, n_gens: int = 2) -> AlgebraElement:

@@ -12,7 +12,7 @@ from cuntzlab import (AlgebraElement, BudgetExceededError, CantorDynamics,
                       EndomorphismSpec, EntropyReport, GaussianRational,
                       JoinDynamics, Permutation, ProductMasaDynamics,
                       parse_element, perm_unitary)
-from cuntzlab.dynamics import JoinCounts, _verdict, pack_word, unpack_word
+from cuntzlab.dynamics import DEFAULT_BUDGET, JoinCounts, _verdict, pack_word, unpack_word
 
 
 def dyn(label, **kw):
@@ -451,6 +451,27 @@ def test_budget_exceeded():
     with pytest.raises(BudgetExceededError):
         d.join_count(4, 16)
     assert not d._tables
+
+
+def test_symbolic_table_levels_under_its_own_budget(monkeypatch):
+    # the cylinder images are leveled under the budget the dynamics checked
+    # the window against, so a --budget raised past DEFAULT_BUDGET reaches
+    # them; at the default budget they keep the default
+    level, seen = AlgebraElement.level, []
+
+    def spy(self, targets, budget=None):
+        seen.append(budget)
+        return level(self, targets) if budget is None else level(self, targets, budget)
+
+    monkeypatch.setattr(AlgebraElement, "level", spy)
+    perm = Permutation.parse("(1 2)")
+    spec = EndomorphismSpec(perm_unitary(perm), rank=perm.k, check=False)
+    for budget in (2 ** 30, DEFAULT_BUDGET):
+        seen.clear()
+        table = CantorDynamics(spec, budget=budget)._symbolic_table(3)
+        assert np.array_equal(table.table,
+                              dyn("(1 2)").block_map(3).table)
+        assert len(seen) == 2 ** 3 and set(seen) == {budget}
 
 
 def test_discrete_tail_is_not_budgeted():
