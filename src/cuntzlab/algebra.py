@@ -18,11 +18,14 @@ path, as does a product or sum whose exact result would leave the
 kernel's one form.  That form is an int64 numerator matrix over a
 denominator in lowest terms, so equal values have equal matrices, and
 products multiply in float64 while that is exact.  An element keeps the
-first matrix the kernel makes of it and never replaces it: a higher level
-is a Kronecker product of that matrix with the identity, made for the call
-that asks for it.  Kernel elements build their terms, at the level they
-were made at, only when they are read; until then the sum of two of
-them, and the adjoint, the trace state and the theta image
+first matrix the kernel makes of it and never replaces it.  A product
+multiplies each operand at that matrix's level: a lower operand stands
+for its Kronecker product with the identity, which is never made.  A sum
+or a comparison at a higher level makes that Kronecker product for the
+call.  A pair of kernel elements is routed by their matrices, any other
+pair by the shapes of its terms.  Kernel elements build their terms, at
+the level they were made at, only when they are read; until then the sum
+of two of them, and the adjoint, the trace state and the theta image
 (`endomorphism.theta`) of one, are read off the matrices.  A kernel element
 that has not built its terms is recognised by its type, `_KernelElement`:
 building them turns it into a plain AlgebraElement, which keeps its
@@ -533,11 +536,17 @@ def _shapes(elem: AlgebraElement) -> set:
 # coefficients asks for such a matrix, and no kernel product or sum takes
 # it as an operand.)  Each element keeps
 # the first matrix made of it, read-only and never replaced, so an operand
-# used twice is densified once: a matrix at level m0 gives the one at
-# m > m0 as kron(M, I_(N^(m-m0))), since one leveling step is
-# x -> x (x) I_N, made for that call.  A kernel call asks at the highest
-# level among its operands, so only an element with terms is asked below
-# its memo, and it is densified again from them.  A product, a sum of two
+# used twice is densified once: a matrix M at level m0 stands for
+# kron(M, I_(N^(m-m0))) at m > m0, since one leveling step is
+# x -> x (x) I_N.  A product never makes that matrix: (M (x) I_k) Y and
+# X (M (x) I_k) are one matmul of M with a reshaped view of the other
+# operand (_leveled_matmul).  A sum or a comparison makes it for the call.
+# A kernel call asks at the highest level among its operands, so only an
+# element with terms is asked below its memo, and it is densified again
+# from them.  The router reads a pair of kernel elements off their
+# matrices, each real and of the one shape (m, m): the level is the
+# higher m, the sizes their nonzero counts; any other pair is read off the
+# union of its shapes.  A product, a sum of two
 # kernel elements, the adjoint of a kernel element and theta of one are
 # kernel elements, as is an element _hold hands to the kernel: each keeps
 # its matrix at the level of its terms, and builds those terms from it
@@ -576,8 +585,16 @@ def _dense_fits(dim: int, size_a: int, size_b: int) -> bool:
 
 def _dense_mul_level(a: AlgebraElement, b: AlgebraElement) -> Optional[int]:
     """The level at which the kernel multiplies or compares a and b, or
-    None for the sparse rule."""
-    if not (_unbuilt(a) or _unbuilt(b)) or not (_real(a) and _real(b)):
+    None for the sparse rule.  Two kernel elements are routed by their
+    matrices, each real and of the one shape (m, m); any other pair by the
+    union of the operands' shapes."""
+    # the type tests of _unbuilt, written inline for the sparse path
+    kernel_a, kernel_b = type(a) is _KernelElement, type(b) is _KernelElement
+    if kernel_a and kernel_b:
+        x, y = a._matrix, b._matrix
+        m = max(x.m, y.m)
+        return m if _dense_fits(a.n_gens ** m, x.nnz, y.nnz) else None
+    if not (kernel_a or kernel_b) or not (_real(a) and _real(b)):
         return None
     shapes = _shapes(a) | _shapes(b)
     if any(p != l for p, l in shapes):
@@ -643,16 +660,14 @@ def _dense(elem: AlgebraElement, m: int) -> _Matrix:
     return _matrix(m, num.reshape(dim, dim), den)
 
 
-def _degree0_matrix(elem: AlgebraElement, m: int, keep: bool = True) -> _Matrix:
+def _degree0_matrix(elem: AlgebraElement, m: int) -> _Matrix:
     """The _Matrix of a real pure degree-0 element at level m >= its
     longest word, exact and in lowest terms.  The first matrix made of an
-    element is its memo, stored here unless `keep` is false; a higher
-    level is read off the memo, a lower one off the terms."""
+    element is its memo, stored here; a higher level is read off the memo,
+    a lower one off the terms."""
     memo = getattr(elem, "_matrix", None)
     if memo is None:
-        memo = _dense(elem, m)
-        if keep:
-            elem._matrix = memo
+        memo = elem._matrix = _dense(elem, m)
     if memo.m == m:
         return memo
     if memo.m < m:
@@ -689,27 +704,54 @@ def _dense_eq(a: AlgebraElement, b: AlgebraElement, m: int) -> bool:
 
 def _dense_mul(a: AlgebraElement, b: AlgebraElement, m: int) -> Optional[AlgebraElement]:
     """a b at level m in float64, or None when an entry's partial sums
-    could reach 2^53 and mul takes the sparse rule."""
+    could reach 2^53 and mul takes the sparse rule.  Each operand is
+    multiplied at its own level, that of its memo when it is at most m;
+    the operand whose longest words are at level m has its matrix there,
+    so at most one is lower, and it enters as kron(X, I_k) unmade."""
     import numpy as np
 
-    n = a.n_gens
-    x, y = _degree0_matrix(a, m, keep=False), _degree0_matrix(b, m, keep=False)
-    # each entry of the product is a sum of N^m products of entries; a
+    n, dim = a.n_gens, a.n_gens ** m
+    x, y = _memo_at_most(a, m), _memo_at_most(b, m)
+    # each entry of the leveled product is a sum of N^m products of
+    # entries (fewer when an operand is lower, but the bound stays the
+    # leveled one, so a pair takes the same rule at any operand level); a
     # refused product leaves its operands without a memo
-    if x.top * y.top * n ** m >= _FLOAT_EXACT:
+    if x.top * y.top * dim >= _FLOAT_EXACT:
         return None
     for elem, mat in ((a, x), (b, y)):
         if getattr(elem, "_matrix", None) is None:
             elem._matrix = mat
-    num = (x.num.astype(float) @ y.num.astype(float)).astype(np.int64)
-    return _lowest_terms(n, m, num, x.den * y.den)
+    num = _leveled_matmul(x.num.astype(float), y.num.astype(float), dim)
+    return _lowest_terms(n, m, num.astype(np.int64), x.den * y.den)
+
+
+def _leveled_matmul(p, q, dim: int):
+    """The dim x dim product of p and q, of which at most one is smaller,
+    a d x d X standing for kron(X, I_k) with k = dim / d, as leveling
+    makes it; kron(X, I_k) is never made."""
+    if len(p) < dim:
+        # (X (x) I_k) Y: row i k + t is sum_j X[i, j] Y[j k + t], so Y's
+        # rows j k .. j k + k - 1 read as one row j of k dim entries
+        return (p @ q.reshape(len(p), -1)).reshape(dim, dim)
+    if len(q) < dim:
+        # X (Y (x) I_k): column j k + t is sum_i X[:, i k + t] Y[i, j]
+        cols = p.reshape(dim, len(q), -1).swapaxes(1, 2)  # [r, t, i]
+        return (cols @ q).swapaxes(1, 2).reshape(dim, dim)
+    return p @ q
+
+
+def _memo_at_most(elem: AlgebraElement, m: int) -> _Matrix:
+    """elem's memo when its level is at most m, else its matrix at level m,
+    made from its terms."""
+    memo = getattr(elem, "_matrix", None)
+    return memo if memo is not None and memo.m <= m else _dense(elem, m)
 
 
 def _dense_add(a: AlgebraElement, b: AlgebraElement) -> Optional[AlgebraElement]:
     """a + b for two kernel elements without terms, at the higher of their
     levels, or None when the numerators could pass int64 and the sum
     takes the term path."""
-    m = max(l for _, l in _shapes(a) | _shapes(b))
+    m = max(a._matrix.m, b._matrix.m)
     x, y = _degree0_matrix(a, m), _degree0_matrix(b, m)
     # x / den_a + y / den_b = (x (den_b / g) + y (den_a / g)) / lcm
     g = gcd(x.den, y.den)

@@ -322,7 +322,11 @@ class CantorDynamics:
         the words label themselves and no class array is built.  Otherwise
         the rank of each key among the marked ones is its label, built
         only when the count moved: a stable step ends the series unlabelled.
-        Past the budget the keys are sorted."""
+        Past the budget the keys are sorted.
+
+        The budget is checked per refined step, by the block map each step
+        reads (N^length words, as many as the keys), so a series that a
+        tail closes early is never refused for the steps it did not take."""
         if p < 1:
             raise ValueError(f"partition depth p must be at least 1, got {p}")
         if n_max < 1:
@@ -331,7 +335,6 @@ class CantorDynamics:
         # the discrete tail reads no table, so it is not budgeted
         if self._separates:
             return JoinCounts((n ** p,), n_max, "discrete", n)
-        self._check_budget(p + (n_max - 1) * self.step)
         import numpy as np
         head = [n ** p]
         # None: the partition is discrete and each word is its own class

@@ -1001,6 +1001,167 @@ def test_kernel_calls_never_replace_a_memo(kernel_calls):
         assert q._matrix.m == 1
 
 
+# --------------------------------------- products at the operands' levels
+
+def _held_at(rng, n, m, coeff):
+    """A degree-0 element whose longest words have length m, with enough
+    terms for _hold to keep its level-m matrix (which becomes the
+    element's memo too), and that kernel element."""
+    a = _random_degree0(rng, n, m, n ** (2 * m) * 3 // 4, coeff)
+    held = algebra._hold(a)
+    assert algebra._unbuilt(held) and held._matrix.m == a._matrix.m == m
+    return held, a
+
+
+# (N, level of a, level of b): the lower operand on the left, on the
+# right, and neither
+MIXED_LEVELS = [(2, 1, 3), (2, 3, 1), (2, 3, 3), (2, 2, 4), (2, 4, 2),
+                (2, 1, 4), (2, 4, 1), (3, 1, 2), (3, 2, 1), (3, 2, 2)]
+
+
+def _mixed_level_failures(sparse_reference):
+    """The MIXED_LEVELS cases, over dyadic denominators and over 3, 6 and
+    12, where a product of operands at their own levels leaves the kernel,
+    the one form or the sparse rule's value, or moves an operand's memo:
+    two held operands, and an element with terms and a memo at its level
+    times a held one, in both orders."""
+    failures = []
+    for n, m_a, m_b in MIXED_LEVELS:
+        for coeff in (_dyadic_rational, _mixed_rational):
+            rng = random.Random(100 * n + 10 * m_a + m_b)
+            x, a = _held_at(rng, n, m_a, coeff)
+            y, b = _held_at(rng, n, m_b, coeff)
+            m = max(m_a, m_b)
+            with sparse_reference():
+                want = (a * b).level({0: m}).terms
+            for name, got in (("held", x * y), ("terms left", a * y),
+                              ("terms right", x * b)):
+                if not (algebra._unbuilt(got) and got._matrix.m == m
+                        and _one_form(got._matrix) and got.terms == want
+                        and x._matrix.m == a._matrix.m == m_a
+                        and y._matrix.m == b._matrix.m == m_b):
+                    failures.append((n, m_a, m_b, coeff.__name__, name))
+    return failures
+
+
+def test_mixed_level_products_match_the_sparse_rule(kernel_calls,
+                                                    sparse_reference):
+    assert _mixed_level_failures(sparse_reference) == []
+    assert kernel_calls["mul"] == 3 * 2 * len(MIXED_LEVELS)
+
+
+def _leveled_matmul_without_swapaxes(p, q, dim,
+                                     _original=algebra._leveled_matmul):
+    """_leveled_matmul with X (Y (x) I_k) read without the swapaxes, so
+    the lower right operand acts as kron(I_k, Y)."""
+    if len(p) == dim and len(q) < dim:
+        return (p.reshape(dim, -1, len(q)) @ q).reshape(dim, dim)
+    return _original(p, q, dim)
+
+
+def test_mixed_level_products_kill_a_matmul_without_swapaxes(monkeypatch,
+                                                             sparse_reference):
+    monkeypatch.setattr(algebra, "_leveled_matmul",
+                        _leveled_matmul_without_swapaxes)
+    failed = {case[:3] for case in _mixed_level_failures(sparse_reference)}
+    # only the products with the lower operand on the right go wrong
+    assert failed == {case for case in MIXED_LEVELS if case[2] < case[1]}
+
+
+def test_mixed_level_product_past_float64_takes_the_sparse_rule(
+        kernel_calls, sparse_reference):
+    """The float64 bound of a product is max|X| max|Y| N^m at the product's
+    level m, whatever the operands' own levels: numerators near 3 * 2^24
+    at levels 1 and 3 reach 9 * 2^51 > 2^53, and the product takes the
+    sparse rule in either order; at 2^24 and 2^25 it stays on the kernel."""
+    rng = random.Random(53)
+
+    def full(m, base):
+        return AlgebraElement(2, {Monomial(i, j): base + rng.randint(0, 99)
+                                  for i in words(2, m) for j in words(2, m)})
+
+    for base, dense in ((3 * 2 ** 24, False), (2 ** 24, True)):
+        low, high = full(1, base), full(3, 2 * base if dense else base)
+        with sparse_reference():
+            want = [(low * high).level({0: 3}).terms,
+                    (high * low).level({0: 3}).terms]
+        calls = kernel_calls["mul"]
+        got = [algebra._hold(low) * algebra._hold(high),
+               algebra._hold(high) * algebra._hold(low)]
+        assert kernel_calls["mul"] == calls + 2
+        for z, terms in zip(got, want):
+            assert algebra._unbuilt(z) == dense
+            assert z.level({0: 3}).terms == terms
+
+
+def _shape_union_level(a, b):
+    """The oracle for _dense_mul_level: the level every pair was routed to
+    before a pair of kernel elements was read off its matrices, from the
+    union of the operands' shapes."""
+    if not (algebra._unbuilt(a) or algebra._unbuilt(b)) or not (
+            algebra._real(a) and algebra._real(b)):
+        return None
+    shapes = algebra._shapes(a) | algebra._shapes(b)
+    if any(p != l for p, l in shapes):
+        return None
+    m = max(l for _, l in shapes)
+    fits = algebra._dense_fits(a.n_gens ** m, algebra._size(a),
+                               algebra._size(b))
+    return m if fits else None
+
+
+def _sparse_kernel_element(rng, n, m):
+    """A level-m kernel element with from one to all N^2m entries nonzero,
+    over a denominator of 1, 2, 3 or 12."""
+    dim = n ** m
+    num = np.zeros(dim * dim, np.int64)
+    picked = rng.sample(range(dim * dim), rng.randint(1, dim * dim))
+    num[picked] = [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in picked]
+    return algebra._lowest_terms(n, m, num.reshape(dim, dim),
+                                 rng.choice((1, 2, 3, 12)))
+
+
+def _complex_rational(rng):
+    return GaussianRational(_small_rational(rng), _small_rational(rng))
+
+
+def test_router_matches_the_shape_union():
+    """Over seeded pairs of kernel elements (with and without built terms),
+    elements with terms, complex ones and mixed-degree ones, the router
+    gives the level the shape union gives, kernel pairs that the storage
+    bound refuses included."""
+    rng = random.Random(577)
+    routes = {}
+    for n, top in ((2, 4), (3, 2)):
+        for _ in range(40):
+            def level():
+                return rng.randint(1, top)
+
+            def size(m):
+                monos = sum(n ** (2 * r) for r in range(m + 1))
+                return rng.randint(1, min(12, monos))
+
+            k1, k2 = [_sparse_kernel_element(rng, n, level()) for _ in "ab"]
+            built = _sparse_kernel_element(rng, n, level())
+            built.terms
+            m_t, m_z = level(), level()
+            term = _random_degree0(rng, n, m_t, size(m_t), _small_rational)
+            z = _random_degree0(rng, n, m_z, size(m_z), _complex_rational)
+            pairs = {"kernel/kernel": [(k1, k2), (k2, k1), (k1, k1)],
+                     "kernel/term": [(k1, term), (term, k2), (k1, built),
+                                     (built, k2), (k1, gen(1, n)),
+                                     (gen(2, n), k2), (built, term)],
+                     "complex": [(k1, z), (z, k2), (z, term)]}
+            for kind, kind_pairs in pairs.items():
+                for a, b in kind_pairs:
+                    got = algebra._dense_mul_level(a, b)
+                    assert got == _shape_union_level(a, b), (kind, a, b)
+                    routes.setdefault(kind, set()).add(got is not None)
+            assert algebra._unbuilt(k1) and algebra._unbuilt(k2)
+    # kernel pairs go both ways, the storage bound refusing some
+    assert routes["kernel/kernel"] == routes["kernel/term"] == {True, False}
+
+
 def test_held_adjoint_is_the_conjugate_transpose(kernel_calls,
                                                  sparse_reference):
     x, _, (a, b, _, _) = _held_pair(6)

@@ -129,7 +129,14 @@ def test_exit_codes(capsys):
     code, _, err = run(capsys, "entropy", "--rank", "3",
                        "--perm", "(1 7 2 8 6 4 5)", "--masa", "ef")
     assert code == 3 and "witness E/F cylinder" in err
-    assert run(capsys, "entropy", "--perm", "(1 2)", "--budget", "32")[0] == 4
+    # the budget is checked per refined step: (1 2) closes stable at step
+    # 2 under a small budget, and a rank-3 sigma refining past it exits 4
+    assert run(capsys, "entropy", "--perm", "(1 2)", "--budget", "32")[0] == 0
+    code, out, _ = run(capsys, "entropy", "--perm", "(1 2)", "--steps", "40")
+    assert code == 0 and out.count("tail=stable") == 4
+    code, _, err = run(capsys, "entropy", "--rank", "3",
+                       "--perm", "(3 4 7 8)(5 6)", "--budget", "1024")
+    assert code == 4 and "word length 11" in err
     # a series closed by the discrete tail reads no table and is not budgeted
     assert run(capsys, "entropy", "--perm", "(2 3)", "--budget", "32")[0] == 0
     code, out, _ = run(capsys, "entropy", "--perm", "(1 2 3)", "--steps", "40")

@@ -447,10 +447,20 @@ def test_sorted_keys_past_budget_agree(monkeypatch):
 
 
 def test_budget_exceeded():
+    # the budget is checked per refined step: (1 2) closes stable at step
+    # 2, so a small budget refuses none of the 40 steps asked
     d = dyn("(1 2)", budget=64)
-    with pytest.raises(BudgetExceededError):
-        d.join_count(4, 16)
-    assert not d._tables
+    counts = d._join_counts(4, 40)
+    assert counts.tail == "stable" and counts.refined_steps == 2
+    assert counts[-1] == (40, 16)
+    # a rank-3 sigma refines until a step's table would pass the budget,
+    # and raises there, having built no table wider than the budget
+    fibonacci = CantorDynamics(EndomorphismSpec.from_permutation(
+        Permutation.from_cycles(((3, 4, 7, 8), (5, 6)), 3, 2)), budget=2 ** 10)
+    with pytest.raises(BudgetExceededError, match="word length 12"):
+        fibonacci.join_count(4, 16)
+    widths = [t.table.size for t in fibonacci._tables.values()]
+    assert widths and max(widths) == 2 ** 10
 
 
 def test_symbolic_table_levels_under_its_own_budget(monkeypatch):
