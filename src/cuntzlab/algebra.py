@@ -315,20 +315,24 @@ class AlgebraElement:
         Leveled, the terms of one degree share one right length, so a term
         lies in at most one group and a contracted term never meets a term
         already there; each round rescans only the terms it merged.
-        One scan of the keys finds each degree's longest right word; the
-        contraction works on a copy only when `level` hands back the
-        element's own terms.  Idempotent and equality-preserving; used for
+        One scan of the keys finds each degree's longest right word and
+        whether every term already sits at it; if so, the contraction works
+        on a copy of the terms and `level` is not called.  A group's
+        coefficients are compared by `list.count`, which tries identity
+        before value.  Idempotent and equality-preserving; used for
         display."""
         terms = self._terms
         targets: Dict[int, int] = {}
+        even = True  # every degree at one right length: nothing to level
         for left, right in terms:
             r = len(right)
             d = len(left) - r
-            if targets.get(d, -1) < r:
-                targets[d] = r
-        cur = self.level(targets)._terms
-        if cur is terms:
-            cur = dict(terms)
+            t = targets.setdefault(d, r)
+            if t != r:
+                even = False
+                if t < r:
+                    targets[d] = r
+        cur = dict(terms) if even else self.level(targets)._terms
         n = self.n_gens
         merged = cur
         while merged:
@@ -338,7 +342,7 @@ class AlgebraElement:
                     groups.setdefault((m.left[:-1], m.right[:-1]), []).append(c)
             merged = {}
             for (left, right), sibs in groups.items():
-                if len(sibs) == n and all(c == sibs[0] for c in sibs[1:]):
+                if len(sibs) == n and sibs.count(sibs[0]) == n:
                     for i in range(1, n + 1):
                         del cur[Monomial(left + (i,), right + (i,))]
                     merged[Monomial(left, right)] = sibs[0]
@@ -402,7 +406,10 @@ class AlgebraElement:
         for m, c in lev.items():
             if m.left[p:] != m.right[l:]:
                 return False
-            if coeffs.setdefault((m.left[:p], m.right[:l]), c) != c:
+            # identity first: a word-path image carries one coefficient
+            # object into all the terms of one input term
+            got = coeffs.setdefault((m.left[:p], m.right[:l]), c)
+            if got is not c and got != c:
                 return False
         return len(lev) == len(coeffs) * self.n_gens ** (big - l)
 

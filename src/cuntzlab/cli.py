@@ -21,7 +21,7 @@ from typing import List, Optional
 
 from .algebra import AlgebraElement
 from .checks import SUITES, run_suite
-from .endomorphism import EndomorphismSpec, Permutation
+from .endomorphism import EndomorphismSpec, Permutation, permutation_size
 from .errors import (DEFAULT_BUDGET, BudgetExceededError, CuntzError,
                      CylinderError, DimensionCapError, MasaNotInvariantError,
                      NotHomogeneousError, NotUnitaryError, ParseError)
@@ -118,15 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _endomorphism_from_args(args) -> EndomorphismSpec:
     if args.rank < 1:
         raise ValueError(f"--rank must be at least 1, got {args.rank}")
-    # a permutation lists all N^k image words; for N >= 2 a rank past the
-    # budget's bit length is over the budget, so the exponent is capped
-    # there and a huge N^k is never formed
     budget = getattr(args, "budget", DEFAULT_BUDGET)
-    size = args.n_gens ** min(args.rank, budget.bit_length() + 1)
-    if size > budget:
-        raise BudgetExceededError(
-            f"a permutation of rank {args.rank} needs {args.n_gens}^"
-            f"{args.rank} words, budget {budget}")
+    size = permutation_size(args.rank, args.n_gens, budget)
     if getattr(args, "perm_word", None):
         # one digit per one-line entry writes at most 9 entries
         if size > 9:
@@ -140,7 +133,7 @@ def _endomorphism_from_args(args) -> EndomorphismSpec:
         perm = Permutation.from_one_line(map(int, text), args.rank, args.n_gens)
         return EndomorphismSpec.from_permutation(perm)
     if getattr(args, "perm", None):
-        perm = Permutation.parse(args.perm, args.rank, args.n_gens)
+        perm = Permutation.parse(args.perm, args.rank, args.n_gens, budget)
         return EndomorphismSpec.from_permutation(perm)
     raise ParseError("one of --perm or --perm-word is required", 0)
 

@@ -14,7 +14,8 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .algebra import (AlgebraElement, Monomial, Word, _held_theta, _wrap,
                       pack_word, unpack_word, words)
-from .errors import AlphabetMismatchError, NotUnitaryError, ParseError
+from .errors import (DEFAULT_BUDGET, AlphabetMismatchError, BudgetExceededError,
+                     NotUnitaryError, ParseError)
 from .scalars import GaussianRational
 
 
@@ -44,6 +45,25 @@ def theta_power(m: int, a: AlgebraElement) -> AlgebraElement:
     return a
 
 
+def _capped_power(n_gens: int, k: int, cap: int) -> int:
+    """n_gens^k when that is at most `cap`, and otherwise some power of
+    n_gens above it.  For n_gens >= 2 an exponent past cap's bit length is
+    over cap, so the exponent is capped there and a huge power is never
+    formed."""
+    return n_gens ** min(k, cap.bit_length() + 1)
+
+
+def permutation_size(k: int, n_gens: int, budget: int = DEFAULT_BUDGET) -> int:
+    """N^k, the number of words a permutation of rank k lists; raises
+    BudgetExceededError, without forming N^k, when that is over `budget`."""
+    size = _capped_power(n_gens, k, budget)
+    if size > budget:
+        raise BudgetExceededError(
+            f"a permutation of rank {k} needs {n_gens}^{k} words, "
+            f"budget {budget}")
+    return size
+
+
 class _PermutationFields(NamedTuple):
     k: int
     n_gens: int
@@ -61,13 +81,18 @@ class Permutation(_PermutationFields):
         if n_gens < 2:
             raise ValueError("alphabet size must be at least 2")
         codes = tuple(codes)
-        if sorted(codes) != list(range(n_gens ** k)):
+        # the count first, so a short list is refused before any range of
+        # N^k words is made
+        size = len(codes)
+        if (_capped_power(n_gens, k, size) != size
+                or sorted(codes) != list(range(size))):
             raise ValueError("images must be a bijection on length-k words")
         return super().__new__(cls, k, n_gens, codes)
 
     @classmethod
-    def identity(cls, k: int, n_gens: int) -> "Permutation":
-        return cls(k, n_gens, range(n_gens ** k))
+    def identity(cls, k: int, n_gens: int,
+                 budget: int = DEFAULT_BUDGET) -> "Permutation":
+        return cls(k, n_gens, range(permutation_size(k, n_gens, budget)))
 
     @classmethod
     def from_one_line(cls, line: Iterable[int], k: int, n_gens: int) -> "Permutation":
@@ -79,11 +104,13 @@ class Permutation(_PermutationFields):
         return cls(k, n_gens, codes)
 
     @classmethod
-    def from_cycles(cls, cycles: Iterable[Iterable[int]], k: int, n_gens: int) -> "Permutation":
+    def from_cycles(cls, cycles: Iterable[Iterable[int]], k: int, n_gens: int,
+                    budget: int = DEFAULT_BUDGET) -> "Permutation":
         """The product of disjoint cycles over 1..N^k; an entry that
         appears twice, in one cycle or in two, is refused rather than read
-        as a composition."""
-        size = n_gens ** k
+        as a composition.  N^k past `budget` raises BudgetExceededError
+        before any code is listed."""
+        size = permutation_size(k, n_gens, budget)
         codes = list(range(size))
         seen = set()
         for cyc in cycles:
@@ -99,32 +126,34 @@ class Permutation(_PermutationFields):
         return cls(k, n_gens, codes)
 
     @classmethod
-    def parse(cls, text: str, k: int = 2, n_gens: int = 2) -> "Permutation":
+    def parse(cls, text: str, k: int = 2, n_gens: int = 2,
+              budget: int = DEFAULT_BUDGET) -> "Permutation":
         """Cycle notation "(1 2)(3 4)" over 1..N^k, or the shorthands
         "id", "shift" (the cycle (2 3) for N=2, k=2) and "flip"
-        ((1 3)(2 4))."""
+        ((1 3)(2 4)).  N^k past `budget` raises BudgetExceededError."""
         text = text.strip()
         if text == "id":
-            return cls.identity(k, n_gens)
+            return cls.identity(k, n_gens, budget)
         shorthands = {"shift": [(2, 3)], "flip": [(1, 3), (2, 4)]}
         if text in shorthands:
             if (n_gens, k) != (2, 2):
                 raise ParseError(f"{text!r} shorthand requires N=2, k=2", 0)
-            return cls.from_cycles(shorthands[text], k, n_gens)
+            return cls.from_cycles(shorthands[text], k, n_gens, budget)
         if not text.startswith("("):
             raise ParseError(f"expected cycle notation or shorthand, got {text!r}", 0)
         cycles: List[List[int]] = []
+        one_digit = _capped_power(n_gens, k, 9) <= 9  # "(12)" reads as (1 2)
         for m in re.finditer(r"\(([^()]*)\)|(\S)", text):
             if m.group(1) is None:
                 raise ParseError(f"unexpected {m.group(2)!r} in permutation", m.start())
             body = m.group(1).strip()
-            if re.fullmatch(r"\d+", body) and n_gens ** k <= 9:
+            if one_digit and re.fullmatch(r"\d+", body):
                 entries = [int(d) for d in body]
             else:
                 entries = [int(t) for t in re.split(r"[,\s]+", body) if t]
             if entries:
                 cycles.append(entries)
-        return cls.from_cycles(cycles, k, n_gens)
+        return cls.from_cycles(cycles, k, n_gens, budget)
 
     def __call__(self, word: Word) -> Word:
         if len(word) != self.k or any(not 1 <= c <= self.n_gens for c in word):

@@ -203,12 +203,15 @@ def parse_element(text: str, n_gens: int) -> AlgebraElement:
     return _Parser(text, n_gens).parse()
 
 
+_DIGIT = "0123456789".__getitem__
+
+
 def _format_monomial(left, right) -> str:
     if not right:
-        return f"s[{''.join(map(str, left))}]" if left else "1"
+        return f"s[{''.join(map(_DIGIT, left))}]" if left else "1"
     if not left:
-        return f"t[{''.join(map(str, right))}]"
-    return f"s[{''.join(map(str, left))}] t[{''.join(map(str, right))}]"
+        return f"t[{''.join(map(_DIGIT, right))}]"
+    return f"s[{''.join(map(_DIGIT, left))}] t[{''.join(map(_DIGIT, right))}]"
 
 
 def format_element(a: AlgebraElement) -> str:
@@ -221,7 +224,11 @@ def format_element(a: AlgebraElement) -> str:
     if canon.is_zero():
         return "0"
     pieces = []
-    for (left, right), coeff in canon.sorted_terms():
+    # the order of `sorted_terms`, from plain tuples: distinct keys never
+    # reach the coefficient
+    for _, _, right, left, coeff in sorted(
+            [(len(left) - len(right), len(right), right, left, c)
+             for (left, right), c in canon.terms.items()]):
         factors = _format_monomial(left, right)
         num, im, den = coeff._a, coeff._b, coeff._d
         if not im:

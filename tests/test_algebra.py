@@ -2,9 +2,11 @@
 form, gauge structure, and agreement of the product with an independent
 small-step word-rewriting oracle."""
 
+import inspect
 import itertools
 import random
 import re
+import textwrap
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -509,6 +511,41 @@ def test_membership_and_contraction_edge_cases():
     assert top.in_F(2, 2) and not top.in_F(1, 1) and top.in_F(3, 3)
     for x in (part, uneven, crossed, full, lifted, mixed, top):
         check_against_references(x)
+
+
+def _source_mutant(name, old, new):
+    """The method `name` of AlgebraElement with the text `old` of its
+    source replaced by `new`, compiled in the module's namespace."""
+    source = textwrap.dedent(inspect.getsource(getattr(AlgebraElement, name)))
+    assert source.count(old) == 1, (name, old)
+    namespace = {}
+    exec(source.replace(old, new), vars(algebra), namespace)
+    return namespace[name]
+
+
+def _equal_distinct_coefficients():
+    # `full` of the edge cases: equal siblings held by distinct objects
+    full = sum_of(2, [((1, 1), (1, 1), 3), ((1, 2), (1, 2), 3)])
+    first, second = full.terms.values()
+    assert first == second and first is not second
+    return full
+
+
+def test_edge_cases_kill_an_identity_only_canonical(monkeypatch):
+    _equal_distinct_coefficients()
+    monkeypatch.setattr(AlgebraElement, "canonical", _source_mutant(
+        "canonical", "sibs.count(sibs[0]) == n", "all(c is sibs[0] for c in sibs)"))
+    with pytest.raises(AssertionError):
+        test_membership_and_contraction_edge_cases()
+
+
+def test_references_kill_an_identity_only_in_F(monkeypatch):
+    full = _equal_distinct_coefficients()
+    check_against_references(full)
+    monkeypatch.setattr(AlgebraElement, "in_F", _source_mutant(
+        "in_F", "got is not c and got != c", "got is not c"))
+    with pytest.raises(AssertionError):
+        check_against_references(full)
 
 
 # ------------------------------------------------- dense degree-0 kernel

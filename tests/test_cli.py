@@ -125,6 +125,9 @@ def test_exit_codes(capsys):
     assert code == 4 and "2^30" in err
     assert run(capsys, "entropy", "--rank", "6", "--perm", "id",
                "--budget", "32")[0] == 4
+    code, _, err = run(capsys, "entropy", "--rank", "7", "--perm", "(1 2)",
+                       "--budget", "64")
+    assert code == 4 and "needs 2^7 words, budget 64" in err
     assert run(capsys, "entropy", "--perm", "(1 3)", "--masa", "ef")[0] == 0
     code, _, err = run(capsys, "entropy", "--rank", "3",
                        "--perm", "(1 7 2 8 6 4 5)", "--masa", "ef")

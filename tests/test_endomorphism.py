@@ -5,11 +5,12 @@ import itertools
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 
-from cuntzlab import (AlgebraElement, AlphabetMismatchError, CantorDynamics,
-                      EndomorphismSpec,
+from cuntzlab import (AlgebraElement, AlphabetMismatchError, BudgetExceededError,
+                      CantorDynamics, EndomorphismSpec,
                       GaussianRational, Monomial, NotUnitaryError, ParseError,
                       Permutation, ef_generators, parse_element, perm_unitary,
                       theta, theta_power, words)
@@ -80,6 +81,35 @@ def test_one_line_entries_outside_the_words_rejected():
         with pytest.raises(ValueError, match="outside 1..4"):
             Permutation.from_one_line(line, 2, 2)
     assert Permutation.from_one_line((1, 2, 3, 4), 2, 2) == Permutation.parse("id")
+
+
+def test_short_code_list_refused_before_the_words_are_listed():
+    # two codes for 2^21 words: the count is checked before any list of
+    # N^k entries is made
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="bijection"):
+            Permutation(21, 2, (0, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    with pytest.raises(ValueError, match="bijection"):
+        Permutation(2, 2, (0, 1, 2, 3, 4))
+
+
+def test_permutation_constructors_keep_the_budget():
+    # 2^7 = 128 words against a budget of 64: refused before any is listed
+    for build in (lambda: Permutation.identity(7, 2, budget=64),
+                  lambda: Permutation.from_cycles([(1, 2)], 7, 2, budget=64),
+                  lambda: Permutation.parse("(1 2)", 7, 2, budget=64),
+                  lambda: Permutation.parse("id", 7, 2, budget=64)):
+        with pytest.raises(BudgetExceededError, match=r"rank 7 needs 2\^7 words, budget 64"):
+            build()
+    assert endomorphism.permutation_size(7, 2, budget=128) == 128
+    assert Permutation.identity(7, 2, budget=128).codes == tuple(range(128))
+    assert Permutation.parse("(1 2)", 7, 2, budget=128) == \
+        Permutation.from_cycles([(1, 2)], 7, 2)
 
 
 def test_cycle_notation_roundtrip():

@@ -1,12 +1,15 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuntzlab import (AlgebraElement, GaussianRational, Monomial, ParseError,
-                      format_element, parse_element)
+from cuntzlab import (AlgebraElement, EndomorphismSpec, GaussianRational,
+                      Monomial, ParseError, Permutation, format_element,
+                      parse_element, words)
 from cuntzlab.sampling import random_element
+from cuntzlab.table import TABLE1_EXPECTED
 
 
 def test_worked_examples():
@@ -268,3 +271,22 @@ def test_complex_coefficients_round_trip(re_part, im_part, left, right):
     # the same coefficient after an outer '-' takes its negation
     assert parse_element(f"s[2] - ({c})", 2) == \
         AlgebraElement.generator(2, 2) - AlgebraElement.one(2).scaled(c)
+
+
+def test_rho_cubed_images_print_as_pinned():
+    # the printed rho^3(s_I s_J^*) for the 24 Table 1 permutations and
+    # |I| = |J| <= 2, one image a line: every image goes through
+    # `canonical`'s contraction and the printer's term order
+    lines = []
+    for cycles, _, _ in TABLE1_EXPECTED:
+        rho = EndomorphismSpec.from_permutation(Permutation.from_cycles(cycles, 2, 2))
+        for p in (1, 2):
+            for left in words(2, p):
+                for right in words(2, p):
+                    x = AlgebraElement.monomial(2, left, right)
+                    for _ in range(3):
+                        x = rho.apply(x)
+                    lines.append(format_element(x))
+    assert len(lines) == 480
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "161802c919c10ec46d2029f5737f7e4f13d820fe87cd85e3561019483a288368"
